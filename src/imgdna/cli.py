@@ -84,25 +84,10 @@ def _channel_from(args) -> ChannelConfig:
     """Config file first, then individual flags override its fields."""
     if args.channel_config:
         base = load_channel_config(args.channel_config)
-        fields = {
-            "rate": base.rate,
-            "sub_weight": base.sub_weight,
-            "ins_weight": base.ins_weight,
-            "del_weight": base.del_weight,
-            "copies": base.copies,
-            "corrupt_primers": base.corrupt_primers,
-        }
+    elif args.rate is None:
+        raise ValueError("either --rate or --channel-config is required")
     else:
-        if args.rate is None:
-            raise ValueError("either --rate or --channel-config is required")
-        fields = {
-            "rate": args.rate,
-            "sub_weight": 1.0,
-            "ins_weight": 1.0,
-            "del_weight": 1.0,
-            "copies": 1,
-            "corrupt_primers": False,
-        }
+        base = ChannelConfig(rate=args.rate)
     overrides = {
         "rate": args.rate,
         "sub_weight": args.sub_weight,
@@ -111,10 +96,7 @@ def _channel_from(args) -> ChannelConfig:
         "copies": args.copies,
         "corrupt_primers": args.corrupt_primers,
     }
-    for key, val in overrides.items():
-        if val is not None:
-            fields[key] = val
-    return ChannelConfig(**fields)
+    return replace(base, **{key: val for key, val in overrides.items() if val is not None})
 
 
 def _load_image(args) -> np.ndarray:

@@ -11,7 +11,6 @@ import csv
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import stats
 
 SSIM_WINDOW = 8
 SSIM_K1 = 0.01
@@ -74,6 +73,8 @@ def ci90_half_width(samples) -> float:
     spread = values.std(ddof=1)
     if spread == 0.0:
         return 0.0
+    from scipy import stats  # deferred: it is most of `import imgdna`
+
     return float(stats.t.ppf(0.95, n - 1) * spread / np.sqrt(n))
 
 

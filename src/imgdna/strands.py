@@ -3,15 +3,17 @@
 A strand is fwd_primer | index | payload | rev_primer. The index holds
 (offset * 2 + stream_bit) in base 3, written three times so a single hit
 cannot orphan the whole strand; each copy is rotation-encoded from the
-last primer nucleotide. The decoder votes over the three copy windows
-plus one-shifted variants, so an indel inside the index region still
-recovers the value.
+last primer nucleotide. An intact index region is looked up in a memoised
+table of exact encodings. Any other region goes to a decoder that votes
+over the three copy windows plus one-shifted variants, so an indel inside
+the index region still recovers the value.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -155,32 +157,64 @@ def _prefix_edit_within_one(expected: np.ndarray, observed: np.ndarray) -> bool:
     """True when expected aligns to a prefix of observed with <= 1 edit.
 
     Anchored at the start, free at the observed tail, so a trailing payload
-    nucleotide after the index region never counts as damage.
+    nucleotide after the index region never counts as damage. Only prefixes
+    of length n-1, n or n+1 can be one edit away, so past the first
+    mismatch k the rest must match under a deletion, substitution or
+    insertion at k.
     """
-    n, m = expected.size, observed.size
-    if m >= n and np.array_equal(observed[:n], expected):
-        return True
-    prev = np.arange(m + 1)
-    for i in range(1, n + 1):
-        cur = np.empty(m + 1, dtype=np.int64)
-        cur[0] = i
-        for j in range(1, m + 1):
-            cost = 0 if expected[i - 1] == observed[j - 1] else 1
-            cur[j] = min(prev[j - 1] + cost, prev[j] + 1, cur[j - 1] + 1)
-        prev = cur
-    return int(prev.min()) <= 1
+    e, o = expected.tolist(), observed.tolist()
+    n = len(e)
+    k = 0
+    while k < min(n, len(o)) and e[k] == o[k]:
+        k += 1
+    return (
+        e[k + 1 :] == o[k + 1 : n]  # substitution, or none when k == n
+        or e[k:] == o[k + 1 : n + 1]  # insertion
+        or e[k + 1 :] == o[k : n - 1]  # deletion
+    )
+
+
+@lru_cache(maxsize=64)
+def _exact_index_table(width: int, seed: int, limit: int) -> dict[bytes, int]:
+    # index_width_for never yields a limit above 3**width - 1, and stopping
+    # there keeps width 1's value 2 out: its exact encoding votes to 0
+    return {
+        encode_index(v, width, seed).tobytes(): v for v in range(min(limit, 3**width - 1))
+    }
 
 
 def decode_index(nts: np.ndarray, width: int, seed: int, limit: int) -> int | None:
+    """Index value below limit read from nts, or None when unroutable.
+
+    When the first 3*width nucleotides are the exact encoding of a value,
+    a memoised table per (width, seed, limit) answers; anything else goes
+    to the voting decoder. Both give the same value for every input. From
+    width 3 up, no other value passes the voting decoder's one-edit check
+    against an exact encoding. One edit either leaves some copy intact in
+    place, which fixes the value, or is an indel in copy 0 that shifts
+    copies 1 and 2, whose different masks cannot both decode to one value.
+    The tests compare the two paths on every value and trailing nucleotide
+    up to width 8.
+    """
+    value = _exact_index_table(width, seed, limit).get(nts[: 3 * width].tobytes())
+    if value is not None:
+        return value
+    return _vote_index(nts, width, seed, limit)
+
+
+def _vote_index(nts: np.ndarray, width: int, seed: int, limit: int) -> int | None:
     """Vote across the three copies, tolerating one-off shifts.
 
     Each copy region contributes at most one vote per value, whichever of
     its shifted windows produced it; a corrupt copy then cannot outvote
     the two intact ones with misaligned-window noise. Every candidate,
     however strong its vote, must re-encode to within one edit of the
-    observed index region before it is accepted: distinct values sit >= 3
-    edits apart, so a single-error strand can never pass under another
-    strand's address, no matter how the votes fall.
+    observed index region before it is accepted. From width 2 up, distinct
+    values sit >= 3 edits apart, so a single-error strand can never pass
+    under another strand's address, no matter how the votes fall. Width 1
+    values sit only 2 edits apart, and there the exact encoding of value 2
+    votes to 0 under limit 3; no pool has that limit, as index_width_for
+    gives width 1 only to pools whose limit is at most 2.
     """
     copy_windows = (
         (0, 1),

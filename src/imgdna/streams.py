@@ -381,7 +381,7 @@ def encode_interleaved_segment(
     flat: np.ndarray,
     dc_table: HuffmanTable,
     ac_table: HuffmanTable,
-    dc_bit_spans: Optional[list] = None,
+    dc_bit_spans: list | None = None,
 ) -> bytes:
     """Blocks as DC diff + AC terms back to back in one bit stream.
 

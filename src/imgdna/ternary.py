@@ -58,7 +58,6 @@ def _build_code() -> tuple[np.ndarray, list[tuple[int, ...]]]:
     code = 0
     prev_len = lengths[0]
     for length in lengths:
-        code <<= 0  # no-op, kept for clarity of the canonical walk
         if length > prev_len:
             code *= 3 ** (length - prev_len)
             prev_len = length

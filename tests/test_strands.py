@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from imgdna.pipeline import ExperimentConfig
 from imgdna.rotation import A, seq_to_string
 from imgdna.strands import (
     STREAM_AC,
@@ -17,6 +18,7 @@ from imgdna.strands import (
     trits_to_int,
     validate_constraints,
 )
+from imgdna.strands import _prefix_edit_within_one, _vote_index
 
 
 def test_default_primers_obey_rules():
@@ -103,6 +105,92 @@ def test_index_indel_failure_rate_is_small():
             wrong += 1
     assert wrong == 0, wrong
     assert gave_up / trials < 0.01, gave_up
+
+
+def _with_tails(nts):
+    yield nts
+    for tail in range(4):
+        yield np.append(nts, np.uint8(tail))
+
+
+def _assert_exact_reads_match_votes(width, seed):
+    # the largest limit index_width_for can produce, and every value under it
+    limit = 3**width - 1
+    for v in range(limit):
+        for nts in _with_tails(encode_index(v, width, seed)):
+            assert _vote_index(nts, width, seed, limit) == v, (width, seed, v, nts)
+            assert decode_index(nts, width, seed, limit) == v, (width, seed, v, nts)
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_exact_index_lookup_matches_voting_decoder(width):
+    for seed in range(4):
+        _assert_exact_reads_match_votes(width, seed)
+
+
+def test_exact_index_lookup_matches_voting_decoder_at_width_8():
+    fwd, _ = default_primer_pair(seed=ExperimentConfig().seed)
+    _assert_exact_reads_match_votes(8, int(fwd[-1]))
+
+
+def test_width_one_limit_stays_below_its_collision():
+    # at width 1 the exact encoding of value 2 votes to 0 under limit 3 ...
+    for seed in range(4):
+        reads = list(_with_tails(encode_index(2, 1, seed)))
+        votes = [_vote_index(nts, 1, seed, 3) for nts in reads]
+        assert 0 in votes
+        assert [decode_index(nts, 1, seed, 3) for nts in reads] == votes
+    # ... a limit no pool reaches: every width's limit stays <= 3**width - 1
+    for n in range(1, 4000):
+        assert 2 * n <= 3 ** index_width_for(n) - 1
+    assert index_width_for(1) == 1
+
+
+def test_exact_encoding_at_or_above_limit_matches_voting_decoder():
+    for width, limit in ((2, 4), (5, 100), (6, 500)):
+        for v in range(limit, 3**width, 3):
+            for nts in _with_tails(encode_index(v, width, seed=3)):
+                assert decode_index(nts, width, 3, limit) == _vote_index(nts, width, 3, limit)
+
+
+def _prefix_edit_within_one_dp(expected, observed):
+    # reference: edit distance anchored at the start, free at the observed tail
+    n, m = len(expected), len(observed)
+    prev = list(range(m + 1))
+    for i in range(1, n + 1):
+        cur = [i] + [0] * m
+        for j in range(1, m + 1):
+            cost = 0 if expected[i - 1] == observed[j - 1] else 1
+            cur[j] = min(prev[j - 1] + cost, prev[j] + 1, cur[j - 1] + 1)
+        prev = cur
+    return min(prev) <= 1
+
+
+def _random_edits(rng, seq, count):
+    seq = list(seq)
+    for _ in range(count):
+        kind = int(rng.integers(0, 3))
+        if kind == 1 or not seq:
+            seq.insert(int(rng.integers(0, len(seq) + 1)), int(rng.integers(0, 4)))
+        elif kind == 0:
+            seq[int(rng.integers(0, len(seq)))] = int(rng.integers(0, 4))
+        else:
+            del seq[int(rng.integers(0, len(seq)))]
+    return seq
+
+
+def test_prefix_edit_check_matches_reference_dp():
+    rng = np.random.default_rng(21)
+    for trial in range(20000):
+        expected = rng.integers(0, 4, size=int(rng.integers(0, 13))).astype(np.uint8)
+        if trial % 4 == 0:
+            observed = rng.integers(0, 4, size=int(rng.integers(0, 13)))
+        else:
+            edited = _random_edits(rng, expected.tolist(), int(rng.integers(0, 3)))
+            tail = rng.integers(0, 4, size=int(rng.integers(0, 4))).tolist()
+            observed = np.array(edited + tail, dtype=np.uint8)
+        want = _prefix_edit_within_one_dp(expected.tolist(), observed.tolist())
+        assert _prefix_edit_within_one(expected, observed) == want, (expected, observed)
 
 
 def test_geometry_capacity():
