@@ -53,6 +53,38 @@ def strand_rng(seed: int, uid: int, copy: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, uid, copy]))
 
 
+def edit_value(rng: np.random.Generator, kind: int) -> int:
+    """One scalar draw: a nonzero shift for a substitution, a nucleotide
+    for an insertion, nothing for a deletion. A vectorised draw would read
+    the stream differently and change every seeded result."""
+    if kind == 0:
+        return int(rng.integers(1, 4))
+    if kind == 1:
+        return int(rng.integers(0, 4))
+    return 0
+
+
+def apply_edits(nts: np.ndarray, edits) -> np.ndarray:
+    """A copy of nts with (pos, kind, value) point edits applied.
+
+    Positions are distinct and refer to the original strand. Kind 0
+    replaces nts[pos] with (nts[pos] + value) % 4, kind 1 inserts value
+    after pos and kind 2 deletes pos.
+    """
+    pieces = []
+    prev = 0
+    for pos, kind, value in sorted(edits):
+        pieces.append(nts[prev:pos])
+        if kind == 0:
+            pieces.append(np.array([(int(nts[pos]) + value) % 4], dtype=np.uint8))
+        elif kind == 1:
+            pieces.append(nts[pos : pos + 1])
+            pieces.append(np.array([value], dtype=np.uint8))
+        prev = pos + 1
+    pieces.append(nts[prev:])
+    return np.concatenate(pieces)
+
+
 def perturb_strand(
     nts: np.ndarray, cfg: ChannelConfig, rng: np.random.Generator, lo: int, hi: int
 ) -> np.ndarray:
@@ -63,22 +95,8 @@ def perturb_strand(
     if hits.size == 0:
         return nts.copy()
     kinds = rng.choice(3, size=hits.size, p=cfg.fractions)
-    pieces = []
-    prev = 0
-    for pos, kind in zip(hits.tolist(), kinds.tolist()):
-        if kind == 0:  # substitution: uniform different nucleotide
-            pieces.append(nts[prev:pos])
-            pieces.append(np.array([(nts[pos] + rng.integers(1, 4)) % 4], dtype=np.uint8))
-            prev = pos + 1
-        elif kind == 1:  # insertion after the position
-            pieces.append(nts[prev : pos + 1])
-            pieces.append(np.array([rng.integers(0, 4)], dtype=np.uint8))
-            prev = pos + 1
-        else:  # deletion
-            pieces.append(nts[prev:pos])
-            prev = pos + 1
-    pieces.append(nts[prev:])
-    return np.concatenate(pieces)
+    edits = [(pos, kind, edit_value(rng, kind)) for pos, kind in zip(hits.tolist(), kinds.tolist())]
+    return apply_edits(nts, edits)
 
 
 def perturb_pool(

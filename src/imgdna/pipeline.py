@@ -15,6 +15,10 @@ and Raw-DNA deliberately uses a single whole-image segment. Segment extents
 live in the mapping sidecar (the error-free side channel), so the decoder
 can carve the repaired trit stream back into segments no matter what the
 noisy channel did to individual strands.
+
+Every routed read goes through the barrier resync decode, which treats a
+stream without barriers as one unbounded partition per strand; such a
+strand counts as one damaged partition when its decoded length is wrong.
 """
 
 from __future__ import annotations
@@ -24,20 +28,20 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .barriers import BarrierConfig, insert_barriers, resync_decode
-from .channel import ChannelConfig, perturb_pool
+from .channel import ChannelConfig, apply_edits, edit_value, perturb_pool
 from .formats import MappingTable, SegmentRecord, StreamMap
 from .jpeg import ZIGZAG, ImageMetadata, forward_transform, inverse_transform
 from .metrics import barrier_overhead, ci90_half_width, encoding_density, ssim, write_csv
-from .rotation import A, rotate_decode, seq_to_string, string_to_seq
+from .rotation import seq_to_string, string_to_seq
 from .strands import (
     STREAM_AC,
     STREAM_DC,
     StrandGeometry,
     assemble_strand,
-    decode_index,
     default_primer_pair,
     disassemble_pool,
     index_width_for,
+    route_read,
     validate_constraints,
 )
 from .streams import (
@@ -180,7 +184,7 @@ def _resolve_geometry(
     """Fixed-point search for the smallest self-consistent index width."""
     fwd, rev = default_primer_pair(seed=cfg.seed)
     stream_cfgs = cfg.stream_configs()
-    width = 1
+    width = 2  # width-1 values sit 2 edits apart: one error can pass as the other
     while True:
         geom = StrandGeometry(
             strand_len=cfg.strand_len, fwd_primer=fwd, rev_primer=rev, index_width=width
@@ -361,15 +365,9 @@ def decode_pool(pool, mapping: MappingTable, meta: ImageMetadata) -> DecodeResul
                 result.missing_strands += 1
                 pieces.append(np.zeros(expected, dtype=np.uint8))
                 continue
-            if bc.partition_len is None:
-                trits = rotate_decode(payload, seed=A)
-                if trits.size < expected:
-                    trits = np.pad(trits, (0, expected - trits.size))
-                pieces.append(trits[:expected])
-            else:
-                r = resync_decode(payload, bc, expected)
-                result.damaged_partitions += r.damaged_count
-                pieces.append(r.trits)
+            r = resync_decode(payload, bc, expected)
+            result.damaged_partitions += r.damaged_count
+            pieces.append(r.trits)
         trits = (
             np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.uint8)
         )
@@ -479,8 +477,18 @@ def _primer_bounds(enc: EncodedImage) -> tuple[int, int]:
     return geom.fwd_len, geom.rev_len
 
 
-def _trial_seed(*key: int) -> int:
-    return int(np.random.SeedSequence(list(key)).generate_state(1)[0])
+def _score_trials(encs, refs, trials: int, noisy_pool) -> tuple[float, float]:
+    """Mean SSIM and its 90% CI half-width over every image x trial.
+
+    noisy_pool(ii, enc, trial) returns the noisy pool for one trial; each
+    trial seeds its own generator, so the call order cannot change a score.
+    """
+    scores = [
+        ssim(refs[ii], decode_pool(noisy_pool(ii, enc, trial), enc.mapping, enc.metadata).image)
+        for ii, enc in enumerate(encs)
+        for trial in range(trials)
+    ]
+    return float(np.mean(scores)), ci90_half_width(scores)
 
 
 # -------------------------------------------------------------------- sweeps
@@ -507,28 +515,19 @@ def run_sweep(
         density = float(np.mean([e.payload_density for e in encs]))
         for ri, rate in enumerate(rates):
             channel = ChannelConfig(rate=rate)
-            scores = []
-            for ii, enc in enumerate(encs):
-                for trial in range(trials):
-                    seed = _trial_seed(base_seed, pi, ri, ii, trial)
-                    noisy = perturb_pool(
-                        enc.strands, channel, seed, protect=_primer_bounds(enc)
-                    )
-                    dec = decode_pool(noisy, enc.mapping, enc.metadata)
-                    scores.append(ssim(refs[ii], dec.image))
-            rows.append(
-                [label, rate, float(np.mean(scores)), ci90_half_width(scores), density]
-            )
+
+            def noisy_pool(ii, enc, trial):
+                key = np.random.SeedSequence([base_seed, pi, ri, ii, trial])
+                seed = int(key.generate_state(1)[0])
+                return perturb_pool(enc.strands, channel, seed, protect=_primer_bounds(enc))
+
+            rows.append([label, rate, *_score_trials(encs, refs, trials, noisy_pool), density])
     if out_path is not None:
         write_csv(out_path, SWEEP_HEADER, rows)
     return rows
 
 
 # -------------------------------------------------- coefficient-class injection
-
-
-def _payload_len(strand: np.ndarray, geom: StrandGeometry) -> int:
-    return strand.size - geom.fwd_len - geom.rev_len - geom.index_len
 
 
 def _target_positions(enc: EncodedImage, target: int) -> list[tuple[int, int]]:
@@ -542,7 +541,7 @@ def _target_positions(enc: EncodedImage, target: int) -> list[tuple[int, int]]:
                 continue
             for k in range(sm.strand_count):
                 uid = sm.first_uid + k
-                for p in range(_payload_len(enc.strands[uid], geom)):
+                for p in range(enc.strands[uid].size - body - geom.rev_len):
                     out.append((uid, body + p))
         return out
     # interleaved payloads: map global trit positions through the DC extents
@@ -558,21 +557,17 @@ def _target_positions(enc: EncodedImage, target: int) -> list[tuple[int, int]]:
 
 
 def _inject(strands: list[np.ndarray], hits, rng) -> list[list[np.ndarray]]:
-    """Apply (uid, position, kind) point errors; kinds: 0 sub, 1 ins, 2 del."""
-    pool = [[s.copy()] for s in strands]
+    """Apply (uid, position, kind) point errors; kinds: 0 sub, 1 ins, 2 del.
+
+    Values are drawn per uid in first-hit order, highest position first.
+    """
     by_uid: dict[int, list[tuple[int, int]]] = {}
     for uid, pos, kind in hits:
         by_uid.setdefault(uid, []).append((pos, kind))
+    pool = [[s] for s in strands]
     for uid, edits in by_uid.items():
-        seq = pool[uid][0]
-        for pos, kind in sorted(edits, reverse=True):
-            if kind == 0:
-                seq[pos] = (seq[pos] + rng.integers(1, 4)) % 4
-            elif kind == 1:
-                seq = np.insert(seq, pos + 1, rng.integers(0, 4))
-            else:
-                seq = np.delete(seq, pos)
-        pool[uid][0] = seq
+        drawn = [(pos, kind, edit_value(rng, kind)) for pos, kind in sorted(edits, reverse=True)]
+        pool[uid] = [apply_edits(strands[uid], drawn)]
     return pool
 
 
@@ -604,33 +599,22 @@ def run_coefficient_isolation(
             [_target_positions(enc, t) for enc in encs] for t, _ in targets
         ]
         for ri, rate in enumerate(rates):
-            for ti, (target, label) in enumerate(targets):
-                scores = []
-                for ii, enc in enumerate(encs):
-                    total_payload = sum(
-                        _payload_len(s, enc.geometry()) for s in enc.strands
+            for ti, (_, label) in enumerate(targets):
+
+                def noisy_pool(ii, enc, trial):
+                    rng = np.random.default_rng(
+                        np.random.SeedSequence([base_seed, si, ri, ti, ii, trial])
                     )
-                    budget = max(1, round(rate * total_payload))
                     choices = positions[ti][ii]
-                    for trial in range(trials):
-                        rng = np.random.default_rng(
-                            np.random.SeedSequence(
-                                [base_seed, si, ri, ti, ii, trial]
-                            )
-                        )
-                        picks = rng.choice(
-                            len(choices), size=min(budget, len(choices)), replace=False
-                        )
-                        kinds = rng.integers(0, 3, size=picks.size)
-                        hits = [
-                            (*choices[int(p)], int(k)) for p, k in zip(picks, kinds)
-                        ]
-                        noisy = _inject(enc.strands, hits, rng)
-                        dec = decode_pool(noisy, enc.mapping, enc.metadata)
-                        scores.append(ssim(refs[ii], dec.image))
-                rows.append(
-                    [scheme, label, rate, float(np.mean(scores)), ci90_half_width(scores)]
-                )
+                    budget = max(1, round(rate * enc.payload_nt))
+                    picks = rng.choice(
+                        len(choices), size=min(budget, len(choices)), replace=False
+                    )
+                    kinds = rng.integers(0, 3, size=picks.size)
+                    hits = [(*choices[int(p)], int(k)) for p, k in zip(picks, kinds)]
+                    return _inject(enc.strands, hits, rng)
+
+                rows.append([scheme, label, rate, *_score_trials(encs, refs, trials, noisy_pool)])
     if out_path is not None:
         write_csv(out_path, ISOLATION_HEADER, rows)
     return rows
@@ -656,15 +640,9 @@ class ContainmentStats:
 
 
 def _partition_damage(got: np.ndarray, want: np.ndarray, pl: int | None) -> int:
-    if want.size == 0:
-        return 0
-    if got.size != want.size:
-        got = np.pad(got[: want.size], (0, max(want.size - got.size, 0)))
     diff = got != want
-    if pl is None:
-        return int(diff.any())
-    n = -(-want.size // pl)
-    return sum(1 for j in range(n) if diff[j * pl : (j + 1) * pl].any())
+    pl = pl or want.size  # None: one unbounded partition
+    return sum(1 for j in range(0, want.size, pl) if diff[j : j + pl].any())
 
 
 def run_containment(
@@ -676,22 +654,22 @@ def run_containment(
     """Single-error injections: how far does the damage spread?
 
     Each trial mutates one nucleotide (uniform position incl. primers and
-    index, uniform type) in one strand, decodes that strand, and counts
-    damaged partitions against the pristine trit stream. Misrouting to a
-    different strand's slot counts as unconfined.
+    index, uniform type) in one strand, routes and decodes that read as
+    decode_pool would, and counts damaged partitions against the pristine
+    trit stream. A quarantined read loses the whole strand but stays
+    confined; routing to any other address counts as unconfined.
     """
     cfg = cfg or ExperimentConfig()
     enc = encode_image(image, cfg)
     geom = enc.geometry()
     limit = 2 * max(sm.strand_count for sm in enc.mapping.streams)
-    layouts = {
-        sm.stream_id: _strand_trit_layout(sm, geom.capacity)
-        for sm in enc.mapping.streams
-    }
-    uid_map: dict[int, tuple[int, int]] = {}
+    # uid -> (stream, offset, barrier layout, pristine trits)
+    targets: dict[int, tuple[int, int, BarrierConfig, np.ndarray]] = {}
     for sm in enc.mapping.streams:
+        bc, per = _strand_trit_layout(sm, geom.capacity)
         for k in range(sm.strand_count):
-            uid_map[sm.first_uid + k] = (sm.stream_id, k)
+            want = enc.stream_trits[sm.stream_id][k * per : (k + 1) * per]
+            targets[sm.first_uid + k] = (sm.stream_id, k, bc, want)
 
     lengths = np.array([s.size for s in enc.strands], dtype=np.int64)
     cum = np.concatenate([[0], np.cumsum(lengths)])
@@ -703,47 +681,16 @@ def run_containment(
         uid = int(np.searchsorted(cum, flat_pos, side="right")) - 1
         pos = flat_pos - int(cum[uid])
         kind = int(rng.integers(0, 3))
-        strand = enc.strands[uid].copy()
-        if kind == 0:
-            strand[pos] = (strand[pos] + rng.integers(1, 4)) % 4
-        elif kind == 1:
-            strand = np.insert(strand, pos + 1, rng.integers(0, 4))
-        else:
-            strand = np.delete(strand, pos)
+        read = apply_edits(enc.strands[uid], [(pos, kind, edit_value(rng, kind))])
 
-        sid, offset = uid_map[uid]
-        bc, per = layouts[sid]
-        total = next(
-            sm.total_trits for sm in enc.mapping.streams if sm.stream_id == sid
-        )
-        expected = min(per, total - offset * per)
-        want = enc.stream_trits[sid][offset * per : offset * per + expected]
-
-        confined = True
-        if strand.size <= geom.fwd_len + geom.rev_len + geom.index_len:
-            damage = _partition_damage(np.zeros_like(want), want, bc.partition_len)
+        sid, offset, bc, want = targets[uid]
+        routed = route_read(read, geom, limit)
+        confined = routed is None or routed[:2] == (sid, offset)
+        if routed is not None and confined:
+            got = resync_decode(routed[2], bc, want.size).trits
         else:
-            body = strand[geom.fwd_len : strand.size - geom.rev_len]
-            value = decode_index(
-                body[: geom.index_len + 1], geom.index_width, geom.index_seed, limit
-            )
-            if value is None:
-                # quarantined: the whole strand drops out
-                damage = _partition_damage(
-                    np.zeros_like(want), want, bc.partition_len
-                )
-            elif (value & 1, value >> 1) != (sid, offset):
-                confined = False
-                damage = _partition_damage(
-                    np.zeros_like(want), want, bc.partition_len
-                )
-            else:
-                payload = body[geom.index_len :]
-                if bc.partition_len is None:
-                    got = rotate_decode(payload, seed=A)
-                else:
-                    got = resync_decode(payload, bc, expected).trits
-                damage = _partition_damage(got, want, bc.partition_len)
+            got = np.zeros_like(want)
+        damage = _partition_damage(got, want, bc.partition_len)
 
         stats.within_two_partitions += damage <= 2
         stats.confined_to_strand += confined

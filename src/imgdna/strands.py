@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rotation import A, rotate_decode, rotate_encode, seq_to_string
+from .rotation import A, rotate_decode, rotate_encode
 
 STREAM_DC = 0  # also carries the single interleaved stream
 STREAM_AC = 1
@@ -212,9 +212,9 @@ def _vote_index(nts: np.ndarray, width: int, seed: int, limit: int) -> int | Non
     observed index region before it is accepted. From width 2 up, distinct
     values sit >= 3 edits apart, so a single-error strand can never pass
     under another strand's address, no matter how the votes fall. Width 1
-    values sit only 2 edits apart, and there the exact encoding of value 2
-    votes to 0 under limit 3; no pool has that limit, as index_width_for
-    gives width 1 only to pools whose limit is at most 2.
+    values sit only 2 edits apart, so one error can pass one address as
+    the other (and the exact encoding of value 2 votes to 0 under limit 3);
+    encode_image never writes width-1 indexes.
     """
     copy_windows = (
         (0, 1),
@@ -271,6 +271,24 @@ def _vote_copies(copies: list[np.ndarray]) -> np.ndarray:
     raise AssertionError("unreachable")
 
 
+def route_read(
+    read: np.ndarray, geom: StrandGeometry, limit: int
+) -> tuple[int, int, np.ndarray] | None:
+    """(stream, offset, payload) addressed by a read, or None when unroutable.
+
+    Primer regions are stripped by position and the index is decoded from
+    the front of what is left. A read too short to hold primers, index and
+    one payload nucleotide is unroutable.
+    """
+    if read.size <= geom.fwd_len + geom.rev_len + geom.index_len:
+        return None
+    body = read[geom.fwd_len : read.size - geom.rev_len]
+    value = decode_index(body[: geom.index_len + 1], geom.index_width, geom.index_seed, limit)
+    if value is None:
+        return None
+    return value & 1, value >> 1, body[geom.index_len :]
+
+
 def disassemble_pool(
     strand_groups: list[list[np.ndarray]],
     geom: StrandGeometry,
@@ -278,26 +296,20 @@ def disassemble_pool(
 ) -> DisassemblyResult:
     """Recover per-stream payload slots from received strands.
 
-    strand_groups holds the noisy copies of each synthesized strand.
-    Primer regions are stripped by position; the voted index routes the
-    payload to its slot. Unroutable strands are quarantined, their slots
-    stay None for the caller's gap fill.
+    strand_groups holds the noisy copies of each synthesized strand. Each
+    voted read is routed by its index; unroutable reads and addresses with
+    no slot are quarantined, their slots stay None for the caller's gap fill.
     """
     result = DisassemblyResult(
         streams={s: [None] * n for s, n in stream_counts.items()}
     )
     limit = 2 * max(stream_counts.values())
     for copies in strand_groups:
-        strand = _vote_copies(copies)
-        if strand.size <= geom.fwd_len + geom.rev_len + geom.index_len:
+        routed = route_read(_vote_copies(copies), geom, limit)
+        if routed is None:
             result.quarantined += 1
             continue
-        body = strand[geom.fwd_len : strand.size - geom.rev_len]
-        value = decode_index(body[: geom.index_len + 1], geom.index_width, geom.index_seed, limit)
-        if value is None:
-            result.quarantined += 1
-            continue
-        stream, offset = value & 1, value >> 1
+        stream, offset, payload = routed
         slots = result.streams.get(stream)
         if slots is None or offset >= len(slots):
             result.quarantined += 1
@@ -305,7 +317,7 @@ def disassemble_pool(
         if slots[offset] is not None:
             result.duplicates += 1
             continue
-        slots[offset] = body[geom.index_len :]
+        slots[offset] = payload
     return result
 
 

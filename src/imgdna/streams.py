@@ -205,9 +205,6 @@ class HuffmanTable:
         code, ln = self._encode[symbol]
         writer.write(code, ln)
 
-    def bit_length(self, symbol: int) -> int:
-        return self._encode[symbol][1]
-
     def decode_one(self, reader: BitReader) -> int:
         window = reader.peek16()
         ln = self._len[window]
@@ -428,39 +425,3 @@ def decode_interleaved_segment(
             out[b:, 0] = prev  # frozen predictor; AC stays zero
             return out, False
     return out, True
-
-
-@dataclass
-class CoefficientStreams:
-    """One image's entropy-coded DC and AC byte streams plus code tables."""
-
-    dc_data: bytes
-    ac_data: bytes
-    dc_table: HuffmanTable
-    ac_table: HuffmanTable
-    block_count: int
-
-
-def encode_streams(blocks: np.ndarray) -> CoefficientStreams:
-    """Whole-image encode: one DC segment and one AC segment."""
-    flat = zigzag_flatten(np.asarray(blocks, dtype=np.int32))
-    dc_table, ac_table = build_tables(flat)
-    return CoefficientStreams(
-        dc_data=encode_dc_segment(flat[:, 0], dc_table),
-        ac_data=encode_ac_segment(flat[:, 1:], ac_table),
-        dc_table=dc_table,
-        ac_table=ac_table,
-        block_count=flat.shape[0],
-    )
-
-
-def decode_streams(
-    streams: CoefficientStreams, quant_table: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """Inverse of encode_streams. Returns ((n, 8, 8) blocks, clean)."""
-    quant_zig = np.asarray(quant_table, dtype=np.int64).reshape(64)[ZIGZAG]
-    n = streams.block_count
-    dc, dc_ok = decode_dc_segment(streams.dc_data, streams.dc_table, n, int(quant_zig[0]))
-    ac, ac_ok = decode_ac_segment(streams.ac_data, streams.ac_table, n, quant_zig)
-    flat = np.concatenate([dc[:, None], ac], axis=1)
-    return zigzag_unflatten(flat), dc_ok and ac_ok

@@ -3,6 +3,7 @@ import pytest
 
 from imgdna.channel import (
     ChannelConfig,
+    apply_edits,
     parse_channel_config,
     perturb_pool,
     perturb_strand,
@@ -123,6 +124,37 @@ def test_insertion_goes_after_the_position():
     assert out.size == 5
     assert out[0] == 0  # original nt kept, insertion lands behind it
     assert np.array_equal(out[2:], strand[1:])
+
+
+def _apply_edits_reference(nts, edits):
+    # edits applied from the highest position down, so lower ones keep their place
+    seq = nts.copy()
+    for pos, kind, value in sorted(edits, reverse=True):
+        if kind == 0:
+            seq[pos] = (seq[pos] + value) % 4
+        elif kind == 1:
+            seq = np.insert(seq, pos + 1, value)
+        else:
+            seq = np.delete(seq, pos)
+    return seq
+
+
+def test_apply_edits_matches_one_at_a_time_reference():
+    rng = np.random.default_rng(12)
+    for _ in range(3000):
+        n = int(rng.integers(1, 61))
+        nts = rng.integers(0, 4, size=n).astype(np.uint8)
+        positions = rng.choice(n, size=int(rng.integers(0, min(5, n) + 1)), replace=False)
+        edits = []
+        for pos in positions.tolist():
+            kind = int(rng.integers(0, 3))
+            value = int(rng.integers(1, 4)) if kind == 0 else int(rng.integers(0, 4))
+            edits.append((pos, kind, value))
+        got = apply_edits(nts, edits)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, _apply_edits_reference(nts, edits)), (nts, edits)
+        assert np.array_equal(apply_edits(nts, edits[::-1]), got)  # order-free
+    assert apply_edits(nts, []) is not nts
 
 
 def test_parse_channel_config():

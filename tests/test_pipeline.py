@@ -137,6 +137,41 @@ def test_single_error_containment(small_image):
     assert stats.within_two_fraction >= 0.99
 
 
+def test_seeded_draw_order_is_pinned(small_image):
+    # seeded figures kept as literals: any change to the order of RNG draws
+    # in the channel, the injections or the trial loop fails here
+    hist = {
+        SCHEME_IMG_DNA: {0: 53, 1: 246, 2: 1},
+        SCHEME_NO_BARRIER: {0: 32, 1: 268},
+    }
+    for scheme, want in hist.items():
+        stats = run_containment(small_image, ExperimentConfig(scheme=scheme), trials=300, seed=11)
+        assert stats.damage_histogram == want, scheme
+    rows = run_coefficient_isolation([small_image], trials=2)
+    assert rows == [
+        [SCHEME_IMG_DNA, "dc", 0.01, 0.6767147261027522, 0.023700068662082147],
+        [SCHEME_IMG_DNA, "ac", 0.01, 0.39280700658201484, 0.08090339869447831],
+        [SCHEME_NO_BARRIER, "dc", 0.01, 0.6637366513828178, 0.03199022747904397],
+        [SCHEME_NO_BARRIER, "ac", 0.01, 0.2700307277415183, 0.11539751376763865],
+        [SCHEME_RAW_DNA, "dc", 0.01, 0.008143482543183306, 0.005177038407148098],
+        [SCHEME_RAW_DNA, "ac", 0.01, 0.008921350109263242, 0.002194323852005105],
+    ]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_single_strand_streams_route_without_misrouting(scheme):
+    # one strand per stream would fit width-1 indexes, whose two values sit
+    # only 2 edits apart; encoding starts at width 2 so no error misroutes
+    image = (np.arange(64).reshape(8, 8) * 7 % 256).astype(np.uint8)
+    cfg = ExperimentConfig(scheme=scheme)
+    enc = encode_image(image, cfg)
+    assert enc.mapping.index_width == 2
+    dec = decode_pool(enc.strands, enc.mapping, enc.metadata)
+    assert np.array_equal(dec.image, reference_image(image, cfg.quality))
+    stats = run_containment(image, cfg, trials=4000)
+    assert stats.confined_to_strand == 4000
+
+
 def test_report_fields_populated(small_image):
     cfg = ExperimentConfig()
     report, decoded = run_pipeline(small_image, cfg, ChannelConfig(rate=0.0))
@@ -157,6 +192,12 @@ def test_no_barrier_scheme_has_zero_overhead(small_image):
     assert enc.stream_barrier_nt == {STREAM_DC: 0, STREAM_AC: 0}
     assert enc.barrier_overhead_for(STREAM_DC) == 0.0
     assert enc.barrier_overhead_for(STREAM_AC) == 0.0
+    # one payload deletion damages the strand's single unbounded partition
+    geom = enc.geometry()
+    pool = [s.copy() for s in enc.strands]
+    pool[0] = np.delete(pool[0], geom.fwd_len + geom.index_len + 10)
+    dec = decode_pool(pool, enc.mapping, enc.metadata)
+    assert (dec.quarantined, dec.missing_strands, dec.damaged_partitions) == (0, 0, 1)
 
 
 def test_run_sweep_rows_and_determinism(tmp_path, small_image):

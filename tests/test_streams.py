@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imgdna.jpeg import clamp_quantized, forward_transform
+from imgdna.jpeg import ZIGZAG, clamp_quantized, forward_transform
 from imgdna.streams import (
     EOB,
     ZRL,
@@ -15,11 +15,9 @@ from imgdna.streams import (
     decode_ac_segment,
     decode_dc_segment,
     decode_interleaved_segment,
-    decode_streams,
     encode_ac_segment,
     encode_dc_segment,
     encode_interleaved_segment,
-    encode_streams,
     zigzag_flatten,
     zigzag_unflatten,
 )
@@ -242,12 +240,30 @@ def test_zigzag_flatten_unflatten_identity():
     assert np.array_equal(zigzag_unflatten(zigzag_flatten(blocks)), blocks)
 
 
+def _encode_segments(blocks):
+    """Whole-image DC and AC segments plus their code tables."""
+    flat = zigzag_flatten(blocks)
+    dc_table, ac_table = build_tables(flat)
+    dc_data = encode_dc_segment(flat[:, 0], dc_table)
+    ac_data = encode_ac_segment(flat[:, 1:], ac_table)
+    return dc_data, ac_data, dc_table, ac_table
+
+
+def _segment_round_trip(blocks, quant_table):
+    """Blocks through the DC and AC segment codecs; returns (blocks, clean)."""
+    dc_data, ac_data, dc_table, ac_table = _encode_segments(blocks)
+    quant_zig = quant_table.reshape(64)[ZIGZAG]
+    n = blocks.shape[0]
+    dc, dc_ok = decode_dc_segment(dc_data, dc_table, n, int(quant_zig[0]))
+    ac, ac_ok = decode_ac_segment(ac_data, ac_table, n, quant_zig)
+    return zigzag_unflatten(np.concatenate([dc[:, None], ac], axis=1)), dc_ok and ac_ok
+
+
 def test_streams_are_lossless_for_real_images():
     rng = np.random.default_rng(7)
     image = (rng.normal(128, 40, size=(64, 72)).clip(0, 255)).astype(np.uint8)
     blocks, meta = forward_transform(image, quality=75)
-    streams = encode_streams(blocks)
-    out, clean = decode_streams(streams, meta.quant_table)
+    out, clean = _segment_round_trip(blocks, meta.quant_table)
     assert clean
     assert np.array_equal(out, blocks)
 
@@ -259,8 +275,7 @@ def test_all_black_image_survives_entropy_round_trip():
     assert meta.quant_table[0, 0] == 13
     assert blocks[0, 0, 0] == -79
     assert clamp_quantized(-79, 13) == -79
-    streams = encode_streams(blocks)
-    out, clean = decode_streams(streams, meta.quant_table)
+    out, clean = _segment_round_trip(blocks, meta.quant_table)
     assert clean
     assert np.array_equal(out, blocks)
 
@@ -269,11 +284,11 @@ def test_encoding_is_deterministic():
     rng = np.random.default_rng(8)
     image = (rng.normal(120, 50, size=(48, 48)).clip(0, 255)).astype(np.uint8)
     blocks, meta = forward_transform(image)
-    a = encode_streams(blocks)
-    b = encode_streams(blocks)
-    assert a.dc_data == b.dc_data
-    assert a.ac_data == b.ac_data
-    assert a.dc_table.lengths == b.dc_table.lengths
+    a_dc, a_ac, a_dc_table, _ = _encode_segments(blocks)
+    b_dc, b_ac, b_dc_table, _ = _encode_segments(blocks)
+    assert a_dc == b_dc
+    assert a_ac == b_ac
+    assert a_dc_table.lengths == b_dc_table.lengths
 
 
 @settings(max_examples=60, deadline=None)
