@@ -151,11 +151,10 @@ def forward_transform(image: np.ndarray, quality: int = 75) -> tuple[np.ndarray,
 COEFF_LIMIT = 1024
 
 
-def clamp_quantized(value: int, quant_entry: int) -> int:
+def coefficient_bounds(quant) -> np.ndarray:
     # ceil: an all-black block quantizes DC to round(-1024/q), which can
     # sit one above 1024//q
-    bound = -(-COEFF_LIMIT // int(quant_entry))
-    return max(-bound, min(bound, value))
+    return -(-COEFF_LIMIT // np.asarray(quant, dtype=np.int64))
 
 
 def inverse_transform(blocks: np.ndarray, meta: ImageMetadata) -> np.ndarray:

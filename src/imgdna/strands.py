@@ -153,6 +153,14 @@ def encode_index(value: int, width: int, seed: int) -> np.ndarray:
     )
 
 
+@lru_cache(maxsize=4096)
+def _index_code(value: int, width: int, seed: int) -> np.ndarray:
+    """encode_index, memoised and read-only, since every caller shares it."""
+    code = encode_index(value, width, seed)
+    code.setflags(write=False)
+    return code
+
+
 def _prefix_edit_within_one(expected: np.ndarray, observed: np.ndarray) -> bool:
     """True when expected aligns to a prefix of observed with <= 1 edit.
 
@@ -179,7 +187,7 @@ def _exact_index_table(width: int, seed: int, limit: int) -> dict[bytes, int]:
     # index_width_for never yields a limit above 3**width - 1, and stopping
     # there keeps width 1's value 2 out: its exact encoding votes to 0
     return {
-        encode_index(v, width, seed).tobytes(): v for v in range(min(limit, 3**width - 1))
+        _index_code(v, width, seed).tobytes(): v for v in range(min(limit, 3**width - 1))
     }
 
 
@@ -239,7 +247,7 @@ def _vote_index(nts: np.ndarray, width: int, seed: int, limit: int) -> int | Non
         copy_votes, key=lambda v: (copy_votes[v], raw_votes[v], -v), reverse=True
     )
     for value in ranked:
-        if _prefix_edit_within_one(encode_index(value, width, seed), nts):
+        if _prefix_edit_within_one(_index_code(value, width, seed), nts):
             return value
     return None
 
@@ -247,7 +255,7 @@ def _vote_index(nts: np.ndarray, width: int, seed: int, limit: int) -> int | Non
 def assemble_strand(geom: StrandGeometry, index_value: int, payload: np.ndarray) -> np.ndarray:
     if payload.size > geom.capacity:
         raise ValueError(f"payload {payload.size} nt exceeds capacity {geom.capacity}")
-    index = encode_index(index_value, geom.index_width, geom.index_seed)
+    index = _index_code(index_value, geom.index_width, geom.index_seed)
     return np.concatenate([geom.fwd_primer, index, payload, geom.rev_primer])
 
 

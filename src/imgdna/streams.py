@@ -10,6 +10,14 @@ Streams may be cut into segments of whole blocks. Each segment restarts
 the DC predictor and is padded to a whole byte, so a damaged segment can
 be skipped without poisoning its neighbours. A decode failure zero-fills
 the remainder of the segment being decoded.
+
+Decoding is table-driven. A segment becomes a list of 24-bit big-endian
+words, one at each byte offset and padded with 1 bits past the end, read
+through a plain int bit position. The next 16 bits index two 65,536-entry
+lookups that give the symbol and its code length at once, and amplitude
+bits come from the same words. A zero length, or a code or amplitude that
+runs past the segment, fails it. Decoded values are clamped to the valid
+coefficient range once per segment, with numpy.
 """
 
 from __future__ import annotations
@@ -20,18 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jpeg import ZIGZAG, clamp_quantized
+from .jpeg import ZIGZAG, coefficient_bounds
 
 EOB = 0x00  # end of block: all remaining AC terms are zero
 ZRL = 0xF0  # sixteen zero AC terms
 MAX_CODE_LENGTH = 16
 _RESERVED = 0x100  # pseudo-symbol holding the all-ones codeword
-
-
-class StreamDecodeError(ValueError):
-    def __init__(self, message: str, bit_offset: int):
-        super().__init__(f"{message} at bit {bit_offset}")
-        self.bit_offset = bit_offset
 
 
 class BitWriter:
@@ -64,41 +66,15 @@ class BitWriter:
         return bytes(self._out) + bytes([last])
 
 
-class BitReader:
-    def __init__(self, data: bytes):
-        self._data = bytes(data)
-        self._nbits = len(self._data) * 8
-        self._pos = 0
+def _words(data: bytes) -> list[int]:
+    """24-bit big-endian word at each byte offset of data and one past it.
 
-    @property
-    def position(self) -> int:
-        return self._pos
-
-    @property
-    def bits_left(self) -> int:
-        return self._nbits - self._pos
-
-    def peek16(self) -> int:
-        """Next 16 bits, padded with 1s past the end of the data."""
-        i = self._pos >> 3
-        chunk = self._data[i : i + 3]
-        v = int.from_bytes(chunk + b"\xff" * (3 - len(chunk)), "big")
-        return (v >> (8 - (self._pos & 7))) & 0xFFFF
-
-    def skip(self, nbits: int) -> None:
-        self._pos += nbits
-
-    def read(self, nbits: int) -> int:
-        if nbits == 0:
-            return 0
-        if self._pos + nbits > self._nbits:
-            raise StreamDecodeError("bit stream exhausted", self._pos)
-        i = self._pos >> 3
-        need = ((self._pos & 7) + nbits + 7) >> 3
-        v = int.from_bytes(self._data[i : i + need], "big")
-        v >>= need * 8 - (self._pos & 7) - nbits
-        self._pos += nbits
-        return v & ((1 << nbits) - 1)
+    Bytes past the end read as 0xFF. The 16 bits at bit position pos are
+    (words[pos >> 3] >> (8 - (pos & 7))) & 0xFFFF, and any 1 to 17 bits
+    starting there fit in the same word.
+    """
+    padded = np.frombuffer(bytes(data) + b"\xff\xff\xff", dtype=np.uint8).astype(np.int32)
+    return ((padded[:-2] << 16) | (padded[1:-1] << 8) | padded[2:]).tolist()
 
 
 def _optimal_lengths(freqs: dict[int, int]) -> dict[int, int]:
@@ -169,12 +145,13 @@ class HuffmanTable:
 
     lengths: dict[int, int]
     _encode: dict[int, tuple[int, int]] = field(repr=False, compare=False, default=None)
-    _sym: list = field(repr=False, compare=False, default=None)
-    _len: list = field(repr=False, compare=False, default=None)
+    _lookup: tuple[bytes, bytes] = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not self.lengths:
             raise ValueError("empty code table")
+        if min(self.lengths) < 0 or max(self.lengths) > 0xFF:
+            raise ValueError("symbol outside 0..255")
         if max(self.lengths.values()) > MAX_CODE_LENGTH:
             raise ValueError("code length above 16")
         if sum(2 ** (MAX_CODE_LENGTH - ln) for ln in self.lengths.values()) > (
@@ -182,15 +159,6 @@ class HuffmanTable:
         ):
             raise ValueError("code lengths violate the Kraft bound")
         self._encode = _canonical_codes(self.lengths)
-        sym = np.full(1 << 16, -1, dtype=np.int32)
-        ln_arr = np.zeros(1 << 16, dtype=np.uint8)
-        for s, (code, ln) in self._encode.items():
-            lo = code << (MAX_CODE_LENGTH - ln)
-            hi = lo + (1 << (MAX_CODE_LENGTH - ln))
-            sym[lo:hi] = s
-            ln_arr[lo:hi] = ln
-        self._sym = sym.tolist()
-        self._len = ln_arr.tolist()
 
     @classmethod
     def from_frequencies(cls, freqs: dict[int, int]) -> "HuffmanTable":
@@ -205,27 +173,33 @@ class HuffmanTable:
         code, ln = self._encode[symbol]
         writer.write(code, ln)
 
-    def decode_one(self, reader: BitReader) -> int:
-        window = reader.peek16()
-        ln = self._len[window]
-        if ln == 0 or ln > reader.bits_left:
-            raise StreamDecodeError("invalid code", reader.position)
-        reader.skip(ln)
-        return self._sym[window]
+    def lookup(self) -> tuple[bytes, bytes]:
+        """(symbols, lengths): the codeword that each 16-bit window starts
+        with, and its length, 0 where no codeword matches. Built on first
+        use, so encoding never pays for it."""
+        if self._lookup is None:
+            sym = np.zeros(1 << MAX_CODE_LENGTH, dtype=np.uint8)
+            ln_arr = np.zeros(1 << MAX_CODE_LENGTH, dtype=np.uint8)
+            for s, (code, ln) in self._encode.items():
+                lo = code << (MAX_CODE_LENGTH - ln)
+                hi = lo + (1 << (MAX_CODE_LENGTH - ln))
+                sym[lo:hi] = s
+                ln_arr[lo:hi] = ln
+            self._lookup = sym.tobytes(), ln_arr.tobytes()
+        return self._lookup
 
 
 def dc_category(diff: int) -> int:
     return abs(int(diff)).bit_length()
 
 
+def _categories(values: np.ndarray) -> np.ndarray:
+    """dc_category of every value: the bit length of its magnitude."""
+    return np.frexp(np.abs(values).astype(np.float64))[1]
+
+
 def _amplitude(value: int, size: int) -> int:
     return value if value > 0 else value + (1 << size) - 1
-
-
-def _amplitude_value(bits: int, size: int) -> int:
-    if bits >> (size - 1):
-        return bits
-    return bits - (1 << size) + 1
 
 
 def zigzag_flatten(blocks: np.ndarray) -> np.ndarray:
@@ -245,26 +219,20 @@ def symbol_counts(flat: np.ndarray) -> tuple[Counter, Counter]:
 
     The DC chain runs over the whole image here; segmented encoding later
     restarts the predictor, which the floor counts in build_tables absorb.
+    Each nonzero AC term costs run // 16 ZRLs and one (run % 16, size)
+    symbol, where run counts the zeros since the previous nonzero term of
+    its row; a row ends with EOB unless its last term is nonzero.
     """
-    dc_freqs: Counter = Counter()
-    ac_freqs: Counter = Counter()
-    prev = 0
-    for row in flat:
-        dc_freqs[dc_category(int(row[0]) - prev)] += 1
-        prev = int(row[0])
-        run = 0
-        for v in row[1:]:
-            if v == 0:
-                run += 1
-                continue
-            while run >= 16:
-                ac_freqs[ZRL] += 1
-                run -= 16
-            ac_freqs[(run << 4) | dc_category(int(v))] += 1
-            run = 0
-        if run:
-            ac_freqs[EOB] += 1
-    return dc_freqs, ac_freqs
+    flat = np.asarray(flat, dtype=np.int64)
+    dc_freqs = Counter(_categories(np.diff(flat[:, 0], prepend=0)).tolist())
+    rows, cols = np.nonzero(flat[:, 1:])
+    first = np.ones(rows.size, dtype=bool)  # first nonzero term of its row
+    first[1:] = rows[1:] != rows[:-1]
+    runs = cols - np.where(first, -1, np.roll(cols, 1)) - 1
+    ac_freqs = Counter((((runs % 16) << 4) | _categories(flat[rows, cols + 1])).tolist())
+    ac_freqs[ZRL] += int((runs // 16).sum())
+    ac_freqs[EOB] += len(flat) - int(np.count_nonzero(flat[:, 63]))
+    return dc_freqs, +ac_freqs  # unary plus drops the zero counts
 
 
 def build_tables(flat: np.ndarray) -> tuple[HuffmanTable, HuffmanTable]:
@@ -283,21 +251,74 @@ def _write_dc(writer: BitWriter, table: HuffmanTable, diff: int) -> None:
 
 
 def _write_ac_row(writer: BitWriter, table: HuffmanTable, row) -> None:
+    codes = table._encode
     run = 0
-    for v in row:
-        v = int(v)
+    for v in row.tolist():
         if v == 0:
             run += 1
             continue
         while run >= 16:
-            table.write(writer, ZRL)
+            writer.write(*codes[ZRL])
             run -= 16
-        size = dc_category(v)
-        table.write(writer, (run << 4) | size)
-        writer.write(_amplitude(v, size), size)
+        size = abs(v).bit_length()
+        code, ln = codes[(run << 4) | size]
+        writer.write((code << size) | _amplitude(v, size), ln + size)
         run = 0
     if run:
-        table.write(writer, EOB)
+        writer.write(*codes[EOB])
+
+
+def _dc_diff(words: list[int], pos: int, nbits: int, syms: bytes, lens: bytes):
+    """One DC difference at bit pos: (diff, next pos), or None when damaged.
+
+    Categories above 16 (hand-made tables only) mean |diff| >= 2**16, which
+    clamps to the same bound from the top 16 amplitude bits as from all."""
+    window = (words[pos >> 3] >> (8 - (pos & 7))) & 0xFFFF
+    ln = lens[window]
+    size = syms[window]
+    pos += ln
+    if ln == 0 or pos + size > nbits:
+        return None
+    if not size:
+        return 0, pos
+    top = min(size, 16)
+    bits = (words[pos >> 3] >> (24 - (pos & 7) - top)) & ((1 << top) - 1)
+    return (bits if bits >> (top - 1) else bits - (1 << top) + 1), pos + size
+
+
+def _ac_block(
+    words: list[int], pos: int, nbits: int, syms: bytes, lens: bytes, row: list
+) -> int:
+    """Decode one block's AC terms from bit pos into row (63 zeros).
+
+    Returns the bit position after the block, or -1 when it is damaged: no
+    codeword, a code or amplitude past nbits, a size-0 symbol other than
+    EOB and ZRL, or a term past the 63rd. Terms decoded before that stay.
+    """
+    k = 0
+    while k < 63:
+        window = (words[pos >> 3] >> (8 - (pos & 7))) & 0xFFFF
+        ln = lens[window]
+        sym = syms[window]
+        size = sym & 0xF
+        pos += ln
+        if ln == 0 or pos + size > nbits:
+            return -1
+        if size:
+            k += sym >> 4
+            if k >= 63:
+                return -1
+            bits = (words[pos >> 3] >> (24 - (pos & 7) - size)) & ((1 << size) - 1)
+            row[k] = bits if bits >> (size - 1) else bits - (1 << size) + 1
+            pos += size
+            k += 1
+        elif sym == ZRL:
+            k += 16
+        elif sym == EOB:
+            return pos
+        else:
+            return -1
+    return pos
 
 
 def encode_dc_segment(dc_values, table: HuffmanTable) -> bytes:
@@ -314,19 +335,21 @@ def decode_dc_segment(
     data: bytes, table: HuffmanTable, count: int, quant_dc: int
 ) -> tuple[np.ndarray, bool]:
     """Returns (values, clean). On damage the remaining diffs become 0."""
-    out = np.zeros(count, dtype=np.int32)
-    reader = BitReader(data)
-    prev = 0
-    for i in range(count):
-        try:
-            size = table.decode_one(reader)
-            diff = _amplitude_value(reader.read(size), size) if size else 0
-        except StreamDecodeError:
-            out[i:] = prev
-            return out, False
-        prev = clamp_quantized(prev + diff, quant_dc)
-        out[i] = prev
-    return out, True
+    words, nbits = _words(data), len(data) * 8
+    syms, lens = table.lookup()
+    bound = int(coefficient_bounds(quant_dc))
+    values = []
+    pos = prev = 0
+    for _ in range(count):
+        term = _dc_diff(words, pos, nbits, syms, lens)
+        if term is None:
+            break
+        diff, pos = term
+        prev = max(-bound, min(bound, prev + diff))
+        values.append(prev)
+    out = np.full(count, prev, dtype=np.int32)
+    out[: len(values)] = values
+    return out, len(values) == count
 
 
 def encode_ac_segment(ac_rows: np.ndarray, table: HuffmanTable) -> bytes:
@@ -340,38 +363,19 @@ def decode_ac_segment(
     data: bytes, table: HuffmanTable, count: int, quant_zig: np.ndarray
 ) -> tuple[np.ndarray, bool]:
     """Returns ((count, 63) AC terms, clean); damage zero-fills the rest."""
-    out = np.zeros((count, 63), dtype=np.int32)
-    reader = BitReader(data)
-    for b in range(count):
-        k = 0
-        while k < 63:
-            try:
-                value, k = _read_ac_term(reader, table, k)
-            except StreamDecodeError:
-                return out, False
-            if k < 0:  # end of block
-                break
-            if value is not None:
-                out[b, k] = clamp_quantized(value, int(quant_zig[k + 1]))
-                k += 1
-    return out, True
-
-
-def _read_ac_term(reader: BitReader, table: HuffmanTable, k: int):
-    """One AC symbol: (None, new_k) for ZRL, (value, k) for a term,
-    (None, -1) for end of block. Structural nonsense raises."""
-    sym = table.decode_one(reader)
-    if sym == EOB:
-        return None, -1
-    run, size = sym >> 4, sym & 0xF
-    if size == 0:
-        if run == 15:
-            return None, k + 16
-        raise StreamDecodeError("bad run/size symbol", reader.position)
-    k += run
-    if k >= 63:
-        raise StreamDecodeError("AC index past block end", reader.position)
-    return _amplitude_value(reader.read(size), size), k
+    words, nbits = _words(data), len(data) * 8
+    syms, lens = table.lookup()
+    rows = []
+    pos = 0
+    for _ in range(count):
+        rows.append([0] * 63)
+        pos = _ac_block(words, pos, nbits, syms, lens, rows[-1])
+        if pos < 0:
+            break
+    rows += [[0] * 63] * (count - len(rows))
+    out = np.array(rows, dtype=np.int32).reshape(count, 63)
+    bound = coefficient_bounds(quant_zig[1:])
+    return np.clip(out, -bound, bound, out=out), pos >= 0
 
 
 def encode_interleaved_segment(
@@ -404,24 +408,28 @@ def decode_interleaved_segment(
     count: int,
     quant_zig: np.ndarray,
 ) -> tuple[np.ndarray, bool]:
+    """Returns ((count, 64) blocks, clean); damage freezes DC, zero-fills AC."""
+    words, nbits = _words(data), len(data) * 8
+    dc_syms, dc_lens = dc_table.lookup()
+    ac_syms, ac_lens = ac_table.lookup()
+    bound = coefficient_bounds(quant_zig)
+    dc_bound = int(bound[0])
+    dc, rows = [], []
+    pos = prev = 0
+    for _ in range(count):
+        term = _dc_diff(words, pos, nbits, dc_syms, dc_lens)
+        if term is None:
+            break
+        diff, pos = term
+        prev = max(-dc_bound, min(dc_bound, prev + diff))
+        dc.append(prev)
+        rows.append([0] * 63)
+        pos = _ac_block(words, pos, nbits, ac_syms, ac_lens, rows[-1])
+        if pos < 0:
+            break
     out = np.zeros((count, 64), dtype=np.int32)
-    reader = BitReader(data)
-    prev = 0
-    for b in range(count):
-        try:
-            size = dc_table.decode_one(reader)
-            diff = _amplitude_value(reader.read(size), size) if size else 0
-            prev = clamp_quantized(prev + diff, int(quant_zig[0]))
-            out[b, 0] = prev
-            k = 0
-            while k < 63:
-                value, k = _read_ac_term(reader, ac_table, k)
-                if k < 0:
-                    break
-                if value is not None:
-                    out[b, k + 1] = clamp_quantized(value, int(quant_zig[k + 1]))
-                    k += 1
-        except StreamDecodeError:
-            out[b:, 0] = prev  # frozen predictor; AC stays zero
-            return out, False
-    return out, True
+    out[:, 0] = prev
+    out[: len(dc), 0] = dc
+    if rows:
+        out[: len(rows), 1:] = np.clip(rows, -bound[1:], bound[1:])
+    return out, pos >= 0 and len(dc) == count

@@ -18,7 +18,7 @@ from imgdna.strands import (
     trits_to_int,
     validate_constraints,
 )
-from imgdna.strands import _prefix_edit_within_one, _vote_index
+from imgdna.strands import _index_code, _prefix_edit_within_one, _vote_index
 
 
 def test_default_primers_obey_rules():
@@ -68,6 +68,17 @@ def test_index_round_trip_all_values():
         nts = encode_index(v, width, seed=2)
         assert nts.size == 3 * width
         assert decode_index(nts, width, seed=2, limit=3**width) == v
+
+
+def test_memoised_index_codes_equal_fresh_encodings_and_are_read_only():
+    for width in range(2, 9):
+        for seed in range(4):
+            for v in {0, 1, 3**width // 2, 3**width - 2}:
+                code = _index_code(v, width, seed)
+                assert np.array_equal(code, encode_index(v, width, seed))
+                assert _index_code(v, width, seed) is code
+                with pytest.raises(ValueError):
+                    code[0] = (code[0] + 1) % 4
 
 
 def test_index_survives_any_single_substitution():

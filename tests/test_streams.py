@@ -1,16 +1,19 @@
+from collections import Counter
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imgdna.jpeg import ZIGZAG, clamp_quantized, forward_transform
+from imgdna.corpus import corpus_image
+from imgdna.jpeg import ZIGZAG, coefficient_bounds, forward_transform
 from imgdna.streams import (
     EOB,
     ZRL,
-    BitReader,
     BitWriter,
     HuffmanTable,
-    StreamDecodeError,
+    _words,
     build_tables,
     decode_ac_segment,
     decode_dc_segment,
@@ -18,6 +21,7 @@ from imgdna.streams import (
     encode_ac_segment,
     encode_dc_segment,
     encode_interleaved_segment,
+    symbol_counts,
     zigzag_flatten,
     zigzag_unflatten,
 )
@@ -36,7 +40,172 @@ def canonical_codes_oracle(lengths):
     return out
 
 
-# -- bit i/o ---------------------------------------------------------------
+# -- reference codec ---------------------------------------------------------
+#
+# The bit-reader decoders and the per-coefficient symbol count that the
+# table-driven codec replaced, kept as oracles: every value and clean flag
+# must match them.
+
+
+class _RefError(ValueError):
+    pass
+
+
+class _RefReader:
+    def __init__(self, data):
+        self._data = bytes(data)
+        self._nbits = len(self._data) * 8
+        self.pos = 0
+
+    def symbol(self, codes):
+        """Next symbol, matched against {(code, length): symbol}."""
+        i = self.pos >> 3
+        chunk = self._data[i : i + 3]
+        v = int.from_bytes(chunk + b"\xff" * (3 - len(chunk)), "big")
+        window = (v >> (8 - (self.pos & 7))) & 0xFFFF
+        for ln in range(1, 17):
+            sym = codes.get((window >> (16 - ln), ln))
+            if sym is not None:
+                if ln > self._nbits - self.pos:
+                    break
+                self.pos += ln
+                return sym
+        raise _RefError("invalid code")
+
+    def read(self, nbits):
+        if nbits == 0:
+            return 0
+        if self.pos + nbits > self._nbits:
+            raise _RefError("bit stream exhausted")
+        i = self.pos >> 3
+        need = ((self.pos & 7) + nbits + 7) >> 3
+        v = int.from_bytes(self._data[i : i + need], "big")
+        v >>= need * 8 - (self.pos & 7) - nbits
+        self.pos += nbits
+        return v & ((1 << nbits) - 1)
+
+
+def _ref_codes(table):
+    return {cl: sym for sym, cl in table._encode.items()}
+
+
+def _ref_clamp(value, q):
+    bound = -(-1024 // int(q))
+    return max(-bound, min(bound, value))
+
+
+def _ref_amplitude(bits, size):
+    return bits if bits >> (size - 1) else bits - (1 << size) + 1
+
+
+def _ref_diff(reader, codes):
+    size = reader.symbol(codes)
+    return _ref_amplitude(reader.read(size), size) if size else 0
+
+
+def _ref_ac_term(reader, codes, k):
+    sym = reader.symbol(codes)
+    if sym == EOB:
+        return None, -1
+    run, size = sym >> 4, sym & 0xF
+    if size == 0:
+        if run == 15:
+            return None, k + 16
+        raise _RefError("bad run/size symbol")
+    k += run
+    if k >= 63:
+        raise _RefError("AC index past block end")
+    return _ref_amplitude(reader.read(size), size), k
+
+
+def ref_decode_dc(data, table, count, quant_dc):
+    out = np.zeros(count, dtype=np.int32)
+    reader, codes = _RefReader(data), _ref_codes(table)
+    prev = 0
+    for i in range(count):
+        try:
+            diff = _ref_diff(reader, codes)
+        except _RefError:
+            out[i:] = prev
+            return out, False
+        prev = _ref_clamp(prev + diff, quant_dc)
+        out[i] = prev
+    return out, True
+
+
+def _ref_ac_block(reader, codes, row, quant_zig, first):
+    k = 0
+    while k < 63:
+        value, k = _ref_ac_term(reader, codes, k)
+        if k < 0:
+            break
+        if value is not None:
+            row[first + k] = _ref_clamp(value, quant_zig[k + 1])
+            k += 1
+
+
+def ref_decode_ac(data, table, count, quant_zig):
+    out = np.zeros((count, 63), dtype=np.int32)
+    reader, codes = _RefReader(data), _ref_codes(table)
+    for b in range(count):
+        try:
+            _ref_ac_block(reader, codes, out[b], quant_zig, 0)
+        except _RefError:
+            return out, False
+    return out, True
+
+
+def ref_decode_interleaved(data, dc_table, ac_table, count, quant_zig):
+    out = np.zeros((count, 64), dtype=np.int32)
+    reader = _RefReader(data)
+    dc_codes, ac_codes = _ref_codes(dc_table), _ref_codes(ac_table)
+    prev = 0
+    for b in range(count):
+        try:
+            prev = _ref_clamp(prev + _ref_diff(reader, dc_codes), quant_zig[0])
+            out[b, 0] = prev
+            _ref_ac_block(reader, ac_codes, out[b], quant_zig, 1)
+        except _RefError:
+            out[b:, 0] = prev
+            return out, False
+    return out, True
+
+
+def ref_symbol_counts(flat):
+    dc_freqs, ac_freqs = Counter(), Counter()
+    prev = 0
+    for row in flat:
+        dc_freqs[abs(int(row[0]) - prev).bit_length()] += 1
+        prev = int(row[0])
+        run = 0
+        for v in row[1:]:
+            if v == 0:
+                run += 1
+                continue
+            while run >= 16:
+                ac_freqs[ZRL] += 1
+                run -= 16
+            ac_freqs[(run << 4) | abs(int(v)).bit_length()] += 1
+            run = 0
+        if run:
+            ac_freqs[EOB] += 1
+    return dc_freqs, ac_freqs
+
+
+def _read_symbols(table, data, n):
+    """n symbols through the 16-bit lookup, as the segment decoders read them."""
+    words = _words(data)
+    syms, lens = table.lookup()
+    out, pos = [], 0
+    for _ in range(n):
+        window = (words[pos >> 3] >> (8 - (pos & 7))) & 0xFFFF
+        assert 0 < lens[window] <= len(data) * 8 - pos
+        out.append(syms[window])
+        pos += lens[window]
+    return out
+
+
+# -- bit i/o -----------------------------------------------------------------
 
 
 def test_bit_writer_pads_with_ones():
@@ -51,21 +220,30 @@ def test_bit_round_trip():
     fields = [(0b1, 1), (0b0, 1), (0xABC, 12), (0, 3), (0x5A5A, 16)]
     for v, n in fields:
         w.write(v, n)
-    r = BitReader(w.getvalue())
+    words = _words(w.getvalue())
+    pos = 0
     for v, n in fields:
-        assert r.read(n) == v
+        assert (words[pos >> 3] >> (24 - (pos & 7) - n)) & ((1 << n) - 1) == v
+        pos += n
 
 
-def test_bit_reader_overrun_raises():
-    r = BitReader(b"\xff")
-    r.read(8)
-    with pytest.raises(StreamDecodeError):
-        r.read(1)
+def test_amplitude_overrun_fails_segment():
+    flat = np.zeros((2, 64), dtype=np.int32)
+    flat[:, 0] = [700, 700]
+    table, _ = build_tables(flat)
+    ln = table.lengths[10]  # code length of category 10, which holds 700
+    data = encode_dc_segment([700], table)
+    assert ln <= 8 < ln + 10  # the code fits in the first byte, its amplitude does not
+    out, clean = decode_dc_segment(data[:1], table, 1, 1)
+    assert not clean
+    assert out.tolist() == [0]
+    assert decode_dc_segment(data, table, 1, 1)[1]
 
 
-def test_peek_pads_with_ones_past_end():
-    r = BitReader(b"\x00")
-    assert r.peek16() == 0x00FF
+def test_words_pad_with_ones_past_end():
+    words = _words(b"\x00")
+    assert words == [0x00FFFF, 0xFFFFFF]
+    assert (words[0] >> 8) & 0xFFFF == 0x00FF
 
 
 # -- code tables -----------------------------------------------------------
@@ -99,8 +277,7 @@ def test_code_lengths_are_capped_at_sixteen():
     seq = [0, 1, 5, 39, 2, 0, 38]
     for s in seq:
         table.write(w, s)
-    r = BitReader(w.getvalue())
-    assert [table.decode_one(r) for _ in seq] == seq
+    assert _read_symbols(table, w.getvalue(), len(seq)) == seq
 
 
 def test_single_symbol_table():
@@ -108,8 +285,7 @@ def test_single_symbol_table():
     assert table.lengths == {EOB: 1}
     w = BitWriter()
     table.write(w, EOB)
-    r = BitReader(w.getvalue())
-    assert table.decode_one(r) == EOB
+    assert _read_symbols(table, w.getvalue(), 1) == [EOB]
 
 
 def test_table_rebuilds_from_lengths_alone():
@@ -119,8 +295,7 @@ def test_table_rebuilds_from_lengths_alone():
     w = BitWriter()
     for s in range(30):
         a.write(w, s)
-    r = BitReader(w.getvalue())
-    assert [b.decode_one(r) for _ in range(30)] == list(range(30))
+    assert _read_symbols(b, w.getvalue(), 30) == list(range(30))
 
 
 def test_invalid_length_tables_rejected():
@@ -274,7 +449,7 @@ def test_all_black_image_survives_entropy_round_trip():
     blocks, meta = forward_transform(image, quality=60)
     assert meta.quant_table[0, 0] == 13
     assert blocks[0, 0, 0] == -79
-    assert clamp_quantized(-79, 13) == -79
+    assert coefficient_bounds(13) == 79
     out, clean = _segment_round_trip(blocks, meta.quant_table)
     assert clean
     assert np.array_equal(out, blocks)
@@ -304,3 +479,98 @@ def test_stream_round_trip_property(seed, n):
     assert dc_ok and ac_ok
     assert np.array_equal(dc, flat[:, 0])
     assert np.array_equal(ac, flat[:, 1:])
+
+
+# -- oracle fuzz: table-driven codec against the reference ------------------
+
+
+@lru_cache(maxsize=None)
+def _corpus_case(image, quality):
+    """Zigzag rows, code tables and zigzag quant table of one corpus image."""
+    blocks, meta = forward_transform(corpus_image(image), quality)
+    flat = zigzag_flatten(blocks)
+    return (flat, *build_tables(flat), meta.quant_table.reshape(64)[ZIGZAG])
+
+
+def _assert_decoders_match_reference(data, dc_table, ac_table, count, quant_zig):
+    got, want = decode_dc_segment(data, dc_table, count, int(quant_zig[0])), ref_decode_dc(
+        data, dc_table, count, int(quant_zig[0])
+    )
+    assert got[1] == want[1] and np.array_equal(got[0], want[0])
+    got, want = decode_ac_segment(data, ac_table, count, quant_zig), ref_decode_ac(
+        data, ac_table, count, quant_zig
+    )
+    assert got[1] == want[1] and np.array_equal(got[0], want[0])
+    got = decode_interleaved_segment(data, dc_table, ac_table, count, quant_zig)
+    want = ref_decode_interleaved(data, dc_table, ac_table, count, quant_zig)
+    assert got[1] == want[1] and np.array_equal(got[0], want[0])
+
+
+_IMAGES = st.integers(0, 15)
+_QUALITIES = st.sampled_from([10, 50, 75, 95])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_IMAGES, _QUALITIES, st.binary(max_size=80), st.integers(0, 12))
+def test_decoders_match_reference_on_junk(image, quality, junk, count):
+    _, dc_table, ac_table, quant_zig = _corpus_case(image, quality)
+    _assert_decoders_match_reference(junk, dc_table, ac_table, count, quant_zig)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _IMAGES,
+    _QUALITIES,
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["dc", "ac", "interleaved"]),
+    st.integers(0, 6),
+    st.booleans(),
+)
+def test_decoders_match_reference_on_damaged_segments(image, quality, seed, kind, flips, cut):
+    flat, dc_table, ac_table, quant_zig = _corpus_case(image, quality)
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(1, 13))
+    b0 = int(rng.integers(0, flat.shape[0] - count + 1))
+    rows = flat[b0 : b0 + count]
+    if kind == "dc":
+        data = encode_dc_segment(rows[:, 0], dc_table)
+    elif kind == "ac":
+        data = encode_ac_segment(rows[:, 1:], ac_table)
+    else:
+        data = encode_interleaved_segment(rows, dc_table, ac_table)
+    damaged = bytearray(data)
+    for bit in rng.integers(0, len(data) * 8, size=flips):
+        damaged[bit >> 3] ^= 0x80 >> (bit & 7)
+    if cut:
+        damaged = damaged[: int(rng.integers(0, len(damaged) + 1))]
+    _assert_decoders_match_reference(bytes(damaged), dc_table, ac_table, count, quant_zig)
+
+
+def test_wide_dc_categories_match_reference():
+    # categories above 16 never come from build_tables, only from hand-made
+    # tables; their differences clamp to the bound
+    dc_table = HuffmanTable({0: 2, 3: 2, 17: 2, 20: 3, 255: 3})
+    _, _, ac_table, quant_zig = _corpus_case(0, 75)
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        junk = rng.integers(0, 256, size=rng.integers(0, 120)).astype(np.uint8).tobytes()
+        _assert_decoders_match_reference(junk, dc_table, ac_table, 6, quant_zig)
+
+
+def test_symbols_above_one_byte_are_rejected():
+    with pytest.raises(ValueError):
+        HuffmanTable({0: 1, 0x100: 1})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_symbol_counts_match_reference_on_sparse_rows(seed, n):
+    flat = _random_flat(np.random.default_rng(seed), n)
+    assert symbol_counts(flat) == ref_symbol_counts(flat)
+
+
+@pytest.mark.parametrize("quality", [10, 50, 75, 95])
+def test_symbol_counts_match_reference_on_corpus(quality):
+    for image in (0, 5, 10, 15):
+        flat = _corpus_case(image, quality)[0]
+        assert symbol_counts(flat) == ref_symbol_counts(flat)
