@@ -11,14 +11,18 @@ stages and differ only in stream layout:
 
 Byte segments are block-aligned so a damaged segment tail corrupts a known
 block range: every AC segment covers one block, DC segments a few blocks,
-and Raw-DNA deliberately uses a single whole-image segment. Segment extents
+and Raw-DNA deliberately uses a single whole-image segment. One segment
+codec serves every stream; the scheme and stream only decide which code
+tables it gets (DC, AC or both), in _segment_tables. Segment extents
 live in the mapping sidecar (the error-free side channel), so the decoder
 can carve the repaired trit stream back into segments no matter what the
 noisy channel did to individual strands.
 
-Every routed read goes through the barrier resync decode, which treats a
+Every strand slot goes through the barrier resync decode, which treats a
 stream without barriers as one unbounded partition per strand; such a
 strand counts as one damaged partition when its decoded length is wrong.
+A missing or quarantined strand decodes as an empty read: zero trits, with
+every one of its partitions counted as damaged.
 """
 
 from __future__ import annotations
@@ -47,12 +51,8 @@ from .strands import (
 from .streams import (
     HuffmanTable,
     build_tables,
-    decode_ac_segment,
-    decode_dc_segment,
-    decode_interleaved_segment,
-    encode_ac_segment,
-    encode_dc_segment,
-    encode_interleaved_segment,
+    decode_segment,
+    encode_segment,
     zigzag_flatten,
     zigzag_unflatten,
 )
@@ -213,6 +213,16 @@ def _segment_plan(block_count: int, cfg: ExperimentConfig) -> dict[int, list[tup
     }
 
 
+def _segment_tables(
+    scheme: str, stream_id: int, dc_table: HuffmanTable, ac_table: HuffmanTable
+) -> tuple[HuffmanTable | None, HuffmanTable | None]:
+    """The (DC, AC) code tables of one stream's segments; None leaves out a
+    coefficient class. Raw-DNA's single stream carries both."""
+    if scheme == SCHEME_RAW_DNA:
+        return dc_table, ac_table
+    return (dc_table, None) if stream_id == STREAM_DC else (None, ac_table)
+
+
 def encode_image(image: np.ndarray, cfg: ExperimentConfig) -> EncodedImage:
     blocks, meta = forward_transform(image, cfg.quality)
     flat = zigzag_flatten(blocks)
@@ -222,31 +232,26 @@ def encode_image(image: np.ndarray, cfg: ExperimentConfig) -> EncodedImage:
 
     plan = _segment_plan(meta.block_count, cfg)
     stream_cfgs = cfg.stream_configs()
-    interleaved = cfg.scheme == SCHEME_RAW_DNA
 
     stream_trits: dict[int, np.ndarray] = {}
     stream_bits: dict[int, int] = {}
     segments: dict[int, list[SegmentRecord]] = {}
-    dc_trit_ranges: list[tuple[int, int]] | None = [] if interleaved else None
+    dc_trit_ranges: list[tuple[int, int]] | None = [] if cfg.scheme == SCHEME_RAW_DNA else None
 
     for sid in sorted(plan):
+        tables = _segment_tables(cfg.scheme, sid, dc_table, ac_table)
         chunks = []
         records = []
         byte_total = 0
         trit_total = 0
         for b0, b1 in plan[sid]:
-            if interleaved:
-                spans: list = []
-                data = encode_interleaved_segment(flat[b0:b1], dc_table, ac_table, spans)
-            elif sid == STREAM_DC:
-                data = encode_dc_segment(flat[b0:b1, 0], dc_table)
-            else:
-                data = encode_ac_segment(flat[b0:b1, 1:], ac_table)
+            spans = [] if dc_trit_ranges is not None else None
+            data = encode_segment(flat[b0:b1], *tables, spans)
             trits = bytes_to_trits(data)
             records.append(SegmentRecord(b0, b1 - b0, len(data), trits.size))
             chunks.append(trits)
             byte_total += len(data)
-            if interleaved:
+            if spans:
                 # nucleotide extents of the DC terms, for targeted injection
                 cum = np.concatenate(
                     [[0], np.cumsum(CODE_LENGTHS[np.frombuffer(data, dtype=np.uint8)])]
@@ -349,23 +354,21 @@ def decode_pool(pool, mapping: MappingTable, meta: ImageMetadata) -> DecodeResul
     dc_table = HuffmanTable(meta.dc_code_lengths)
     ac_table = HuffmanTable(meta.ac_code_lengths)
     quant_zig = meta.quant_table.ravel()[ZIGZAG]
-    interleaved = mapping.scheme == SCHEME_RAW_DNA
 
     flat = np.zeros((meta.block_count, 64), dtype=np.int32)
     result = DecodeResult(image=None, quarantined=dis.quarantined, duplicates=dis.duplicates)
 
     for sm in mapping.streams:
         bc, per = _strand_trit_layout(sm, geom.capacity)
+        tables = _segment_tables(mapping.scheme, sm.stream_id, dc_table, ac_table)
         slots = dis.streams[sm.stream_id]
         pieces = []
         for k in range(sm.strand_count):
-            expected = min(per, sm.total_trits - k * per)
             payload = slots[k]
-            if payload is None:
+            if payload is None:  # decodes as an empty read: zeros, all partitions damaged
                 result.missing_strands += 1
-                pieces.append(np.zeros(expected, dtype=np.uint8))
-                continue
-            r = resync_decode(payload, bc, expected)
+                payload = np.zeros(0, dtype=np.uint8)
+            r = resync_decode(payload, bc, min(per, sm.total_trits - k * per))
             result.damaged_partitions += r.damaged_count
             pieces.append(r.trits)
         trits = (
@@ -374,25 +377,12 @@ def decode_pool(pool, mapping: MappingTable, meta: ImageMetadata) -> DecodeResul
 
         pos = 0
         for seg in sm.segments:
-            data = trits_to_bytes(trits[pos : pos + seg.trit_count], tolerant=True)
+            data = trits_to_bytes(trits[pos : pos + seg.trit_count])
             pos += seg.trit_count
-            b0 = seg.block_start
-            b1 = b0 + seg.block_count
-            if interleaved:
-                vals, _ = decode_interleaved_segment(
-                    data, dc_table, ac_table, seg.block_count, quant_zig
-                )
-                flat[b0:b1] = vals
-            elif sm.stream_id == STREAM_DC:
-                vals, _ = decode_dc_segment(
-                    data, dc_table, seg.block_count, int(quant_zig[0])
-                )
-                flat[b0:b1, 0] = vals
-            else:
-                vals, _ = decode_ac_segment(
-                    data, ac_table, seg.block_count, quant_zig
-                )
-                flat[b0:b1, 1:] = vals
+            vals, _ = decode_segment(data, *tables, seg.block_count, quant_zig)
+            # each coefficient class comes from one stream, and a segment
+            # leaves the class it does not carry at 0
+            flat[seg.block_start : seg.block_start + seg.block_count] += vals
 
     result.image = inverse_transform(zigzag_unflatten(flat), meta)
     return result

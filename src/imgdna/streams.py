@@ -6,10 +6,14 @@ sixteen-zeros markers, as in baseline JPEG. Code tables are canonical
 Huffman built per image from symbol counts, with the all-ones codeword
 reserved so byte padding never decodes as data.
 
-Streams may be cut into segments of whole blocks. Each segment restarts
-the DC predictor and is padded to a whole byte, so a damaged segment can
-be skipped without poisoning its neighbours. A decode failure zero-fills
-the remainder of the segment being decoded.
+Streams are cut into segments of whole blocks, and one encoder and one
+decoder handle every segment. For each block a segment holds the DC
+difference if it is given a DC table, then the AC terms if it is given an
+AC table: IMG-DNA's DC and AC streams carry one class each, and Raw-DNA
+interleaves both. Each segment restarts the DC predictor and is padded to
+a whole byte, so a damaged segment can be skipped without poisoning its
+neighbours. A decode failure freezes the DC predictor and zero-fills the
+AC terms for the remainder of the segment being decoded.
 
 Decoding is table-driven. A segment becomes a list of 24-bit big-endian
 words, one at each byte offset and padded with 1 bits past the end, read
@@ -250,10 +254,10 @@ def _write_dc(writer: BitWriter, table: HuffmanTable, diff: int) -> None:
         writer.write(_amplitude(diff, size), size)
 
 
-def _write_ac_row(writer: BitWriter, table: HuffmanTable, row) -> None:
+def _write_ac_row(writer: BitWriter, table: HuffmanTable, row: list) -> None:
     codes = table._encode
     run = 0
-    for v in row.tolist():
+    for v in row:
         if v == 0:
             run += 1
             continue
@@ -289,7 +293,7 @@ def _dc_diff(words: list[int], pos: int, nbits: int, syms: bytes, lens: bytes):
 def _ac_block(
     words: list[int], pos: int, nbits: int, syms: bytes, lens: bytes, row: list
 ) -> int:
-    """Decode one block's AC terms from bit pos into row (63 zeros).
+    """Decode one block's AC terms from bit pos into row[1:] (64 zeros).
 
     Returns the bit position after the block, or -1 when it is damaged: no
     codeword, a code or amplitude past nbits, a size-0 symbol other than
@@ -309,7 +313,7 @@ def _ac_block(
             if k >= 63:
                 return -1
             bits = (words[pos >> 3] >> (24 - (pos & 7) - size)) & ((1 << size) - 1)
-            row[k] = bits if bits >> (size - 1) else bits - (1 << size) + 1
+            row[k + 1] = bits if bits >> (size - 1) else bits - (1 << size) + 1
             pos += size
             k += 1
         elif sym == ZRL:
@@ -321,115 +325,73 @@ def _ac_block(
     return pos
 
 
-def encode_dc_segment(dc_values, table: HuffmanTable) -> bytes:
-    """Difference-code a run of DC values; the predictor starts at 0."""
-    writer = BitWriter()
-    prev = 0
-    for v in dc_values:
-        _write_dc(writer, table, int(v) - prev)
-        prev = int(v)
-    return writer.getvalue()
-
-
-def decode_dc_segment(
-    data: bytes, table: HuffmanTable, count: int, quant_dc: int
-) -> tuple[np.ndarray, bool]:
-    """Returns (values, clean). On damage the remaining diffs become 0."""
-    words, nbits = _words(data), len(data) * 8
-    syms, lens = table.lookup()
-    bound = int(coefficient_bounds(quant_dc))
-    values = []
-    pos = prev = 0
-    for _ in range(count):
-        term = _dc_diff(words, pos, nbits, syms, lens)
-        if term is None:
-            break
-        diff, pos = term
-        prev = max(-bound, min(bound, prev + diff))
-        values.append(prev)
-    out = np.full(count, prev, dtype=np.int32)
-    out[: len(values)] = values
-    return out, len(values) == count
-
-
-def encode_ac_segment(ac_rows: np.ndarray, table: HuffmanTable) -> bytes:
-    writer = BitWriter()
-    for row in ac_rows:
-        _write_ac_row(writer, table, row)
-    return writer.getvalue()
-
-
-def decode_ac_segment(
-    data: bytes, table: HuffmanTable, count: int, quant_zig: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """Returns ((count, 63) AC terms, clean); damage zero-fills the rest."""
-    words, nbits = _words(data), len(data) * 8
-    syms, lens = table.lookup()
-    rows = []
-    pos = 0
-    for _ in range(count):
-        rows.append([0] * 63)
-        pos = _ac_block(words, pos, nbits, syms, lens, rows[-1])
-        if pos < 0:
-            break
-    rows += [[0] * 63] * (count - len(rows))
-    out = np.array(rows, dtype=np.int32).reshape(count, 63)
-    bound = coefficient_bounds(quant_zig[1:])
-    return np.clip(out, -bound, bound, out=out), pos >= 0
-
-
-def encode_interleaved_segment(
+def encode_segment(
     flat: np.ndarray,
-    dc_table: HuffmanTable,
-    ac_table: HuffmanTable,
+    dc_table: HuffmanTable | None,
+    ac_table: HuffmanTable | None,
     dc_bit_spans: list | None = None,
 ) -> bytes:
-    """Blocks as DC diff + AC terms back to back in one bit stream.
+    """Code (n, 64) zigzag rows as one segment; the DC predictor starts at 0.
 
-    Pass a list as dc_bit_spans to collect the (start, end) bit range of
-    every DC term, for analyses that target one coefficient class.
+    Each block gives its DC difference when dc_table is set, then its AC
+    terms when ac_table is set; a None table leaves that class out. Pass a
+    list as dc_bit_spans to collect the (start, end) bit range of every DC
+    term, for analyses that target one coefficient class.
     """
     writer = BitWriter()
     prev = 0
-    for row in flat:
-        start = writer.bit_length
-        _write_dc(writer, dc_table, int(row[0]) - prev)
-        if dc_bit_spans is not None:
-            dc_bit_spans.append((start, writer.bit_length))
-        prev = int(row[0])
-        _write_ac_row(writer, ac_table, row[1:])
+    for row in flat.tolist():
+        if dc_table is not None:
+            start = writer.bit_length
+            _write_dc(writer, dc_table, row[0] - prev)
+            if dc_bit_spans is not None:
+                dc_bit_spans.append((start, writer.bit_length))
+            prev = row[0]
+        if ac_table is not None:
+            _write_ac_row(writer, ac_table, row[1:])
     return writer.getvalue()
 
 
-def decode_interleaved_segment(
+def decode_segment(
     data: bytes,
-    dc_table: HuffmanTable,
-    ac_table: HuffmanTable,
+    dc_table: HuffmanTable | None,
+    ac_table: HuffmanTable | None,
     count: int,
     quant_zig: np.ndarray,
 ) -> tuple[np.ndarray, bool]:
-    """Returns ((count, 64) blocks, clean); damage freezes DC, zero-fills AC."""
+    """Returns ((count, 64) blocks, clean); a class without a table stays 0.
+
+    A damaged DC difference freezes the predictor for the remaining blocks.
+    A damaged AC block keeps the terms decoded before the damage, and the
+    blocks after it stay zero. DC values are clamped as they are decoded,
+    since the predictor chains them, and AC terms once per segment.
+    """
     words, nbits = _words(data), len(data) * 8
-    dc_syms, dc_lens = dc_table.lookup()
-    ac_syms, ac_lens = ac_table.lookup()
+    dc_syms, dc_lens = dc_table.lookup() if dc_table is not None else (None, None)
+    ac_syms, ac_lens = ac_table.lookup() if ac_table is not None else (None, None)
     bound = coefficient_bounds(quant_zig)
     dc_bound = int(bound[0])
     dc, rows = [], []
     pos = prev = 0
     for _ in range(count):
-        term = _dc_diff(words, pos, nbits, dc_syms, dc_lens)
-        if term is None:
-            break
-        diff, pos = term
-        prev = max(-dc_bound, min(dc_bound, prev + diff))
-        dc.append(prev)
-        rows.append([0] * 63)
-        pos = _ac_block(words, pos, nbits, ac_syms, ac_lens, rows[-1])
-        if pos < 0:
-            break
+        if dc_syms is not None:
+            term = _dc_diff(words, pos, nbits, dc_syms, dc_lens)
+            if term is None:
+                pos = -1
+                break
+            diff, pos = term
+            prev = max(-dc_bound, min(dc_bound, prev + diff))
+            dc.append(prev)
+        if ac_syms is not None:
+            rows.append([0] * 64)
+            pos = _ac_block(words, pos, nbits, ac_syms, ac_lens, rows[-1])
+            if pos < 0:
+                break
     out = np.zeros((count, 64), dtype=np.int32)
-    out[:, 0] = prev
-    out[: len(dc), 0] = dc
     if rows:
-        out[: len(rows), 1:] = np.clip(rows, -bound[1:], bound[1:])
-    return out, pos >= 0 and len(dc) == count
+        out[: len(rows)] = rows
+        np.clip(out, -bound, bound, out=out)
+    if dc:
+        out[:, 0] = prev
+        out[: len(dc), 0] = dc
+    return out, pos >= 0

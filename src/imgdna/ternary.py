@@ -4,8 +4,9 @@ A static canonical ternary Huffman code over the 256 byte values plus one
 dummy symbol (3-ary Huffman needs an odd leaf count), all with uniform
 weights. Every byte maps to 5 or 6 trits; the code is complete, so any trit
 window decodes to *some* symbol and only the dummy codeword is invalid.
-Decoding in tolerant mode resynchronizes after damage by skipping one trit at
-a time and drops an unmatchable tail shorter than a codeword.
+Decoding never fails: it resynchronizes after damage by skipping one trit
+at a time past a dummy codeword, and drops an unmatchable tail shorter than
+a codeword.
 """
 
 from __future__ import annotations
@@ -16,14 +17,6 @@ import numpy as np
 
 DUMMY_SYMBOL = 256
 _N_SYMBOLS = 257
-
-
-class TritDecodeError(ValueError):
-    """Raised by strict decoding; carries the offending trit offset."""
-
-    def __init__(self, message: str, trit_offset: int):
-        super().__init__(f"{message} at trit {trit_offset}")
-        self.trit_offset = trit_offset
 
 
 def _huffman_lengths(n_symbols: int) -> list[int]:
@@ -129,12 +122,10 @@ def bytes_to_trits(data) -> np.ndarray:
     return _ENCODE_TRITS[values][_ENCODE_MASK[values]]
 
 
-def trits_to_bytes(trits, tolerant: bool = False) -> bytes:
+def trits_to_bytes(trits) -> bytes:
     """Decode a trit array back to bytes.
 
-    Strict mode raises TritDecodeError on the dummy codeword or a dangling
-    tail. Tolerant mode skips one trit on an invalid codeword and drops an
-    unmatchable tail.
+    Skips one trit on the dummy codeword and drops an unmatchable tail.
     """
     trits = np.asarray(trits, dtype=np.uint8)
     n = trits.size
@@ -153,14 +144,10 @@ def trits_to_bytes(trits, tolerant: bool = False) -> bytes:
         symbol = symbols[pos]
         length = lengths[pos]
         if pos + length > n:
-            if tolerant:
-                break  # unmatchable suffix shorter than its codeword
-            raise TritDecodeError("dangling tail", pos)
+            break  # unmatchable suffix shorter than its codeword
         if symbol == DUMMY_SYMBOL:
-            if tolerant:
-                pos += 1  # resynchronize at the next decodable boundary
-                continue
-            raise TritDecodeError("invalid codeword", pos)
+            pos += 1  # resynchronize at the next decodable boundary
+            continue
         out.append(symbol)
         pos += length
     return bytes(out)

@@ -1,9 +1,13 @@
 """End-to-end pipeline behaviour: round trips, routing, experiments."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from imgdna.channel import ChannelConfig
+from imgdna.channel import ChannelConfig, perturb_pool
 from imgdna.corpus import corpus_image
 from imgdna.formats import read_mapping, read_metadata, read_pool, write_mapping, write_metadata, write_pool
 from imgdna.pipeline import (
@@ -21,6 +25,8 @@ from imgdna.pipeline import (
     run_containment,
     run_pipeline,
     run_sweep,
+    _primer_bounds,
+    _strand_trit_layout,
     _target_positions,
 )
 from imgdna.strands import STREAM_AC, STREAM_DC
@@ -118,6 +124,11 @@ def test_missing_strand_leaves_gap_not_crash(small_image):
     assert dec.missing_strands == 1
     assert dec.image.shape == ref.shape
     assert not np.array_equal(dec.image, ref)
+    # every partition of the lost strand counts as damaged
+    sm = enc.mapping.streams[-1]
+    _, per = _strand_trit_layout(sm, enc.geometry().capacity)
+    last = sm.total_trits - (sm.strand_count - 1) * per
+    assert dec.damaged_partitions == -(-last // sm.partition_len)
 
 
 def test_truncated_strand_is_quarantined(small_image):
@@ -128,6 +139,37 @@ def test_truncated_strand_is_quarantined(small_image):
     dec = decode_pool(pool, enc.mapping, enc.metadata)
     assert dec.quarantined == 1
     assert dec.missing_strands == 1
+
+
+@lru_cache(maxsize=None)
+def _crop_encoding(scheme):
+    return encode_image(corpus_image(0)[:32, :32], ExperimentConfig(scheme=scheme))
+
+
+_READS = st.binary(max_size=300).map(lambda b: np.frombuffer(b, dtype=np.uint8) % 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(SCHEMES),
+    st.floats(0.0, 0.3),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.lists(_READS, max_size=4),
+    st.booleans(),
+)
+@example(SCHEME_IMG_DNA, 0.0, 1, False, 0, [], True)  # an empty pool
+@example(SCHEME_RAW_DNA, 0.0, 1, False, 0, [np.zeros(0, np.uint8)], True)
+def test_decode_pool_never_raises(scheme, rate, copies, corrupt_primers, seed, junk, empty):
+    # any pool the channel can produce, plus junk and empty reads, decodes
+    enc = _crop_encoding(scheme)
+    channel = ChannelConfig(rate=rate, copies=copies, corrupt_primers=corrupt_primers)
+    pool = [] if empty else perturb_pool(enc.strands, channel, seed, protect=_primer_bounds(enc))
+    pool += [[read] for read in junk]
+    dec = decode_pool(pool, enc.mapping, enc.metadata)
+    assert dec.image.shape == (32, 32)
+    assert dec.missing_strands <= len(enc.strands)
 
 
 def test_single_error_containment(small_image):

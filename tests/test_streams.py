@@ -15,16 +15,14 @@ from imgdna.streams import (
     HuffmanTable,
     _words,
     build_tables,
-    decode_ac_segment,
-    decode_dc_segment,
-    decode_interleaved_segment,
-    encode_ac_segment,
-    encode_dc_segment,
-    encode_interleaved_segment,
+    decode_segment,
+    encode_segment,
     symbol_counts,
     zigzag_flatten,
     zigzag_unflatten,
 )
+
+_ONES = np.ones(64, dtype=np.int64)  # quantizer 1: clamp bounds of +-1024
 
 
 def canonical_codes_oracle(lengths):
@@ -44,7 +42,8 @@ def canonical_codes_oracle(lengths):
 #
 # The bit-reader decoders and the per-coefficient symbol count that the
 # table-driven codec replaced, kept as oracles: every value and clean flag
-# must match them.
+# of decode_segment under DC-only, AC-only and interleaved tables must
+# match them.
 
 
 class _RefError(ValueError):
@@ -232,12 +231,12 @@ def test_amplitude_overrun_fails_segment():
     flat[:, 0] = [700, 700]
     table, _ = build_tables(flat)
     ln = table.lengths[10]  # code length of category 10, which holds 700
-    data = encode_dc_segment([700], table)
+    data = encode_segment(flat[:1], table, None)
     assert ln <= 8 < ln + 10  # the code fits in the first byte, its amplitude does not
-    out, clean = decode_dc_segment(data[:1], table, 1, 1)
+    out, clean = decode_segment(data[:1], table, None, 1, _ONES)
     assert not clean
-    assert out.tolist() == [0]
-    assert decode_dc_segment(data, table, 1, 1)[1]
+    assert out[:, 0].tolist() == [0]
+    assert decode_segment(data, table, None, 1, _ONES)[1]
 
 
 def test_words_pad_with_ones_past_end():
@@ -324,22 +323,23 @@ def _random_flat(rng, n):
 def test_dc_segment_round_trip():
     rng = np.random.default_rng(1)
     values = rng.integers(-1000, 1001, size=50)
-    table, _ = build_tables(np.concatenate([values[:, None], np.zeros((50, 63), int)], axis=1))
-    data = encode_dc_segment(values, table)
-    out, clean = decode_dc_segment(data, table, 50, 1)
+    flat = np.concatenate([values[:, None], np.zeros((50, 63), int)], axis=1)
+    table, _ = build_tables(flat)
+    data = encode_segment(flat, table, None)
+    out, clean = decode_segment(data, table, None, 50, _ONES)
     assert clean
-    assert np.array_equal(out, values)
+    assert np.array_equal(out[:, 0], values)
 
 
 def test_dc_predictor_restarts_per_segment():
     flat = np.zeros((4, 64), dtype=np.int32)
     flat[:, 0] = [100, 101, 102, 103]
     table, _ = build_tables(flat)
-    second = encode_dc_segment([102, 103], table)
-    out, clean = decode_dc_segment(second, table, 2, 1)
+    second = encode_segment(flat[2:], table, None)
+    out, clean = decode_segment(second, table, None, 2, _ONES)
     assert clean
     # decodes alone: the diff chain does not lean on the first segment
-    assert out.tolist() == [102, 103]
+    assert out[:, 0].tolist() == [102, 103]
 
 
 def test_ac_segment_round_trip_covers_zrl_and_eob():
@@ -348,21 +348,20 @@ def test_ac_segment_round_trip_covers_zrl_and_eob():
     rows[1, 40] = -3  # long zero runs -> ZRL codes
     rows[2, :] = 1  # fully dense -> no EOB
     # rows[3] all zero -> EOB only
-    _, table = build_tables(np.concatenate([np.zeros((4, 1), int), rows], axis=1))
-    data = encode_ac_segment(rows, table)
-    out, clean = decode_ac_segment(data, table, 4, np.ones(64, dtype=np.int64))
+    flat = np.concatenate([np.zeros((4, 1), int), rows], axis=1)
+    _, table = build_tables(flat)
+    data = encode_segment(flat, None, table)
+    out, clean = decode_segment(data, None, table, 4, _ONES)
     assert clean
-    assert np.array_equal(out, rows)
+    assert np.array_equal(out[:, 1:], rows)
 
 
 def test_interleaved_round_trip():
     rng = np.random.default_rng(2)
     flat = _random_flat(rng, 30)
     dc_table, ac_table = build_tables(flat)
-    data = encode_interleaved_segment(flat, dc_table, ac_table)
-    out, clean = decode_interleaved_segment(
-        data, dc_table, ac_table, 30, np.ones(64, dtype=np.int64)
-    )
+    data = encode_segment(flat, dc_table, ac_table)
+    out, clean = decode_segment(data, dc_table, ac_table, 30, _ONES)
     assert clean
     assert np.array_equal(out, flat)
 
@@ -371,16 +370,18 @@ def test_truncated_ac_stream_fills_zeros_without_raising():
     rng = np.random.default_rng(3)
     flat = _random_flat(rng, 20)
     _, table = build_tables(flat)
-    data = encode_ac_segment(flat[:, 1:], table)
-    out, clean = decode_ac_segment(data[: len(data) // 2], table, 20, np.ones(64, np.int64))
+    data = encode_segment(flat, None, table)
+    out, clean = decode_segment(data[: len(data) // 2], None, table, 20, _ONES)
     assert not clean
-    assert out.shape == (20, 63)
+    assert out[:, 1:].shape == (20, 63)
 
 
 def test_truncated_dc_stream_repeats_last_value():
-    table, _ = build_tables(np.concatenate([np.full((8, 1), 9, int), np.zeros((8, 63), int)], axis=1))
-    data = encode_dc_segment([9] * 8, table)
-    out, clean = decode_dc_segment(data[:1], table, 8, 1)
+    flat = np.concatenate([np.full((8, 1), 9, int), np.zeros((8, 63), int)], axis=1)
+    table, _ = build_tables(flat)
+    data = encode_segment(flat, table, None)
+    out, clean = decode_segment(data[:1], table, None, 8, _ONES)
+    out = out[:, 0]
     assert not clean
     assert out.shape == (8,)
     assert len(set(out[np.flatnonzero(out != out[0])])) <= 1  # single fill level
@@ -392,9 +393,9 @@ def test_garbage_bytes_never_raise():
     dc_table, ac_table = build_tables(flat)
     for _ in range(50):
         junk = rng.integers(0, 256, size=rng.integers(0, 60)).astype(np.uint8).tobytes()
-        decode_dc_segment(junk, dc_table, 10, 16)
-        decode_ac_segment(junk, ac_table, 10, np.full(64, 16, np.int64))
-        decode_interleaved_segment(junk, dc_table, ac_table, 10, np.full(64, 16, np.int64))
+        decode_segment(junk, dc_table, None, 10, np.full(64, 16, np.int64))
+        decode_segment(junk, None, ac_table, 10, np.full(64, 16, np.int64))
+        decode_segment(junk, dc_table, ac_table, 10, np.full(64, 16, np.int64))
 
 
 def test_decoded_garbage_respects_clamp_bounds():
@@ -403,9 +404,9 @@ def test_decoded_garbage_respects_clamp_bounds():
     dc_table, ac_table = build_tables(flat)
     for _ in range(200):
         junk = rng.integers(0, 256, size=40).astype(np.uint8).tobytes()
-        out, _ = decode_ac_segment(junk, ac_table, 10, np.full(64, 16, np.int64))
+        out, _ = decode_segment(junk, None, ac_table, 10, np.full(64, 16, np.int64))
         assert np.abs(out).max() <= -(-1024 // 16)
-        dc, _ = decode_dc_segment(junk, dc_table, 10, 16)
+        dc, _ = decode_segment(junk, dc_table, None, 10, np.full(64, 16, np.int64))
         assert np.abs(dc).max() <= -(-1024 // 16)
 
 
@@ -419,8 +420,8 @@ def _encode_segments(blocks):
     """Whole-image DC and AC segments plus their code tables."""
     flat = zigzag_flatten(blocks)
     dc_table, ac_table = build_tables(flat)
-    dc_data = encode_dc_segment(flat[:, 0], dc_table)
-    ac_data = encode_ac_segment(flat[:, 1:], ac_table)
+    dc_data = encode_segment(flat, dc_table, None)
+    ac_data = encode_segment(flat, None, ac_table)
     return dc_data, ac_data, dc_table, ac_table
 
 
@@ -429,9 +430,9 @@ def _segment_round_trip(blocks, quant_table):
     dc_data, ac_data, dc_table, ac_table = _encode_segments(blocks)
     quant_zig = quant_table.reshape(64)[ZIGZAG]
     n = blocks.shape[0]
-    dc, dc_ok = decode_dc_segment(dc_data, dc_table, n, int(quant_zig[0]))
-    ac, ac_ok = decode_ac_segment(ac_data, ac_table, n, quant_zig)
-    return zigzag_unflatten(np.concatenate([dc[:, None], ac], axis=1)), dc_ok and ac_ok
+    dc, dc_ok = decode_segment(dc_data, dc_table, None, n, quant_zig)
+    ac, ac_ok = decode_segment(ac_data, None, ac_table, n, quant_zig)
+    return zigzag_unflatten(np.concatenate([dc[:, :1], ac[:, 1:]], axis=1)), dc_ok and ac_ok
 
 
 def test_streams_are_lossless_for_real_images():
@@ -472,13 +473,13 @@ def test_stream_round_trip_property(seed, n):
     rng = np.random.default_rng(seed)
     flat = _random_flat(rng, n)
     dc_table, ac_table = build_tables(flat)
-    dc_data = encode_dc_segment(flat[:, 0], dc_table)
-    ac_data = encode_ac_segment(flat[:, 1:], ac_table)
-    dc, dc_ok = decode_dc_segment(dc_data, dc_table, n, 1)
-    ac, ac_ok = decode_ac_segment(ac_data, ac_table, n, np.ones(64, np.int64))
+    dc_data = encode_segment(flat, dc_table, None)
+    ac_data = encode_segment(flat, None, ac_table)
+    dc, dc_ok = decode_segment(dc_data, dc_table, None, n, _ONES)
+    ac, ac_ok = decode_segment(ac_data, None, ac_table, n, _ONES)
     assert dc_ok and ac_ok
-    assert np.array_equal(dc, flat[:, 0])
-    assert np.array_equal(ac, flat[:, 1:])
+    assert np.array_equal(dc[:, 0], flat[:, 0])
+    assert np.array_equal(ac[:, 1:], flat[:, 1:])
 
 
 # -- oracle fuzz: table-driven codec against the reference ------------------
@@ -493,15 +494,15 @@ def _corpus_case(image, quality):
 
 
 def _assert_decoders_match_reference(data, dc_table, ac_table, count, quant_zig):
-    got, want = decode_dc_segment(data, dc_table, count, int(quant_zig[0])), ref_decode_dc(
-        data, dc_table, count, int(quant_zig[0])
-    )
-    assert got[1] == want[1] and np.array_equal(got[0], want[0])
-    got, want = decode_ac_segment(data, ac_table, count, quant_zig), ref_decode_ac(
-        data, ac_table, count, quant_zig
-    )
-    assert got[1] == want[1] and np.array_equal(got[0], want[0])
-    got = decode_interleaved_segment(data, dc_table, ac_table, count, quant_zig)
+    got = decode_segment(data, dc_table, None, count, quant_zig)
+    want = ref_decode_dc(data, dc_table, count, int(quant_zig[0]))
+    assert got[1] == want[1] and np.array_equal(got[0][:, 0], want[0])
+    assert not got[0][:, 1:].any()
+    got = decode_segment(data, None, ac_table, count, quant_zig)
+    want = ref_decode_ac(data, ac_table, count, quant_zig)
+    assert got[1] == want[1] and np.array_equal(got[0][:, 1:], want[0])
+    assert not got[0][:, 0].any()
+    got = decode_segment(data, dc_table, ac_table, count, quant_zig)
     want = ref_decode_interleaved(data, dc_table, ac_table, count, quant_zig)
     assert got[1] == want[1] and np.array_equal(got[0], want[0])
 
@@ -531,13 +532,8 @@ def test_decoders_match_reference_on_damaged_segments(image, quality, seed, kind
     rng = np.random.default_rng(seed)
     count = int(rng.integers(1, 13))
     b0 = int(rng.integers(0, flat.shape[0] - count + 1))
-    rows = flat[b0 : b0 + count]
-    if kind == "dc":
-        data = encode_dc_segment(rows[:, 0], dc_table)
-    elif kind == "ac":
-        data = encode_ac_segment(rows[:, 1:], ac_table)
-    else:
-        data = encode_interleaved_segment(rows, dc_table, ac_table)
+    tables = {"dc": (dc_table, None), "ac": (None, ac_table), "interleaved": (dc_table, ac_table)}
+    data = encode_segment(flat[b0 : b0 + count], *tables[kind])
     damaged = bytearray(data)
     for bit in rng.integers(0, len(data) * 8, size=flips):
         damaged[bit >> 3] ^= 0x80 >> (bit & 7)

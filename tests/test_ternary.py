@@ -106,7 +106,7 @@ def test_deleted_final_trit_drops_one_symbol():
     trits = ternary.bytes_to_trits(blob)
     assert len(trits) == 10  # both codewords have length 5
     damaged = trits[:-1]
-    assert ternary.trits_to_bytes(damaged, tolerant=True) == b"A"
+    assert ternary.trits_to_bytes(damaged) == b"A"
 
 
 def test_tolerant_decode_of_mid_stream_deletion_keeps_prefix():
@@ -114,7 +114,7 @@ def test_tolerant_decode_of_mid_stream_deletion_keeps_prefix():
     trits = ternary.bytes_to_trits(blob)
     cut = len(trits) // 2
     damaged = np.delete(trits, cut)
-    out = ternary.trits_to_bytes(damaged, tolerant=True)
+    out = ternary.trits_to_bytes(damaged)
     # everything encoded strictly before the deletion point survives
     prefix_symbols = 0
     consumed = 0
@@ -127,18 +127,9 @@ def test_tolerant_decode_of_mid_stream_deletion_keeps_prefix():
     assert out[:prefix_symbols] == blob[:prefix_symbols]
 
 
-def test_strict_decode_raises_on_dangling_tail():
-    trits = ternary.bytes_to_trits(b"AB")[:-1]
-    with pytest.raises(ternary.TritDecodeError):
-        ternary.trits_to_bytes(trits)
-
-
-def test_strict_decode_raises_on_dummy_codeword():
+def test_decode_skips_past_dummy_codeword():
     dummy = np.array(ternary.codeword(ternary.DUMMY_SYMBOL), dtype=np.uint8)
-    with pytest.raises(ternary.TritDecodeError):
-        ternary.trits_to_bytes(dummy)
-    # tolerant mode skips forward instead
-    out = ternary.trits_to_bytes(dummy, tolerant=True)
+    out = ternary.trits_to_bytes(dummy)
     assert isinstance(out, bytes)
 
 
