@@ -144,10 +144,14 @@ def resync_decode(nts, cfg: BarrierConfig, expected_trits: int) -> ResyncResult:
     chunk_first = 0  # first partition of the open chunk
     merged = 0  # markers missed inside the open chunk
 
+    # one rotation decode for the whole read: every chunk starts at 0 or
+    # right after a marker's A, so its predecessor is the seed A either way
+    decoded = rotate_decode(nts, seed=A)
+
     def close_chunk(last_part: int, end: int) -> None:
         """Decode nts[pos:end] into partitions chunk_first..last_part."""
         span = int(offsets[last_part + 1] - offsets[chunk_first])
-        chunk = rotate_decode(nts[pos:end], seed=A)
+        chunk = decoded[pos:end]
         clean = merged == 0 and chunk.size == span
         at = 0
         for j in range(chunk_first, last_part + 1):

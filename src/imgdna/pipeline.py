@@ -56,7 +56,7 @@ from .streams import (
     zigzag_flatten,
     zigzag_unflatten,
 )
-from .ternary import CODE_LENGTHS, bytes_to_trits, trits_to_bytes
+from .ternary import CODE_LENGTHS, bytes_to_trits, trits_to_segments
 
 SCHEME_IMG_DNA = "IMG-DNA"
 SCHEME_RAW_DNA = "Raw-DNA"
@@ -375,10 +375,8 @@ def decode_pool(pool, mapping: MappingTable, meta: ImageMetadata) -> DecodeResul
             np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.uint8)
         )
 
-        pos = 0
-        for seg in sm.segments:
-            data = trits_to_bytes(trits[pos : pos + seg.trit_count])
-            pos += seg.trit_count
+        datas = trits_to_segments(trits, [seg.trit_count for seg in sm.segments])
+        for seg, data in zip(sm.segments, datas):
             vals, _ = decode_segment(data, *tables, seg.block_count, quant_zig)
             # each coefficient class comes from one stream, and a segment
             # leaves the class it does not carry at 0
@@ -520,30 +518,26 @@ def run_sweep(
 # -------------------------------------------------- coefficient-class injection
 
 
-def _target_positions(enc: EncodedImage, target: int) -> list[tuple[int, int]]:
-    """(uid, absolute position) choices for errors aimed at one stream."""
+def _target_positions(enc: EncodedImage, target: int) -> np.ndarray:
+    """(uid, absolute position) choices for errors aimed at one stream, as
+    an (N, 2) int array ordered by uid, then position."""
     geom = enc.geometry()
     body = geom.fwd_len + geom.index_len
-    out = []
     if enc.mapping.scheme != SCHEME_RAW_DNA:
-        for sm in enc.mapping.streams:
-            if sm.stream_id != target:
-                continue
-            for k in range(sm.strand_count):
-                uid = sm.first_uid + k
-                for p in range(enc.strands[uid].size - body - geom.rev_len):
-                    out.append((uid, body + p))
-        return out
+        sm = next(sm for sm in enc.mapping.streams if sm.stream_id == target)
+        uids = np.arange(sm.first_uid, sm.first_uid + sm.strand_count)
+        sizes = np.array([enc.strands[uid].size for uid in uids.tolist()], dtype=np.int64)
+        spans = sizes - body - geom.rev_len  # payload nucleotides per strand
+        firsts = np.repeat(np.cumsum(spans) - spans, spans)
+        return np.column_stack([np.repeat(uids, spans), body + np.arange(spans.sum()) - firsts])
     # interleaved payloads: map global trit positions through the DC extents
     sm = enc.mapping.streams[0]
     _, per = _strand_trit_layout(sm, geom.capacity)
     mask = np.zeros(sm.total_trits, dtype=bool)
     for lo, hi in enc.dc_trit_ranges:
         mask[lo:hi] = True
-    want = mask if target == STREAM_DC else ~mask
-    for t in np.flatnonzero(want):
-        out.append((int(t) // per, body + int(t) % per))
-    return out
+    t = np.flatnonzero(mask if target == STREAM_DC else ~mask)
+    return np.column_stack([t // per, body + t % per])
 
 
 def _inject(strands: list[np.ndarray], hits, rng) -> list[list[np.ndarray]]:
@@ -601,7 +595,10 @@ def run_coefficient_isolation(
                         len(choices), size=min(budget, len(choices)), replace=False
                     )
                     kinds = rng.integers(0, 3, size=picks.size)
-                    hits = [(*choices[int(p)], int(k)) for p, k in zip(picks, kinds)]
+                    hits = [
+                        (uid, pos, kind)
+                        for (uid, pos), kind in zip(choices[picks].tolist(), kinds.tolist())
+                    ]
                     return _inject(enc.strands, hits, rng)
 
                 rows.append([scheme, label, rate, *_score_trials(encs, refs, trials, noisy_pool)])

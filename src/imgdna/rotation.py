@@ -19,8 +19,9 @@ import numpy as np
 NUCLEOTIDES = "ACGT"
 A, C, G, T = range(4)
 
-_NT_FROM_CHAR = {ch: i for i, ch in enumerate(NUCLEOTIDES)}
 _CHAR_FROM_NT = np.frombuffer(NUCLEOTIDES.encode("ascii"), dtype=np.uint8)
+_NT_FROM_BYTE = np.full(256, 255, dtype=np.uint8)  # 255: not a nucleotide
+_NT_FROM_BYTE[_CHAR_FROM_NT] = np.arange(4)
 
 
 def seq_to_string(nts: np.ndarray) -> str:
@@ -30,10 +31,13 @@ def seq_to_string(nts: np.ndarray) -> str:
 
 def string_to_seq(text: str) -> np.ndarray:
     """String like 'ACGT' -> nucleotide code array."""
-    try:
-        return np.array([_NT_FROM_CHAR[ch] for ch in text], dtype=np.uint8)
-    except KeyError as exc:
-        raise ValueError(f"invalid nucleotide {exc.args[0]!r}") from None
+    # one byte per character: anything outside ASCII becomes '?', not a nucleotide
+    raw = np.frombuffer(text.encode("ascii", errors="replace"), dtype=np.uint8)
+    nts = _NT_FROM_BYTE[raw]
+    bad = np.flatnonzero(nts == 255)
+    if bad.size:
+        raise ValueError(f"invalid nucleotide {text[bad[0]]!r}")
+    return nts
 
 
 def rotate_encode(trits, seed: int = A) -> np.ndarray:

@@ -60,7 +60,7 @@ def default_primer_pair(length: int = 20, seed: int = 0x1D9A) -> tuple[np.ndarra
 def _max_run(nts: np.ndarray) -> int:
     if nts.size == 0:
         return 0
-    changes = np.flatnonzero(np.diff(nts.astype(np.int64)) != 0)
+    changes = np.flatnonzero(nts[1:] != nts[:-1])
     edges = np.concatenate([[-1], changes, [nts.size - 1]])
     return int(np.diff(edges).max())
 
@@ -307,12 +307,15 @@ def disassemble_pool(
     strand_groups holds the noisy copies of each synthesized strand. Each
     voted read is routed by its index; unroutable reads and addresses with
     no slot are quarantined, their slots stay None for the caller's gap fill.
+    An empty group routes nothing, so the slot it stood for stays None too.
     """
     result = DisassemblyResult(
         streams={s: [None] * n for s, n in stream_counts.items()}
     )
     limit = 2 * max(stream_counts.values())
     for copies in strand_groups:
+        if not copies:
+            continue
         routed = route_read(_vote_copies(copies), geom, limit)
         if routed is None:
             result.quarantined += 1
@@ -351,7 +354,7 @@ def validate_constraints(strands: list[np.ndarray]) -> ConstraintReport:
     for i, s in enumerate(strands):
         runs.append(_max_run(s))
         lens.append(s.size)
-        gcs.append(float(np.isin(s, (1, 2)).mean()) if s.size else 0.0)
+        gcs.append(float(((s == 1) | (s == 2)).mean()) if s.size else 0.0)
         if runs[-1] > MAX_HOMOPOLYMER:
             violations.append(f"strand {i}: homopolymer run {runs[-1]} > {MAX_HOMOPOLYMER}")
         if lens[-1] >= MAX_STRAND_LEN:

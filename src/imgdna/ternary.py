@@ -111,7 +111,6 @@ def _build_decode_table() -> tuple[np.ndarray, np.ndarray]:
 
 
 _DECODE_SYMBOL, _DECODE_LENGTH = _build_decode_table()
-_POWERS = (3 ** np.arange(MAX_LENGTH - 1, -1, -1)).astype(np.int64)
 
 
 def bytes_to_trits(data) -> np.ndarray:
@@ -122,32 +121,52 @@ def bytes_to_trits(data) -> np.ndarray:
     return _ENCODE_TRITS[values][_ENCODE_MASK[values]]
 
 
+def trits_to_segments(trits, counts) -> list[bytes]:
+    """Decode consecutive segments of counts[i] trits each from one stream.
+
+    Each segment decodes as trits_to_bytes would decode it on its own.
+    The symbol and codeword length of the MAX_LENGTH-trit window at every
+    stream position are looked up once; a codeword is a prefix of its
+    window, so trits past a segment's end change neither a codeword that
+    fits in the segment nor the verdict that none fits. A segment running
+    past the stream's end is cut short there.
+    """
+    trits = np.asarray(trits, dtype=np.uint8)
+    n = trits.size
+    if n and trits.max() > 2:
+        raise ValueError("trit values must be 0, 1 or 2")
+    padded = np.zeros(n + MAX_LENGTH - 1, dtype=np.intp)
+    padded[:n] = trits
+    windows = np.zeros(n, dtype=np.intp)
+    for k in range(MAX_LENGTH):
+        windows = windows * 3 + padded[k : k + n]
+    symbols = _DECODE_SYMBOL[windows].tolist()
+    lengths = _DECODE_LENGTH[windows].tolist()
+    out = []
+    start = 0
+    for count in counts:
+        end = min(start + count, n)
+        segment = bytearray()
+        pos = start
+        while pos < end:
+            symbol = symbols[pos]
+            length = lengths[pos]
+            if pos + length > end:
+                break  # unmatchable suffix shorter than its codeword
+            if symbol == DUMMY_SYMBOL:
+                pos += 1  # resynchronize at the next decodable boundary
+                continue
+            segment.append(symbol)
+            pos += length
+        out.append(bytes(segment))
+        start += count
+    return out
+
+
 def trits_to_bytes(trits) -> bytes:
     """Decode a trit array back to bytes.
 
     Skips one trit on the dummy codeword and drops an unmatchable tail.
     """
     trits = np.asarray(trits, dtype=np.uint8)
-    n = trits.size
-    if n == 0:
-        return b""
-    if trits.max() > 2:
-        raise ValueError("trit values must be 0, 1 or 2")
-    padded = np.zeros(n + MAX_LENGTH - 1, dtype=np.int64)
-    padded[:n] = trits
-    windows = np.lib.stride_tricks.sliding_window_view(padded, MAX_LENGTH) @ _POWERS
-    symbols = _DECODE_SYMBOL[windows].tolist()
-    lengths = _DECODE_LENGTH[windows].tolist()
-    out = bytearray()
-    pos = 0
-    while pos < n:
-        symbol = symbols[pos]
-        length = lengths[pos]
-        if pos + length > n:
-            break  # unmatchable suffix shorter than its codeword
-        if symbol == DUMMY_SYMBOL:
-            pos += 1  # resynchronize at the next decodable boundary
-            continue
-        out.append(symbol)
-        pos += length
-    return bytes(out)
+    return trits_to_segments(trits, [trits.size])[0]

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from imgdna.barriers import (
     BarrierConfig,
+    _find_marker,
+    _partition_lengths,
     insert_barriers,
     resync_decode,
 )
-from imgdna.rotation import A, seq_to_string
+from imgdna.rotation import A, rotate_decode, seq_to_string
 
 
 def _damaged_partitions(orig, got, pl):
@@ -196,3 +198,79 @@ def test_any_single_error_damages_at_most_two_adjacent_partitions(
     assert len(bad) <= 2
     if len(bad) == 2:
         assert bad[1] == bad[0] + 1
+
+
+def resync_by_chunks(nts, cfg, expected_trits):
+    """resync_decode with a fresh rotation decode of every chunk between
+    the markers found, each seeded from A."""
+    lengths = _partition_lengths(expected_trits, cfg)
+    n = len(lengths)
+    out = np.zeros(expected_trits, dtype=np.uint8)
+    damaged = [False] * n
+    if n == 0:
+        return out, damaged
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    half = (cfg.window - 2) // 2
+    pos = chunk_first = merged = 0
+
+    def close(last, end):
+        chunk = rotate_decode(nts[pos:end], seed=A)
+        span = int(offsets[last + 1] - offsets[chunk_first])
+        clean = merged == 0 and chunk.size == span
+        at = 0
+        for j in range(chunk_first, last + 1):
+            take = min(lengths[j], max(chunk.size - at, 0))
+            out[offsets[j] : offsets[j] + take] = chunk[at : at + take]
+            at += lengths[j]
+            damaged[j] = damaged[j] or not clean
+
+    for i in range(n - 1 + cfg.trailing):
+        expected = pos + int(offsets[i + 1] - offsets[chunk_first]) + 2 * merged
+        s = _find_marker(nts, expected, pos, half)
+        if s is None:
+            merged += 1
+            continue
+        close(i, s)
+        pos, chunk_first, merged = s + 2, i + 1, 0
+    if chunk_first < n:
+        close(n - 1, nts.size)
+    return out, damaged
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 200),
+    st.sampled_from([(2, 2), (5, 8), (10, 12), (20, 12), (50, 12), (None, 12)]),
+    st.booleans(),
+    st.integers(0, 8),
+)
+def test_resync_equals_per_chunk_rotation_decode(seed, ntrits, layout, trailing, edits):
+    rng = np.random.default_rng(seed)
+    cfg = BarrierConfig(partition_len=layout[0], window=layout[1], trailing=trailing)
+    trits = rng.integers(0, 3, size=ntrits).astype(np.uint8)
+    nts = insert_barriers(trits, cfg).nts
+    for _ in range(edits):
+        pos = int(rng.integers(0, nts.size + 1))
+        kind = int(rng.integers(0, 5))
+        if kind == 0:  # insertion
+            nts = np.insert(nts, pos, int(rng.integers(0, 4)))
+        elif pos == nts.size:
+            continue
+        elif kind == 1:  # deletion
+            nts = np.delete(nts, pos)
+        elif kind == 2:  # substitution
+            nts = nts.copy()
+            nts[pos] = (nts[pos] + int(rng.integers(1, 4))) % 4
+        elif kind == 3:  # destroy the nearest marker after pos
+            aa = np.flatnonzero((nts[pos:-1] == A) & (nts[pos + 1 :] == A))
+            if aa.size:
+                nts = nts.copy()
+                nts[pos + aa[0] + int(rng.integers(0, 2))] = int(rng.integers(1, 4))
+        else:  # create a marker
+            nts = nts.copy()
+            nts[pos : pos + 2] = A
+    want_trits, want_damaged = resync_by_chunks(nts, cfg, ntrits)
+    got = resync_decode(nts, cfg, ntrits)
+    assert np.array_equal(got.trits, want_trits)
+    assert got.damaged == want_damaged

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from imgdna.corpus import corpus_image
 from imgdna.metrics import (
     barrier_overhead,
     ci90_half_width,
@@ -8,6 +10,7 @@ from imgdna.metrics import (
     ssim,
     write_csv,
 )
+from imgdna.pipeline import reference_image
 
 
 def ssim_by_hand(a, b):
@@ -41,6 +44,73 @@ def test_ssim_matches_direct_window_loop():
             a.astype(np.int64) + rng.integers(-30, 31, size=a.shape), 0, 255
         ).astype(np.uint8)
         assert ssim(a, b) == pytest.approx(ssim_by_hand(a, b), abs=1e-9)
+
+
+def ssim_sliding_window(a, b):
+    """The float64 sliding-window formula: every window's moments as
+    numpy means over an 8x8 view, then the same score expression."""
+    x = a.astype(np.float64)
+    y = b.astype(np.float64)
+    wx = sliding_window_view(x, (8, 8))
+    wy = sliding_window_view(y, (8, 8))
+    mx = wx.mean(axis=(-2, -1))
+    my = wy.mean(axis=(-2, -1))
+    vx = (wx * wx).mean(axis=(-2, -1)) - mx * mx
+    vy = (wy * wy).mean(axis=(-2, -1)) - my * my
+    cov = (wx * wy).mean(axis=(-2, -1)) - mx * my
+    c1 = (0.01 * 255) ** 2
+    c2 = (0.03 * 255) ** 2
+    score = ((2 * mx * my + c1) * (2 * cov + c2)) / (
+        (mx * mx + my * my + c1) * (vx + vy + c2)
+    )
+    return float(score.mean())
+
+
+def _noisy(img, rng, spread):
+    noise = rng.integers(-spread, spread + 1, size=img.shape)
+    return np.clip(img.astype(np.int64) + noise, 0, 255).astype(np.uint8)
+
+
+def test_ssim_equals_sliding_window_formula_on_corpus_pairs():
+    rng = np.random.default_rng(7)
+    for idx in (0, 3, 7, 15):
+        img = corpus_image(idx)
+        pairs = [
+            (img, reference_image(img)),
+            (img, reference_image(img, quality=10)),
+            (img, _noisy(img, rng, 40)),
+            (img, img[::-1, ::-1].copy()),
+            (img, np.zeros_like(img)),
+        ]
+        for a, b in pairs:
+            assert ssim(a, b) == ssim_sliding_window(a, b), idx
+            assert ssim(b, a) == ssim_sliding_window(b, a), idx
+
+
+@pytest.mark.parametrize(
+    "shape", [(8, 8), (8, 9), (8, 57), (57, 8), (9, 13), (31, 17), (129, 8), (65, 127)]
+)
+def test_ssim_equals_sliding_window_formula_on_any_shape(shape):
+    rng = np.random.default_rng(sum(shape))
+    for spread in (0, 3, 60, 255):
+        a = rng.integers(0, 256, size=shape).astype(np.uint8)
+        b = _noisy(a, rng, spread)
+        assert ssim(a, b) == ssim_sliding_window(a, b)
+    extremes = np.full(shape, 255, dtype=np.uint8)
+    extremes[::2] = 0
+    assert ssim(extremes, extremes) == 1.0
+    assert ssim(extremes, 255 - extremes) == ssim_sliding_window(extremes, 255 - extremes)
+
+
+def test_ssim_accepts_only_integer_pixels():
+    img = np.arange(144, dtype=np.uint8).reshape(12, 12)
+    for dtype in (np.int16, np.uint16, np.int64):
+        assert ssim(img.astype(dtype), img.astype(dtype)) == 1.0
+    for dtype in (np.float32, np.float64, np.bool_, np.complex128):
+        with pytest.raises(ValueError, match="integer"):
+            ssim(img.astype(dtype), img)
+        with pytest.raises(ValueError, match="integer"):
+            ssim(img, img.astype(dtype))
 
 
 def test_identical_images_score_exactly_one():

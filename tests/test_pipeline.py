@@ -172,6 +172,21 @@ def test_decode_pool_never_raises(scheme, rate, copies, corrupt_primers, seed, j
     assert dec.missing_strands <= len(enc.strands)
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_empty_read_group_counts_as_missing(scheme):
+    # a group with no reads is a lost strand, not a crash or a quarantine
+    enc = _crop_encoding(scheme)
+    groups = [[s] for s in enc.strands]
+    groups[0] = []
+    dec = decode_pool(groups, enc.mapping, enc.metadata)
+    assert (dec.missing_strands, dec.quarantined, dec.duplicates) == (1, 0, 0)
+    as_dict = decode_pool(dict(enumerate(groups)), enc.mapping, enc.metadata)
+    without = decode_pool(groups[1:], enc.mapping, enc.metadata)
+    assert np.array_equal(as_dict.image, dec.image)
+    assert np.array_equal(without.image, dec.image)
+    assert without.missing_strands == 1
+
+
 def test_single_error_containment(small_image):
     stats = run_containment(small_image, trials=300, seed=11)
     assert stats.trials == 300
@@ -261,8 +276,8 @@ def test_run_sweep_rows_and_determinism(tmp_path, small_image):
 
 def test_target_positions_partition_payload(small_image):
     enc = encode_image(small_image, ExperimentConfig(scheme=SCHEME_RAW_DNA))
-    dc = set(_target_positions(enc, STREAM_DC))
-    ac = set(_target_positions(enc, STREAM_AC))
+    dc = set(map(tuple, _target_positions(enc, STREAM_DC).tolist()))
+    ac = set(map(tuple, _target_positions(enc, STREAM_AC).tolist()))
     assert dc and ac
     assert not dc & ac
     geom = enc.geometry()
@@ -271,6 +286,20 @@ def test_target_positions_partition_payload(small_image):
     assert len(dc) + len(ac) == total
     for uid, pos in list(dc)[:50] + list(ac)[:50]:
         assert body <= pos < enc.strands[uid].size - geom.rev_len
+
+
+def test_target_positions_run_strand_by_strand(small_image):
+    # every payload position of the target stream's strands, uid-major
+    enc = encode_image(small_image, ExperimentConfig())
+    geom = enc.geometry()
+    body = geom.fwd_len + geom.index_len
+    for sm in enc.mapping.streams:
+        want = [
+            [uid, body + p]
+            for uid in range(sm.first_uid, sm.first_uid + sm.strand_count)
+            for p in range(enc.strands[uid].size - body - geom.rev_len)
+        ]
+        assert _target_positions(enc, sm.stream_id).tolist() == want
 
 
 def test_isolation_rows_cover_targets(small_image):

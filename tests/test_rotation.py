@@ -68,6 +68,21 @@ def test_string_helpers_round_trip():
     assert seq_to_string(string_to_seq("ACGTAC")) == "ACGTAC"
     with pytest.raises(ValueError):
         string_to_seq("ACGN")
+    assert string_to_seq("").dtype == np.uint8 and string_to_seq("").size == 0
+
+
+@pytest.mark.parametrize(
+    "text, bad", [("ACGN", "N"), ("NACG", "N"), ("AC?T", "?"), ("ACéT", "é"), ("AC中x", "中"), ("acgt", "a")]
+)
+def test_string_to_seq_names_first_bad_character(text, bad):
+    with pytest.raises(ValueError, match=f"invalid nucleotide {bad!r}"):
+        string_to_seq(text)
+
+
+def test_string_to_seq_matches_per_character_lookup():
+    rng = np.random.default_rng(5)
+    text = "".join(rng.choice(list("ACGT"), size=2000))
+    assert string_to_seq(text).tolist() == ["ACGT".index(ch) for ch in text]
 
 
 def test_empty_inputs():

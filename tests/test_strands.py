@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imgdna.pipeline import ExperimentConfig
 from imgdna.rotation import A, seq_to_string
 from imgdna.strands import (
+    MAX_HOMOPOLYMER,
+    MAX_STRAND_LEN,
     STREAM_AC,
     STREAM_DC,
+    ConstraintReport,
     StrandGeometry,
     assemble_strand,
     decode_index,
@@ -297,3 +302,46 @@ def test_validate_constraints_flags_bad_strands():
     clean = validate_constraints([good])
     assert clean.ok
     assert clean.gc_mean == 0.5
+
+
+def _constraints_per_strand(strands):
+    """validate_constraints written strand by strand."""
+    runs, gcs, violations = [], [], []
+    for i, s in enumerate(strands):
+        run = 0
+        for j in range(s.size):
+            start = j
+            while start > 0 and s[start - 1] == s[j]:
+                start -= 1
+            run = max(run, j - start + 1)
+        runs.append(run)
+        gcs.append(float(np.isin(s, (1, 2)).mean()) if s.size else 0.0)
+        if run > MAX_HOMOPOLYMER:
+            violations.append(f"strand {i}: homopolymer run {run} > {MAX_HOMOPOLYMER}")
+        if s.size >= MAX_STRAND_LEN:
+            violations.append(f"strand {i}: length {s.size} >= {MAX_STRAND_LEN}")
+    return ConstraintReport(
+        strand_count=len(strands),
+        max_homopolymer=max(runs, default=0),
+        max_length=max((s.size for s in strands), default=0),
+        gc_mean=float(np.mean(gcs)) if gcs else 0.0,
+        gc_min=min(gcs, default=0.0),
+        gc_max=max(gcs, default=0.0),
+        violations=violations,
+    )
+
+
+_STRANDS = st.lists(
+    st.one_of(
+        st.lists(st.integers(0, 3), max_size=40),
+        st.lists(st.integers(0, 1), max_size=12),
+        st.integers(995, 1004).map(lambda n: [2] * 3 + [0, 1] * (n // 2 - 1)),
+    ).map(lambda v: np.array(v, dtype=np.uint8)),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_STRANDS)
+def test_validate_constraints_equals_per_strand_check(strands):
+    assert validate_constraints(strands) == _constraints_per_strand(strands)

@@ -137,3 +137,55 @@ def test_mean_code_length_constant():
     mean = ternary.CODE_LENGTHS.mean()
     assert mean == pytest.approx(1300 / 256)
     assert ternary.AVG_BITS_PER_TRIT == pytest.approx(2048 / 1300)
+
+
+_WORDS = {tuple(ternary.codeword(s)): s for s in range(257)}
+
+
+def decode_by_codewords(trits: list[int]) -> bytes:
+    """Prefix-match one codeword at a time; one trit forward past a dummy,
+    stop at a tail that no codeword fits."""
+    out = bytearray()
+    pos = 0
+    while pos < len(trits):
+        for length in range(1, min(ternary.MAX_LENGTH, len(trits) - pos) + 1):
+            symbol = _WORDS.get(tuple(trits[pos : pos + length]))
+            if symbol is not None:
+                break
+        else:
+            break
+        if symbol == ternary.DUMMY_SYMBOL:
+            pos += 1
+            continue
+        out.append(symbol)
+        pos += length
+    return bytes(out)
+
+
+# codewords, dummy codewords and stray trits, so resynchronisation gets tried
+_STREAMS = st.lists(
+    st.one_of(
+        st.integers(0, 255).map(lambda v: list(ternary.codeword(v))),
+        st.just(list(ternary.codeword(ternary.DUMMY_SYMBOL))),
+        st.lists(st.integers(0, 2), max_size=3),
+    ),
+    max_size=60,
+).map(lambda pieces: np.array([t for p in pieces for t in p], dtype=np.uint8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_STREAMS, st.lists(st.integers(0, 40), max_size=12))
+def test_stream_decode_equals_per_segment_decode(stream, counts):
+    # counts cut codewords anywhere, may be 0 and may run past the stream
+    got = ternary.trits_to_segments(stream, counts)
+    assert len(got) == len(counts)
+    pos = 0
+    for count, data in zip(counts, got):
+        segment = stream[pos : pos + count]
+        assert data == ternary.trits_to_bytes(segment) == decode_by_codewords(segment.tolist())
+        pos += count
+
+
+def test_stream_decode_rejects_bad_trits():
+    with pytest.raises(ValueError):
+        ternary.trits_to_segments(np.array([0, 1, 3], dtype=np.uint8), [3])
