@@ -3,6 +3,8 @@
 A trit stream is cut into fixed-length partitions. Each partition is
 rotation-encoded on its own (seeded from A), and partitions are joined with
 the two-nucleotide marker 'AA', which the rotating code can never emit.
+A whole stream is laid out at once, as one partition per row of a grid,
+and then cut into strands.
 An insertion or deletion inside one partition shifts only that partition's
 nucleotides; the decoder re-anchors at the next marker, so damage does not
 spread down the stream.
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rotation import A, rotate_decode, rotate_encode
+from .rotation import A, rotate_decode
 
 BARRIER = np.array([A, A], dtype=np.uint8)
 
@@ -71,20 +73,54 @@ def _partition_lengths(trit_count: int, cfg: BarrierConfig) -> list[int]:
     return [pl] * full + ([rest] if rest else [])
 
 
-def insert_barriers(trits, cfg: BarrierConfig) -> BarrieredSequence:
-    """Encode a trit stream as partitions separated by 'AA' markers."""
+def stream_payloads(trits, cfg: BarrierConfig, per_strand: int) -> list[np.ndarray]:
+    """Barriered payload of each consecutive per_strand-trit strand of a stream.
+
+    Each payload is insert_barriers of its strand's trits, all laid out in
+    one pass. per_strand is a whole number of partitions, so partitions
+    tile the stream: the stream becomes a grid of one partition per row,
+    each row is rotation-encoded from seed A (0) by one cumulative sum of
+    trit + 1 (mod 4, exact in uint8), and the two columns after it hold
+    its marker. The final partition may be short, and its marker follows
+    it directly. A strand's payload drops its final marker unless
+    cfg.trailing is set. The payloads are views into one array.
+    """
     trits = np.asarray(trits, dtype=np.uint8)
-    lengths = _partition_lengths(trits.size, cfg)
-    pieces = []
-    off = 0
-    for n in lengths:
-        pieces.append(rotate_encode(trits[off : off + n], seed=A))
-        pieces.append(BARRIER)
-        off += n
-    if pieces and not cfg.trailing:
-        pieces.pop()  # separators, not terminators
-    nts = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.uint8)
-    return BarrieredSequence(nts, trits.size, len(lengths), cfg)
+    n = trits.size
+    pl = per_strand if cfg.partition_len is None else cfg.partition_len
+    if per_strand % pl:
+        raise ValueError("a strand must hold a whole number of partitions")
+    if n and trits.max() > 2:
+        raise ValueError("trit values must be 0, 1 or 2")
+    if n == 0:
+        return []
+    rows = -(-n // pl)
+    steps = np.zeros(rows * pl, dtype=np.uint8)
+    steps[:n] = trits
+    steps += 1
+    grid = np.full((rows, pl + 2), A, dtype=np.uint8)
+    np.cumsum(steps.reshape(rows, pl), axis=1, dtype=np.uint8, out=grid[:, :pl])
+    grid[:, :pl] &= 3
+    last = n - (rows - 1) * pl  # trits in the final partition
+    grid[-1, last : last + 2] = A
+    nts = grid.ravel()[: (rows - 1) * (pl + 2) + last + 2]
+    span = per_strand // pl * (pl + 2)
+    cut = 0 if cfg.trailing else BARRIER.size
+    return [nts[s : min(s + span, nts.size) - cut] for s in range(0, nts.size, span)]
+
+
+def insert_barriers(trits, cfg: BarrierConfig) -> BarrieredSequence:
+    """Encode a trit stream as partitions separated by 'AA' markers: the
+    one-strand case of stream_payloads."""
+    trits = np.asarray(trits, dtype=np.uint8)
+    n = trits.size
+    if cfg.partition_len is None:
+        per_strand = max(n, 1)
+    else:
+        per_strand = max(-(-n // cfg.partition_len), 1) * cfg.partition_len
+    payloads = stream_payloads(trits, cfg, per_strand)
+    nts = payloads[0] if payloads else np.zeros(0, dtype=np.uint8)
+    return BarrieredSequence(nts, n, len(_partition_lengths(n, cfg)), cfg)
 
 
 @dataclass

@@ -1,9 +1,12 @@
 """End-to-end encode / perturb / decode orchestration and experiments.
 
 Encoding turns an image into a strand pool in five stages: block transform,
-per-segment entropy coding, byte-to-trit conversion, barrier insertion, and
-strand assembly with a triplicated address index. Three schemes share the
-stages and differ only in stream layout:
+entropy coding, byte-to-trit conversion, barrier layout, and strand
+assembly with a triplicated address index. Each of the middle three is one
+pass over a whole stream: all of its segments are entropy coded together,
+its bytes become trits in one conversion, and its partitions are laid out
+and cut into strand payloads at once. Three schemes share the stages and
+differ only in stream layout:
 
   IMG-DNA              DC and AC in separate strand sets, barriers on both
   NoBarrier-Separated  same split, no barriers (unbounded partitions)
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .barriers import BarrierConfig, insert_barriers, resync_decode
+from .barriers import BarrierConfig, resync_decode, stream_payloads
 from .channel import ChannelConfig, apply_edits, edit_value, perturb_pool
 from .formats import MappingTable, SegmentRecord, StreamMap
 from .jpeg import ZIGZAG, ImageMetadata, forward_transform, inverse_transform
@@ -41,7 +44,7 @@ from .strands import (
     STREAM_AC,
     STREAM_DC,
     StrandGeometry,
-    assemble_strand,
+    assemble_strands,
     default_primer_pair,
     disassemble_pool,
     index_width_for,
@@ -52,7 +55,7 @@ from .streams import (
     HuffmanTable,
     build_tables,
     decode_segment,
-    encode_segment,
+    encode_segments,
     zigzag_flatten,
     zigzag_unflatten,
 )
@@ -236,36 +239,27 @@ def encode_image(image: np.ndarray, cfg: ExperimentConfig) -> EncodedImage:
     stream_trits: dict[int, np.ndarray] = {}
     stream_bits: dict[int, int] = {}
     segments: dict[int, list[SegmentRecord]] = {}
-    dc_trit_ranges: list[tuple[int, int]] | None = [] if cfg.scheme == SCHEME_RAW_DNA else None
+    dc_trit_ranges: list[tuple[int, int]] | None = None
 
     for sid in sorted(plan):
         tables = _segment_tables(cfg.scheme, sid, dc_table, ac_table)
-        chunks = []
-        records = []
-        byte_total = 0
-        trit_total = 0
-        for b0, b1 in plan[sid]:
-            spans = [] if dc_trit_ranges is not None else None
-            data = encode_segment(flat[b0:b1], *tables, spans)
-            trits = bytes_to_trits(data)
-            records.append(SegmentRecord(b0, b1 - b0, len(data), trits.size))
-            chunks.append(trits)
-            byte_total += len(data)
-            if spans:
-                # nucleotide extents of the DC terms, for targeted injection
-                cum = np.concatenate(
-                    [[0], np.cumsum(CODE_LENGTHS[np.frombuffer(data, dtype=np.uint8)])]
-                )
-                for s_bit, e_bit in spans:
-                    lo = int(cum[s_bit // 8])
-                    hi = int(cum[min((e_bit + 7) // 8, len(data))])
-                    dc_trit_ranges.append((trit_total + lo, trit_total + hi))
-            trit_total += trits.size
-        stream_trits[sid] = (
-            np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint8)
-        )
-        stream_bits[sid] = 8 * byte_total
-        segments[sid] = records
+        data, sizes, dc_spans = encode_segments(flat, plan[sid], *tables)
+        stream_trits[sid] = bytes_to_trits(data)
+        stream_bits[sid] = 8 * len(data)
+        # trits before each byte of the stream
+        cum = np.zeros(len(data) + 1, dtype=np.int64)
+        np.cumsum(CODE_LENGTHS[np.frombuffer(data, dtype=np.uint8)], out=cum[1:])
+        ends = cum[np.cumsum(sizes)]
+        trit_counts = np.diff(ends, prepend=0)
+        segments[sid] = [
+            SegmentRecord(b0, b1 - b0, nbytes, ntrits)
+            for (b0, b1), nbytes, ntrits in zip(plan[sid], sizes.tolist(), trit_counts.tolist())
+        ]
+        if cfg.scheme == SCHEME_RAW_DNA:
+            # nucleotide extents of the DC terms, for targeted injection
+            dc_trit_ranges = list(
+                zip(cum[dc_spans[:, 0] // 8].tolist(), cum[(dc_spans[:, 1] + 7) // 8].tolist())
+            )
 
     geom, counts = _resolve_geometry(cfg, {s: t.size for s, t in stream_trits.items()})
 
@@ -274,16 +268,11 @@ def encode_image(image: np.ndarray, cfg: ExperimentConfig) -> EncodedImage:
     barrier_nt: dict[int, int] = {}
     for sid in sorted(stream_trits):
         bc = stream_cfgs[sid]
-        per = _per_strand_trits(bc, geom.capacity)
         trits = stream_trits[sid]
+        payloads = stream_payloads(trits, bc, _per_strand_trits(bc, geom.capacity))
         first_uid = len(strands)
-        nts = 0
-        for offset in range(counts[sid]):
-            chunk = trits[offset * per : (offset + 1) * per]
-            seq = insert_barriers(chunk, bc)
-            nts += seq.barrier_nt_count
-            strands.append(assemble_strand(geom, offset * 2 + sid, seq.nts))
-        barrier_nt[sid] = nts
+        strands += assemble_strands(geom, range(sid, 2 * len(payloads), 2), payloads)
+        barrier_nt[sid] = sum(p.size for p in payloads) - trits.size
         stream_maps.append(
             StreamMap(
                 stream_id=sid,

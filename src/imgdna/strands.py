@@ -252,11 +252,22 @@ def _vote_index(nts: np.ndarray, width: int, seed: int, limit: int) -> int | Non
     return None
 
 
+def assemble_strands(
+    geom: StrandGeometry, index_values, payloads: list[np.ndarray]
+) -> list[np.ndarray]:
+    """fwd_primer | index | payload | rev_primer for each index value and payload."""
+    capacity, width, seed = geom.capacity, geom.index_width, geom.index_seed
+    strands = []
+    for value, payload in zip(index_values, payloads):
+        if payload.size > capacity:
+            raise ValueError(f"payload {payload.size} nt exceeds capacity {capacity}")
+        index = _index_code(value, width, seed)
+        strands.append(np.concatenate([geom.fwd_primer, index, payload, geom.rev_primer]))
+    return strands
+
+
 def assemble_strand(geom: StrandGeometry, index_value: int, payload: np.ndarray) -> np.ndarray:
-    if payload.size > geom.capacity:
-        raise ValueError(f"payload {payload.size} nt exceeds capacity {geom.capacity}")
-    index = _index_code(index_value, geom.index_width, geom.index_seed)
-    return np.concatenate([geom.fwd_primer, index, payload, geom.rev_primer])
+    return assemble_strands(geom, [index_value], [payload])[0]
 
 
 @dataclass

@@ -15,6 +15,13 @@ a whole byte, so a damaged segment can be skipped without poisoning its
 neighbours. A decode failure freezes the DC predictor and zero-fills the
 AC terms for the remainder of the segment being decoded.
 
+Encoding is one numpy pass per stream (encode_segments). Each codeword
+and its amplitude bits form one field, taken from 256-entry code arrays.
+A field's place follows from counts: a block's DC difference, then each
+AC term's ZRLs and symbol, then EOB. Each field is OR-ed into the bytes
+as a 40-bit window at its first byte, and padding joins a segment's last
+field.
+
 Decoding is table-driven. A segment becomes a list of 24-bit big-endian
 words, one at each byte offset and padded with 1 bits past the end, read
 through a plain int bit position. The next 16 bits index two 65,536-entry
@@ -38,36 +45,6 @@ EOB = 0x00  # end of block: all remaining AC terms are zero
 ZRL = 0xF0  # sixteen zero AC terms
 MAX_CODE_LENGTH = 16
 _RESERVED = 0x100  # pseudo-symbol holding the all-ones codeword
-
-
-class BitWriter:
-    """Append integers MSB-first; pads the final byte with 1 bits."""
-
-    def __init__(self):
-        self._out = bytearray()
-        self._acc = 0
-        self._nacc = 0
-
-    def write(self, value: int, nbits: int) -> None:
-        if nbits == 0:
-            return
-        self._acc = (self._acc << nbits) | (value & ((1 << nbits) - 1))
-        self._nacc += nbits
-        while self._nacc >= 8:
-            self._nacc -= 8
-            self._out.append((self._acc >> self._nacc) & 0xFF)
-        self._acc &= (1 << self._nacc) - 1
-
-    @property
-    def bit_length(self) -> int:
-        return len(self._out) * 8 + self._nacc
-
-    def getvalue(self) -> bytes:
-        if not self._nacc:
-            return bytes(self._out)
-        pad = 8 - self._nacc
-        last = ((self._acc << pad) | ((1 << pad) - 1)) & 0xFF
-        return bytes(self._out) + bytes([last])
 
 
 def _words(data: bytes) -> list[int]:
@@ -150,6 +127,7 @@ class HuffmanTable:
     lengths: dict[int, int]
     _encode: dict[int, tuple[int, int]] = field(repr=False, compare=False, default=None)
     _lookup: tuple[bytes, bytes] = field(repr=False, compare=False, default=None)
+    _arrays: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not self.lengths:
@@ -173,9 +151,17 @@ class HuffmanTable:
         depths.pop(_RESERVED)
         return cls(depths)
 
-    def write(self, writer: BitWriter, symbol: int) -> None:
-        code, ln = self._encode[symbol]
-        writer.write(code, ln)
+    def code_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(codes, lengths): every symbol's codeword and its length as
+        256-entry arrays, length 0 where a symbol has no codeword.
+        Built on first encode, so decoding never pays for it."""
+        if self._arrays is None:
+            codes = np.zeros(256, dtype=np.int64)
+            lengths = np.zeros(256, dtype=np.int32)
+            for s, (code, ln) in self._encode.items():
+                codes[s], lengths[s] = code, ln
+            self._arrays = codes, lengths
+        return self._arrays
 
     def lookup(self) -> tuple[bytes, bytes]:
         """(symbols, lengths): the codeword that each 16-bit window starts
@@ -193,17 +179,9 @@ class HuffmanTable:
         return self._lookup
 
 
-def dc_category(diff: int) -> int:
-    return abs(int(diff)).bit_length()
-
-
 def _categories(values: np.ndarray) -> np.ndarray:
-    """dc_category of every value: the bit length of its magnitude."""
+    """The bit length of every value's magnitude: its DC category or AC size."""
     return np.frexp(np.abs(values).astype(np.float64))[1]
-
-
-def _amplitude(value: int, size: int) -> int:
-    return value if value > 0 else value + (1 << size) - 1
 
 
 def zigzag_flatten(blocks: np.ndarray) -> np.ndarray:
@@ -218,22 +196,35 @@ def zigzag_unflatten(flat: np.ndarray) -> np.ndarray:
     return out.reshape(n, 8, 8)
 
 
+def _ac_terms(flat: np.ndarray):
+    """Nonzero AC terms of (n, 64) zigzag rows, row by row.
+
+    Returns (rows, runs, values, sizes): run counts the zeros since the
+    previous nonzero term of the same row, and size is the bit length of
+    the magnitude. A term costs run // 16 ZRLs and then one
+    (run % 16, size) symbol; a row ends with EOB unless its 63rd term is
+    nonzero.
+    """
+    rows, cols = np.nonzero(flat[:, 1:])
+    values = flat[rows, cols + 1]
+    runs = cols.astype(np.int32)
+    runs[1:] -= runs[:-1] + 1
+    first = np.ones(rows.size, dtype=bool)  # first nonzero term of its row
+    first[1:] = rows[1:] != rows[:-1]
+    runs[first] = cols[first]
+    return rows, runs, values, _categories(values)
+
+
 def symbol_counts(flat: np.ndarray) -> tuple[Counter, Counter]:
     """DC and AC symbol histograms over one image's zigzagged blocks.
 
     The DC chain runs over the whole image here; segmented encoding later
     restarts the predictor, which the floor counts in build_tables absorb.
-    Each nonzero AC term costs run // 16 ZRLs and one (run % 16, size)
-    symbol, where run counts the zeros since the previous nonzero term of
-    its row; a row ends with EOB unless its last term is nonzero.
     """
     flat = np.asarray(flat, dtype=np.int64)
     dc_freqs = Counter(_categories(np.diff(flat[:, 0], prepend=0)).tolist())
-    rows, cols = np.nonzero(flat[:, 1:])
-    first = np.ones(rows.size, dtype=bool)  # first nonzero term of its row
-    first[1:] = rows[1:] != rows[:-1]
-    runs = cols - np.where(first, -1, np.roll(cols, 1)) - 1
-    ac_freqs = Counter((((runs % 16) << 4) | _categories(flat[rows, cols + 1])).tolist())
+    _, runs, _, sizes = _ac_terms(flat)
+    ac_freqs = Counter((((runs % 16) << 4) | sizes).tolist())
     ac_freqs[ZRL] += int((runs // 16).sum())
     ac_freqs[EOB] += len(flat) - int(np.count_nonzero(flat[:, 63]))
     return dc_freqs, +ac_freqs  # unary plus drops the zero counts
@@ -245,31 +236,6 @@ def build_tables(flat: np.ndarray) -> tuple[HuffmanTable, HuffmanTable]:
         dc_freqs[cat] = max(dc_freqs[cat], 1)
     ac_freqs[EOB] = max(ac_freqs[EOB], 1)
     return HuffmanTable.from_frequencies(dc_freqs), HuffmanTable.from_frequencies(ac_freqs)
-
-
-def _write_dc(writer: BitWriter, table: HuffmanTable, diff: int) -> None:
-    size = dc_category(diff)
-    table.write(writer, size)
-    if size:
-        writer.write(_amplitude(diff, size), size)
-
-
-def _write_ac_row(writer: BitWriter, table: HuffmanTable, row: list) -> None:
-    codes = table._encode
-    run = 0
-    for v in row:
-        if v == 0:
-            run += 1
-            continue
-        while run >= 16:
-            writer.write(*codes[ZRL])
-            run -= 16
-        size = abs(v).bit_length()
-        code, ln = codes[(run << 4) | size]
-        writer.write((code << size) | _amplitude(v, size), ln + size)
-        run = 0
-    if run:
-        writer.write(*codes[EOB])
 
 
 def _dc_diff(words: list[int], pos: int, nbits: int, syms: bytes, lens: bytes):
@@ -325,31 +291,132 @@ def _ac_block(
     return pos
 
 
-def encode_segment(
+def _fields(table: HuffmanTable, symbols, sizes, values) -> tuple[np.ndarray, np.ndarray]:
+    """(bits, length) of each symbol's codeword followed by the size-bit
+    amplitude of its value; a negative value is stored as value - 1 in
+    size bits, as in JPEG."""
+    codes, lengths = table.code_arrays()
+    length = lengths[symbols]
+    if not length.all():
+        raise ValueError(f"symbol {int(symbols[length == 0][0]):#04x} has no codeword")
+    field = codes[symbols]
+    field <<= sizes
+    field |= (values - (values < 0)) & ((1 << sizes) - 1)
+    length += sizes
+    return field, length
+
+
+_WINDOW = 40  # bits OR-ed in per field: up to 7 bits of offset, then the field
+
+
+def encode_segments(
     flat: np.ndarray,
+    plan: list[tuple[int, int]],
     dc_table: HuffmanTable | None,
     ac_table: HuffmanTable | None,
-    dc_bit_spans: list | None = None,
-) -> bytes:
-    """Code (n, 64) zigzag rows as one segment; the DC predictor starts at 0.
+) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """Code each (start, end) block range of plan as one segment, in one
+    pass; each range starts where the one before it ends.
 
-    Each block gives its DC difference when dc_table is set, then its AC
-    terms when ac_table is set; a None table leaves that class out. Pass a
-    list as dc_bit_spans to collect the (start, end) bit range of every DC
-    term, for analyses that target one coefficient class.
+    Returns (data, sizes, dc_spans): the segments' bytes back to back, the
+    byte count of each, and the [start, end) bit range of every DC term in
+    data as an (m, 2) array, for analyses that target one coefficient
+    class (m is 0 without a dc_table). Each block gives its DC difference
+    when dc_table is set, then its AC terms when ac_table is set; a None
+    table leaves that class out. The DC predictor restarts at 0 in every
+    segment, and each segment is padded to a whole byte with 1 bits.
+
+    Every codeword with its amplitude bits is one field of at most 33
+    bits. A block's fields are its DC difference, then each AC term's
+    ZRLs and its own symbol, then EOB; each field's index in the stream
+    follows from counts, so no sort is needed. A segment's padding joins
+    its last field, and each field is OR-ed into the bytes as a 40-bit
+    window at its first byte, with one np.bincount over all fields.
     """
-    writer = BitWriter()
-    prev = 0
-    for row in flat.tolist():
-        if dc_table is not None:
-            start = writer.bit_length
-            _write_dc(writer, dc_table, row[0] - prev)
-            if dc_bit_spans is not None:
-                dc_bit_spans.append((start, writer.bit_length))
-            prev = row[0]
-        if ac_table is not None:
-            _write_ac_row(writer, ac_table, row[1:])
-    return writer.getvalue()
+    bounds = np.asarray(plan, dtype=np.int64).reshape(-1, 2)
+    if (bounds[1:, 0] != bounds[:-1, 1]).any() or (bounds[:, 1] < bounds[:, 0]).any():
+        raise ValueError("plan ranges must follow one another")
+    counts = bounds[:, 1] - bounds[:, 0]
+    first_row = np.cumsum(counts) - counts
+    flat = np.asarray(flat)
+    rows = flat[bounds[0, 0] : bounds[-1, 1]] if len(bounds) else flat[:0]
+    n = len(rows)
+    has_dc = dc_table is not None
+
+    r = runs = np.zeros(0, dtype=np.int64)
+    eob = np.zeros(n, dtype=bool)
+    if ac_table is not None:
+        r, runs, values, sizes = _ac_terms(rows)
+        eob = rows[:, 63] == 0
+    through = np.cumsum(runs // 16 + 1)  # AC fields up to each term's own
+    eobs_before = np.concatenate([[0], np.cumsum(eob)])
+    start = np.concatenate([[0], through])[np.searchsorted(r, np.arange(n + 1))]
+    start += eobs_before
+    start += has_dc * np.arange(n + 1)  # each block's first field, then the end
+
+    field = np.zeros(start[-1], dtype=np.int64)
+    length = np.zeros(start[-1], dtype=np.int32)
+    if has_dc:
+        dc = rows[:, 0].astype(np.int64)
+        prev = np.roll(dc, 1)
+        prev[first_row[counts > 0]] = 0
+        dc -= prev
+        sizes_dc = _categories(dc)
+        field[start[:-1]], dc_length = _fields(dc_table, sizes_dc, sizes_dc, dc)
+        length[start[:-1]] = dc_length
+    if ac_table is not None:
+        # a term's own field follows every earlier AC field, the DC terms
+        # of its block and the ones before, and the EOBs before its block
+        at = through - 1
+        at += (eobs_before + has_dc * np.arange(1, n + 2))[r]
+        del r, through
+        runs %= 16
+        runs <<= 4
+        runs |= sizes  # now each term's (run % 16, size) symbol
+        field[at], length[at] = _fields(ac_table, runs, sizes, values)
+        del runs, values, sizes, at
+        at = start[1:][eob] - 1
+        field[at], length[at] = _fields(ac_table, np.full(at.size, EOB), 0, 0)
+        at = np.flatnonzero(length == 0)  # what is left: the ZRLs
+        field[at], length[at] = _fields(ac_table, np.full(at.size, ZRL), 0, 0)
+    del eobs_before
+    if length.size and length.max() > _WINDOW - 7:
+        raise ValueError("coefficient too large to code")
+
+    ends = np.concatenate([[0], np.cumsum(length)])
+    seg_first, seg_end = start[first_row], start[first_row + counts]
+    pad = (ends[seg_first] - ends[seg_end]) % 8
+    sizes_out = (ends[seg_end] - ends[seg_first] + pad) // 8
+    last = seg_end[seg_end > seg_first] - 1  # each nonempty segment's last field
+    pad = pad[seg_end > seg_first]
+    field[last] = (field[last] << pad) | ((1 << pad) - 1)
+    length[last] += pad
+    np.cumsum(length, out=ends[1:])
+    pos = ends[:-1]  # each field's first bit
+    dc_spans = np.zeros((0, 2), dtype=np.int64)
+    if has_dc:
+        dc_spans = np.stack([pos[start[:-1]], pos[start[:-1]] + dc_length], axis=1)
+
+    # the windows of the fields that start in one byte never overlap, so
+    # their sum is their OR, and below 2**40 float64 sums them exactly; a
+    # padded field ends on a byte boundary, so it fits its window too
+    length += pos & 7
+    np.subtract(_WINDOW, length, out=length)
+    field <<= length
+    pos >>= 3
+    total = int(sizes_out.sum())
+    windows = np.bincount(pos, weights=field, minlength=total).astype(np.int64)
+    out = np.zeros(total + _WINDOW // 8, dtype=np.int64)
+    for k in range(_WINDOW // 8):
+        out[k : k + total] += (windows >> (_WINDOW - 8 - 8 * k)) & 0xFF
+    return out[:total].astype(np.uint8).tobytes(), sizes_out, dc_spans
+
+
+def encode_segment(
+    flat: np.ndarray, dc_table: HuffmanTable | None, ac_table: HuffmanTable | None
+) -> bytes:
+    """Code (n, 64) zigzag rows as one segment; see encode_segments."""
+    return encode_segments(flat, [(0, len(flat))], dc_table, ac_table)[0]
 
 
 def decode_segment(

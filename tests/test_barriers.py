@@ -4,13 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imgdna.barriers import (
+    BARRIER,
     BarrierConfig,
     _find_marker,
     _partition_lengths,
     insert_barriers,
     resync_decode,
+    stream_payloads,
 )
-from imgdna.rotation import A, rotate_decode, seq_to_string
+from imgdna.corpus import corpus_image
+from imgdna.pipeline import SCHEMES, ExperimentConfig, _per_strand_trits, encode_image
+from imgdna.rotation import A, rotate_decode, rotate_encode, seq_to_string
 
 
 def _damaged_partitions(orig, got, pl):
@@ -274,3 +278,77 @@ def test_resync_equals_per_chunk_rotation_decode(seed, ntrits, layout, trailing,
     got = resync_decode(nts, cfg, ntrits)
     assert np.array_equal(got.trits, want_trits)
     assert got.damaged == want_damaged
+
+
+# -- stream layout against a per-partition reference -------------------------
+
+
+def layout_by_partitions(trits, cfg, per_strand):
+    """Payload and barrier nucleotide count of each per_strand-trit strand,
+    one rotate_encode and one 'AA' per partition."""
+    payloads, barrier_nt = [], 0
+    for k in range(0, trits.size, per_strand):
+        chunk = trits[k : k + per_strand]
+        pl = cfg.partition_len or chunk.size
+        pieces = []
+        for off in range(0, chunk.size, pl):
+            pieces += [rotate_encode(chunk[off : off + pl], seed=A), BARRIER]
+        if not cfg.trailing:
+            pieces.pop()
+        payloads.append(np.concatenate(pieces))
+        markers = -(-chunk.size // pl) - (0 if cfg.trailing else 1)
+        barrier_nt += 2 * markers
+    return payloads, barrier_nt
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(None, 12), (2, 2), (20, 12), (50, 12)]),
+    st.booleans(),
+    st.integers(1, 4),
+    st.sampled_from(["empty", "exact", "short"]),
+)
+def test_stream_payloads_equal_per_partition_layout(seed, layout, trailing, parts, fill):
+    rng = np.random.default_rng(seed)
+    cfg = BarrierConfig(partition_len=layout[0], window=layout[1], trailing=trailing)
+    per_strand = parts * (layout[0] or int(rng.integers(1, 60)))
+    strands = int(rng.integers(1, 5))
+    ntrits = {
+        "empty": 0,
+        "exact": strands * per_strand,  # every strand and partition full
+        "short": int(rng.integers(0, strands * per_strand)),  # a short last strand
+    }[fill]
+    trits = rng.integers(0, 3, size=ntrits).astype(np.uint8)
+    got = stream_payloads(trits, cfg, per_strand)
+    want, want_barrier_nt = layout_by_partitions(trits, cfg, per_strand)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert sum(p.size for p in got) - ntrits == want_barrier_nt
+
+
+def test_stream_payloads_reject_bad_strand_sizes_and_trits():
+    with pytest.raises(ValueError, match="whole number"):
+        stream_payloads(np.zeros(30, dtype=np.uint8), BarrierConfig(partition_len=20), 30)
+    with pytest.raises(ValueError, match="trit values"):
+        insert_barriers(np.array([0, 3, 1], dtype=np.uint8), BarrierConfig(partition_len=20))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_encoded_strands_and_barrier_count_match_per_partition_layout(scheme):
+    cfg = ExperimentConfig(scheme=scheme)
+    for image in (corpus_image(0)[:64, :72], corpus_image(7)):
+        enc = encode_image(image, cfg)
+        geom = enc.geometry()
+        body = slice(geom.fwd_len + geom.index_len, geom.strand_len)
+        strands = iter(enc.strands)
+        for sid, bc in cfg.stream_configs().items():
+            trits = enc.stream_trits[sid]
+            payloads, barrier_nt = layout_by_partitions(
+                trits, bc, _per_strand_trits(bc, geom.capacity)
+            )
+            for payload in payloads:
+                assert np.array_equal(next(strands)[body][: -geom.rev_len], payload)
+            assert enc.stream_barrier_nt[sid] == barrier_nt
+        assert next(strands, None) is None

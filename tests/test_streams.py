@@ -11,12 +11,12 @@ from imgdna.jpeg import ZIGZAG, coefficient_bounds, forward_transform
 from imgdna.streams import (
     EOB,
     ZRL,
-    BitWriter,
     HuffmanTable,
     _words,
     build_tables,
     decode_segment,
     encode_segment,
+    encode_segments,
     symbol_counts,
     zigzag_flatten,
     zigzag_unflatten,
@@ -40,10 +40,91 @@ def canonical_codes_oracle(lengths):
 
 # -- reference codec ---------------------------------------------------------
 #
-# The bit-reader decoders and the per-coefficient symbol count that the
-# table-driven codec replaced, kept as oracles: every value and clean flag
-# of decode_segment under DC-only, AC-only and interleaved tables must
-# match them.
+# The bit-writer encoder, the bit-reader decoders and the per-coefficient
+# symbol count that the whole-stream encoder and the table-driven decoder
+# replaced, kept as oracles: encode_segments must give the reference
+# encoder's bytes and DC bit spans segment by segment, and every value and
+# clean flag of decode_segment under DC-only, AC-only and interleaved
+# tables must match the reference decoders.
+
+
+class BitWriter:
+    """Append integers MSB-first; pads the final byte with 1 bits."""
+
+    def __init__(self):
+        self._out = bytearray()
+        self._acc = 0
+        self._nacc = 0
+
+    def write(self, value: int, nbits: int) -> None:
+        if nbits == 0:
+            return
+        self._acc = (self._acc << nbits) | (value & ((1 << nbits) - 1))
+        self._nacc += nbits
+        while self._nacc >= 8:
+            self._nacc -= 8
+            self._out.append((self._acc >> self._nacc) & 0xFF)
+        self._acc &= (1 << self._nacc) - 1
+
+    @property
+    def bit_length(self) -> int:
+        return len(self._out) * 8 + self._nacc
+
+    def getvalue(self) -> bytes:
+        if not self._nacc:
+            return bytes(self._out)
+        pad = 8 - self._nacc
+        last = ((self._acc << pad) | ((1 << pad) - 1)) & 0xFF
+        return bytes(self._out) + bytes([last])
+
+
+def write_symbol(writer, table, symbol):
+    code, ln = table._encode[symbol]
+    writer.write(code, ln)
+
+
+def _amplitude(value, size):
+    return value if value > 0 else value + (1 << size) - 1
+
+
+def _write_dc(writer, table, diff):
+    size = abs(diff).bit_length()
+    write_symbol(writer, table, size)
+    if size:
+        writer.write(_amplitude(diff, size), size)
+
+
+def _write_ac_row(writer, table, row):
+    run = 0
+    for v in row:
+        if v == 0:
+            run += 1
+            continue
+        while run >= 16:
+            write_symbol(writer, table, ZRL)
+            run -= 16
+        size = abs(v).bit_length()
+        code, ln = table._encode[(run << 4) | size]
+        writer.write((code << size) | _amplitude(v, size), ln + size)
+        run = 0
+    if run:
+        write_symbol(writer, table, EOB)
+
+
+def ref_encode_segment(flat, dc_table, ac_table, dc_bit_spans=None):
+    """One segment, codeword by codeword; DC bit spans go to dc_bit_spans."""
+    writer = BitWriter()
+    prev = 0
+    for row in np.asarray(flat).tolist():
+        if dc_table is not None:
+            start = writer.bit_length
+            _write_dc(writer, dc_table, row[0] - prev)
+            if dc_bit_spans is not None:
+                dc_bit_spans.append((start, writer.bit_length))
+            prev = row[0]
+        if ac_table is not None:
+            _write_ac_row(writer, ac_table, row[1:])
+    return writer.getvalue()
 
 
 class _RefError(ValueError):
@@ -275,7 +356,7 @@ def test_code_lengths_are_capped_at_sixteen():
     w = BitWriter()
     seq = [0, 1, 5, 39, 2, 0, 38]
     for s in seq:
-        table.write(w, s)
+        write_symbol(w, table, s)
     assert _read_symbols(table, w.getvalue(), len(seq)) == seq
 
 
@@ -283,7 +364,7 @@ def test_single_symbol_table():
     table = HuffmanTable.from_frequencies({EOB: 7})
     assert table.lengths == {EOB: 1}
     w = BitWriter()
-    table.write(w, EOB)
+    write_symbol(w, table, EOB)
     assert _read_symbols(table, w.getvalue(), 1) == [EOB]
 
 
@@ -293,7 +374,7 @@ def test_table_rebuilds_from_lengths_alone():
     b = HuffmanTable(dict(a.lengths))
     w = BitWriter()
     for s in range(30):
-        a.write(w, s)
+        write_symbol(w, a, s)
     assert _read_symbols(b, w.getvalue(), 30) == list(range(30))
 
 
@@ -570,3 +651,99 @@ def test_symbol_counts_match_reference_on_corpus(quality):
     for image in (0, 5, 10, 15):
         flat = _corpus_case(image, quality)[0]
         assert symbol_counts(flat) == ref_symbol_counts(flat)
+
+
+# -- whole-stream encoder against the reference -------------------------------
+
+_RUNS = st.sampled_from([0, 1, 5, 15, 16, 17, 31, 32, 47, 62])
+
+
+def _amplitudes(draw):
+    size = draw(st.integers(1, 10))
+    return draw(st.integers(1 << (size - 1), (1 << size) - 1)) * draw(st.sampled_from([-1, 1]))
+
+
+@st.composite
+def _coded_blocks(draw):
+    """Zigzag rows with DC differences of categories 0-11 and AC rows of
+    runs of up to 62 zeros, some with a nonzero 63rd term."""
+    n = draw(st.integers(1, 24))
+    flat = np.zeros((n, 64), dtype=np.int32)
+    prev = 0
+    for i in range(n):
+        category = draw(st.integers(0, 11))
+        diff = 0
+        if category:
+            diff = draw(st.integers(1 << (category - 1), (1 << category) - 1))
+        if prev + diff > 2047 or (prev - diff >= -2047 and draw(st.booleans())):
+            diff = -diff  # keeps every DC value within +-2047
+        flat[i, 0] = prev = prev + diff
+        k = 0
+        for run in draw(st.lists(_RUNS, max_size=6)):
+            k += run
+            if k >= 63:
+                break
+            flat[i, k + 1] = _amplitudes(draw)
+            k += 1
+        if draw(st.booleans()):
+            flat[i, 63] = _amplitudes(draw)
+    return flat
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _coded_blocks(),
+    st.lists(st.integers(0, 24), max_size=6),
+    st.sampled_from(["dc", "ac", "interleaved"]),
+)
+def test_encode_segments_match_reference(flat, cuts, kind):
+    n = len(flat)
+    bounds = [0, *sorted(min(c, n) for c in cuts), n]
+    plan = list(zip(bounds, bounds[1:]))  # one-block, many-block and empty segments
+    dc_table, ac_table = build_tables(flat)
+    tables = {"dc": (dc_table, None), "ac": (None, ac_table), "interleaved": (dc_table, ac_table)}
+    data, sizes, dc_spans = encode_segments(flat, plan, *tables[kind])
+    want, want_spans, at = [], [], 0
+    for b0, b1 in plan:
+        spans = []
+        want.append(ref_encode_segment(flat[b0:b1], *tables[kind], spans))
+        want_spans += [[8 * at + s, 8 * at + e] for s, e in spans]
+        at += len(want[-1])
+    assert sizes.tolist() == [len(w) for w in want]
+    assert data == b"".join(want)
+    assert dc_spans.tolist() == want_spans
+    assert encode_segment(flat, *tables[kind]) == ref_encode_segment(flat, *tables[kind])
+
+
+@pytest.mark.parametrize("quality", [1, 10, 75, 95, 100])
+def test_encode_segments_match_reference_on_corpus(quality):
+    for image in (0, 7, 15):
+        blocks, _ = forward_transform(corpus_image(image), quality)
+        flat = zigzag_flatten(blocks)
+        dc_table, ac_table = build_tables(flat)
+        n = len(flat)
+        for plan, tables in (
+            ([(b, min(b + 6, n)) for b in range(0, n, 6)], (dc_table, None)),
+            ([(b, b + 1) for b in range(n)], (None, ac_table)),
+            ([(0, n)], (dc_table, ac_table)),
+        ):
+            data, sizes, _ = encode_segments(flat, plan, *tables)
+            want = [ref_encode_segment(flat[b0:b1], *tables) for b0, b1 in plan]
+            assert sizes.tolist() == [len(w) for w in want]
+            assert data == b"".join(want)
+
+
+def test_encode_segments_reject_ranges_that_do_not_follow_one_another():
+    flat = np.zeros((4, 64), dtype=np.int32)
+    dc_table, _ = build_tables(flat)
+    for plan in ([(0, 1), (2, 4)], [(0, 2), (1, 4)], [(2, 1)]):
+        with pytest.raises(ValueError, match="follow"):
+            encode_segments(flat, plan, dc_table, None)
+
+
+def test_encode_segments_reject_symbols_without_a_codeword():
+    flat = np.zeros((2, 64), dtype=np.int32)
+    flat[1, 5] = 3
+    _, ac_table = build_tables(flat[:1])  # knows EOB only
+    with pytest.raises(ValueError, match="no codeword"):
+        encode_segment(flat, None, ac_table)
