@@ -16,7 +16,9 @@ neighbouring partitions and carries on at the following one.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -135,21 +137,23 @@ class ResyncResult:
         return sum(self.damaged)
 
 
-def _find_marker(nts: np.ndarray, expected: int, low: int, half: int) -> int | None:
+def _find_marker(nts, expected: int, low: int, half: int) -> int | None:
     """Nearest 'AA' start around the expected position; ties go left.
 
     Candidates inside one A-run are snapped to the run's last 'AA':
     partitions never start with A, so a true marker always sits at the
     tail of its run (a partition may end with A and extend it leftward).
+    nts is any sequence of nucleotide codes, a list being the fastest.
     """
     best = None
     best_key = None
+    size = len(nts)
     lo = max(low, expected - half)
-    hi = min(nts.size - 2, expected + half)
+    hi = min(size - 2, expected + half)
     for s in range(lo, hi + 1):
         if nts[s] != A or nts[s + 1] != A:
             continue
-        while s + 2 < nts.size and s + 1 <= hi and nts[s + 2] == A:
+        while s + 2 < size and s + 1 <= hi and nts[s + 2] == A:
             s += 1
         key = (abs(s - expected), s)
         if best_key is None or key < best_key:
@@ -157,36 +161,85 @@ def _find_marker(nts: np.ndarray, expected: int, low: int, half: int) -> int | N
     return best
 
 
+@dataclass(frozen=True)
+class _ReadLayout:
+    """Where everything sits in an undamaged read of expected_trits trits.
+
+    lengths and offsets are the partitions' trit counts and output offsets,
+    and size is the read's length with its markers. checked lists the
+    marker columns followed by the column right after each marker (the
+    final marker has none when it ends the read), and holds_a says which
+    of them must hold A. payload lists the columns that carry trits, in
+    order.
+    """
+
+    lengths: tuple[int, ...]
+    offsets: tuple[int, ...]
+    markers: int
+    size: int
+    checked: np.ndarray
+    holds_a: np.ndarray
+    payload: np.ndarray
+
+
+@lru_cache(maxsize=1024)
+def _read_layout(expected_trits: int, cfg: BarrierConfig) -> _ReadLayout:
+    lengths = tuple(_partition_lengths(expected_trits, cfg))
+    offsets = (0, *itertools.accumulate(lengths))
+    markers = len(lengths) - 1 + cfg.trailing if lengths else 0
+    size = expected_trits + 2 * markers
+    marker_at = [offsets[j + 1] + 2 * j for j in range(markers)]  # after partition j
+    marker_cols = [m + d for m in marker_at for d in (0, 1)]
+    after = [m + 2 for m in marker_at if m + 2 < size]
+    checked = np.array(marker_cols + after, dtype=np.int64)
+    holds_a = np.arange(checked.size) < len(marker_cols)
+    payload = np.delete(np.arange(size), marker_cols)
+    for array in (checked, holds_a, payload):
+        array.setflags(write=False)
+    return _ReadLayout(lengths, offsets, markers, size, checked, holds_a, payload)
+
+
 def resync_decode(nts, cfg: BarrierConfig, expected_trits: int) -> ResyncResult:
     """Decode a barriered sequence back to expected_trits trits.
 
     Damaged partitions are padded with trit 0 or truncated so every
     partition lands at its original offset in the output stream.
+
+    A read is intact when it has the layout's length, every marker column
+    holds A and no column right after a marker does. An intact read is
+    decoded by dropping its marker columns from one rotation decode, with
+    no partition damaged. That is what the marker search gives it too: at
+    each marker the true 'AA' is a candidate at distance 0 from the
+    expected position, and the non-A after it stops the run-snapping, so
+    _find_marker returns the expected column every time and every chunk is
+    exactly its span long. Being intact does not mean error-free: a
+    substitution inside a partition reads as clean on both paths. Any
+    other read goes through the marker search.
     """
     nts = np.asarray(nts, dtype=np.uint8)
-    lengths = _partition_lengths(expected_trits, cfg)
+    layout = _read_layout(expected_trits, cfg)
+    lengths, offsets = layout.lengths, layout.offsets
     n = len(lengths)
     if n == 0:
         return ResyncResult(np.zeros(0, dtype=np.uint8))
 
-    half = (cfg.window - 2) // 2
-    marker_count = n - 1 + (1 if cfg.trailing else 0)
+    # one rotation decode for the whole read: every chunk starts at 0 or
+    # right after a marker's A, so its predecessor is the seed A either way
+    decoded = rotate_decode(nts, seed=A)
+    if nts.size == layout.size and np.array_equal(nts[layout.checked] == A, layout.holds_a):
+        return ResyncResult(decoded[layout.payload], [False] * n)
 
+    half = (cfg.window - 2) // 2
     out = np.zeros(expected_trits, dtype=np.uint8)
     damaged = [False] * n
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
 
     pos = 0  # cursor into nts
     chunk_first = 0  # first partition of the open chunk
     merged = 0  # markers missed inside the open chunk
 
-    # one rotation decode for the whole read: every chunk starts at 0 or
-    # right after a marker's A, so its predecessor is the seed A either way
-    decoded = rotate_decode(nts, seed=A)
-
     def close_chunk(last_part: int, end: int) -> None:
         """Decode nts[pos:end] into partitions chunk_first..last_part."""
-        span = int(offsets[last_part + 1] - offsets[chunk_first])
+        span = offsets[last_part + 1] - offsets[chunk_first]
         chunk = decoded[pos:end]
         clean = merged == 0 and chunk.size == span
         at = 0
@@ -197,10 +250,11 @@ def resync_decode(nts, cfg: BarrierConfig, expected_trits: int) -> ResyncResult:
             if not clean:
                 damaged[j] = True
 
-    for i in range(marker_count):
+    codes = nts.tolist()
+    for i in range(layout.markers):
         last_part = i  # marker i follows partition i
-        expected = pos + int(offsets[i + 1] - offsets[chunk_first]) + 2 * merged
-        s = _find_marker(nts, expected, pos, half)
+        expected = pos + offsets[i + 1] - offsets[chunk_first] + 2 * merged
+        s = _find_marker(codes, expected, pos, half)
         if s is None:
             merged += 1
             continue

@@ -616,9 +616,10 @@ class ContainmentStats:
 
 
 def _partition_damage(got: np.ndarray, want: np.ndarray, pl: int | None) -> int:
-    diff = got != want
-    pl = pl or want.size  # None: one unbounded partition
-    return sum(1 for j in range(0, want.size, pl) if diff[j : j + pl].any())
+    if want.size == 0:
+        return 0
+    starts = np.arange(0, want.size, pl or want.size)  # None: one unbounded partition
+    return int(np.logical_or.reduceat(got != want, starts).sum())
 
 
 def run_containment(

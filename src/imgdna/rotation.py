@@ -22,6 +22,9 @@ A, C, G, T = range(4)
 _CHAR_FROM_NT = np.frombuffer(NUCLEOTIDES.encode("ascii"), dtype=np.uint8)
 _NT_FROM_BYTE = np.full(256, 255, dtype=np.uint8)  # 255: not a nucleotide
 _NT_FROM_BYTE[_CHAR_FROM_NT] = np.arange(4)
+_TRIT_FROM_PAIR = np.array(
+    [(nt - prev - 1) % 4 % 3 for prev in range(4) for nt in range(4)], dtype=np.uint8
+)
 
 
 def seq_to_string(nts: np.ndarray) -> str:
@@ -54,12 +57,17 @@ def rotate_encode(trits, seed: int = A) -> np.ndarray:
 
 
 def rotate_decode(nts, seed: int = A) -> np.ndarray:
-    """Invert rotate_encode; repeated nucleotides decode as trit 0."""
-    nts = np.asarray(nts, dtype=np.int64)
-    if nts.size == 0:
-        return np.zeros(0, dtype=np.uint8)
-    prev = np.empty_like(nts)
-    prev[0] = seed
-    prev[1:] = nts[:-1]
-    deltas = (nts - prev - 1) % 4
-    return np.where(deltas == 3, 0, deltas).astype(np.uint8)
+    """Invert rotate_encode; repeated nucleotides decode as trit 0.
+
+    Each output is one lookup of its (previous, current) pair in a 16-entry
+    table. Only the low two bits of each value count, as in the arithmetic
+    form (nt - prev - 1) mod 4, with 3 (a repeat) read as 0.
+    """
+    low = np.asarray(nts, dtype=np.uint8) & 3
+    if low.size == 0:
+        return low
+    pairs = np.empty_like(low)  # prev << 2 | nt
+    pairs[0] = (seed & 3) << 2
+    np.left_shift(low[:-1], 2, out=pairs[1:])
+    pairs |= low
+    return _TRIT_FROM_PAIR[pairs]

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rotation import A, rotate_decode, rotate_encode
+from .rotation import A, rotate_encode
 
 STREAM_DC = 0  # also carries the single interleaved stream
 STREAM_AC = 1
@@ -126,16 +126,14 @@ def int_to_trits(value: int, width: int) -> np.ndarray:
     return out
 
 
-def trits_to_int(trits: np.ndarray) -> int:
-    value = 0
-    for t in trits:
-        value = value * 3 + int(t)
-    return value
-
-
 def _copy_mask(width: int, k: int) -> np.ndarray:
     # position-dependent trit offset, distinct per copy
     return (np.arange(1, width + 1, dtype=np.int64) * k) % 3
+
+
+@lru_cache(maxsize=64)
+def _copy_masks(width: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(_copy_mask(width, k).tolist()) for k in range(3))
 
 
 def encode_index(value: int, width: int, seed: int) -> np.ndarray:
@@ -224,20 +222,20 @@ def _vote_index(nts: np.ndarray, width: int, seed: int, limit: int) -> int | Non
     the other (and the exact encoding of value 2 votes to 0 under limit 3);
     encode_image never writes width-1 indexes.
     """
-    copy_windows = (
-        (0, 1),
-        (width - 1, width, width + 1),
-        (2 * width - 1, 2 * width, 2 * width + 1),
-    )
+    region = nts[: 3 * width + 1].tolist()  # the widest window ends here
     copy_votes: Counter = Counter()
     raw_votes: Counter = Counter()
-    for k, windows in enumerate(copy_windows):
+    for k, mask in enumerate(_copy_masks(width)):
         seen = set()
-        for off in windows:
-            if off < 0 or off + width > nts.size:
+        for off in (k * width - 1, k * width, k * width + 1):
+            if off < 0 or off + width > len(region):
                 continue
-            decoded = rotate_decode(nts[off : off + width], seed=seed).astype(np.int64)
-            value = trits_to_int((decoded - _copy_mask(width, k)) % 3)
+            # rotation-decode and unmask in one step: a repeat, d = 3,
+            # decodes as trit 0, and 3 = 0 mod 3
+            prev, value = seed, 0
+            for nt, m in zip(region[off : off + width], mask):
+                value = value * 3 + (((nt - prev - 1) & 3) - m) % 3
+                prev = nt
             if value < limit:
                 seen.add(value)
                 raw_votes[value] += 1

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from imgdna.barriers import (
@@ -14,7 +14,8 @@ from imgdna.barriers import (
 )
 from imgdna.corpus import corpus_image
 from imgdna.pipeline import SCHEMES, ExperimentConfig, _per_strand_trits, encode_image
-from imgdna.rotation import A, rotate_decode, rotate_encode, seq_to_string
+from imgdna.rotation import A, rotate_encode, seq_to_string
+from test_rotation import rotate_decode_arithmetic
 
 
 def _damaged_partitions(orig, got, pl):
@@ -206,7 +207,7 @@ def test_any_single_error_damages_at_most_two_adjacent_partitions(
 
 def resync_by_chunks(nts, cfg, expected_trits):
     """resync_decode with a fresh rotation decode of every chunk between
-    the markers found, each seeded from A."""
+    the markers found, each seeded from A, and every marker searched for."""
     lengths = _partition_lengths(expected_trits, cfg)
     n = len(lengths)
     out = np.zeros(expected_trits, dtype=np.uint8)
@@ -218,7 +219,7 @@ def resync_by_chunks(nts, cfg, expected_trits):
     pos = chunk_first = merged = 0
 
     def close(last, end):
-        chunk = rotate_decode(nts[pos:end], seed=A)
+        chunk = rotate_decode_arithmetic(nts[pos:end], A)
         span = int(offsets[last + 1] - offsets[chunk_first])
         clean = merged == 0 and chunk.size == span
         at = 0
@@ -249,17 +250,38 @@ def resync_by_chunks(nts, cfg, expected_trits):
     st.booleans(),
     st.integers(0, 8),
 )
+@example(0, 47, (10, 12), False, 0)  # no edits, short final partition
+@example(0, 47, (10, 12), True, 0)
 def test_resync_equals_per_chunk_rotation_decode(seed, ntrits, layout, trailing, edits):
     rng = np.random.default_rng(seed)
     cfg = BarrierConfig(partition_len=layout[0], window=layout[1], trailing=trailing)
     trits = rng.integers(0, 3, size=ntrits).astype(np.uint8)
     nts = insert_barriers(trits, cfg).nts
+    lengths = _partition_lengths(ntrits, cfg)
+    starts = [sum(lengths[:j]) + 2 * j for j in range(len(lengths))]
+    markers = [s + n for s, n in zip(starts, lengths)][: len(lengths) - 1 + trailing]
     for _ in range(edits):
         pos = int(rng.integers(0, nts.size + 1))
-        kind = int(rng.integers(0, 5))
+        kind = int(rng.integers(0, 8))
         if kind == 0:  # insertion
             nts = np.insert(nts, pos, int(rng.integers(0, 4)))
-        elif pos == nts.size:
+        elif kind == 5 and markers:  # substitution on a marker column
+            m = markers[int(rng.integers(0, len(markers)))] + int(rng.integers(0, 2))
+            if m < nts.size:
+                nts = nts.copy()
+                nts[m] = (nts[m] + int(rng.integers(1, 4))) % 4
+        elif kind == 6 and markers:  # the nucleotide after a marker becomes A
+            m = markers[int(rng.integers(0, len(markers)))] + 2
+            if m < nts.size:
+                nts = nts.copy()
+                nts[m] = A
+        elif kind == 7 and lengths:  # an indel pair inside one partition
+            j = int(rng.integers(0, len(lengths)))
+            cols = range(starts[j], min(starts[j] + lengths[j], nts.size))
+            if len(cols) >= 2:
+                nts = np.delete(nts, int(rng.choice(cols)))
+                nts = np.insert(nts, int(rng.choice(cols[:-1])), int(rng.integers(0, 4)))
+        elif pos == nts.size or kind >= 5:
             continue
         elif kind == 1:  # deletion
             nts = np.delete(nts, pos)

@@ -25,6 +25,7 @@ from imgdna.pipeline import (
     run_containment,
     run_pipeline,
     run_sweep,
+    _partition_damage,
     _primer_bounds,
     _strand_trit_layout,
     _target_positions,
@@ -213,6 +214,24 @@ def test_seeded_draw_order_is_pinned(small_image):
         [SCHEME_RAW_DNA, "dc", 0.01, 0.008143482543183306, 0.005177038407148098],
         [SCHEME_RAW_DNA, "ac", 0.01, 0.008921350109263242, 0.002194323852005105],
     ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 300),
+    st.sampled_from([None, 2, 7, 50, 400]),
+    st.integers(0, 4),
+)
+def test_partition_damage_equals_per_partition_loop(seed, size, pl, hits):
+    rng = np.random.default_rng(seed)
+    want = rng.integers(0, 3, size=size).astype(np.uint8)
+    got = want.copy()
+    got[rng.integers(0, size, size=hits)] = rng.integers(0, 3, size=hits)
+    diff = got != want
+    step = pl or size  # None: one unbounded partition; the last may be short
+    loop = sum(1 for j in range(0, size, step) if diff[j : j + step].any())
+    assert _partition_damage(got, want, pl) == loop
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

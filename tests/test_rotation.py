@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from imgdna.rotation import (
@@ -100,10 +100,33 @@ def test_round_trip_identity(trits, seed):
     assert rotate_decode(nts, seed=seed).tolist() == trits
 
 
+# every (prev, nt) pair once: a de Bruijn sequence of order 2 over ACGT
+ALL_PAIRS = [0, 0, 1, 0, 2, 0, 3, 1, 1, 2, 1, 3, 2, 2, 3, 3, 0]
+
+
+def rotate_decode_arithmetic(nts, seed):
+    """rotate_decode by its arithmetic form, the reference for the table:
+    (nt - prev - 1) mod 4 on int64, with 3 (a repeat) read as 0."""
+    nts = np.asarray(nts, dtype=np.int64)
+    prev = np.concatenate([[seed], nts[:-1]]).astype(np.int64)
+    deltas = (nts - prev - 1) % 4
+    return np.where(deltas == 3, 0, deltas)
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, 3), min_size=1, max_size=120), st.integers(0, 3))
+@given(st.lists(st.integers(0, 255), max_size=120), st.integers(0, 3))
+@example(ALL_PAIRS, 0)
+@example(ALL_PAIRS, 1)
+@example(ALL_PAIRS, 2)
+@example(ALL_PAIRS, 3)
+@example(list(range(256)), 0)
+@example(list(range(256))[::-1], 3)
+@example([], 2)
 def test_decode_total_on_arbitrary_sequences(nts, seed):
-    # Any nucleotide string decodes to some trit string of equal length.
+    # Any byte string decodes to some trit string of equal length, the one
+    # the arithmetic form gives: only each value's low two bits count.
     trits = rotate_decode(np.array(nts, dtype=np.uint8), seed=seed)
+    assert trits.dtype == np.uint8
     assert len(trits) == len(nts)
     assert trits.size == 0 or (trits.min() >= 0 and trits.max() <= 2)
+    assert trits.tolist() == rotate_decode_arithmetic(nts, seed).tolist()

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,10 +22,10 @@ from imgdna.strands import (
     generate_primer,
     index_width_for,
     int_to_trits,
-    trits_to_int,
     validate_constraints,
 )
-from imgdna.strands import _index_code, _prefix_edit_within_one, _vote_index
+from imgdna.strands import _copy_mask, _index_code, _prefix_edit_within_one, _vote_index
+from test_rotation import rotate_decode_arithmetic
 
 
 def test_default_primers_obey_rules():
@@ -58,6 +60,13 @@ def test_index_width_for_matches_capacity():
         w = index_width_for(n)
         assert 3**w >= 2 * n
         assert w == 1 or 3 ** (w - 1) < 2 * n
+
+
+def trits_to_int(trits) -> int:
+    value = 0
+    for t in trits:
+        value = value * 3 + int(t)
+    return value
 
 
 def test_trit_integer_round_trip():
@@ -207,6 +216,64 @@ def test_prefix_edit_check_matches_reference_dp():
             observed = np.array(edited + tail, dtype=np.uint8)
         want = _prefix_edit_within_one_dp(expected.tolist(), observed.tolist())
         assert _prefix_edit_within_one(expected, observed) == want, (expected, observed)
+
+
+def vote_index_reference(nts, width, seed, limit):
+    """The numpy voting decoder: each shifted window rotation-decoded as an
+    array, unmasked and read back as an integer."""
+    copy_windows = (
+        (0, 1),
+        (width - 1, width, width + 1),
+        (2 * width - 1, 2 * width, 2 * width + 1),
+    )
+    copy_votes: Counter = Counter()
+    raw_votes: Counter = Counter()
+    for k, windows in enumerate(copy_windows):
+        seen = set()
+        for off in windows:
+            if off < 0 or off + width > nts.size:
+                continue
+            decoded = rotate_decode_arithmetic(nts[off : off + width], seed)
+            value = trits_to_int((decoded - _copy_mask(width, k)) % 3)
+            if value < limit:
+                seen.add(value)
+                raw_votes[value] += 1
+        for value in seen:
+            copy_votes[value] += 1
+    ranked = sorted(
+        copy_votes, key=lambda v: (copy_votes[v], raw_votes[v], -v), reverse=True
+    )
+    for value in ranked:
+        if _prefix_edit_within_one(encode_index(value, width, seed), nts):
+            return value
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(2, 8),
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["edited", "junk", "short"]),
+    st.integers(0, 3),
+    st.booleans(),
+)
+def test_vote_index_matches_numpy_reference(width, seed, key, region, edits, low_limit):
+    rng = np.random.default_rng(key)
+    top = 3**width - 1
+    limit = int(rng.integers(1, top)) if low_limit else top
+    span = 3 * width + 1
+    if region == "junk":
+        nts = rng.integers(0, 4, size=int(rng.integers(0, span + 1)))
+    else:
+        code = encode_index(int(rng.integers(0, 3**width)), width, seed).tolist()
+        nts = _random_edits(rng, code, edits) + rng.integers(0, 4, size=1).tolist()
+        if region == "short":  # cut below the widest window's end
+            nts = nts[: int(rng.integers(0, span))]
+        else:
+            nts = nts[:span]
+    nts = np.array(nts, dtype=np.uint8)
+    assert _vote_index(nts, width, seed, limit) == vote_index_reference(nts, width, seed, limit)
 
 
 def test_geometry_capacity():
