@@ -11,23 +11,23 @@ Run:  python demos/containment.py
 import numpy as np
 
 from imgdna import ExperimentConfig, corpus_image, encode_image, run_containment
-from imgdna.barriers import BarrierConfig, insert_barriers, resync_decode
+from imgdna.barriers import BarrierConfig, resync_decode, stream_payloads
 from imgdna.rotation import seq_to_string
 
 # --- micro view: one partitioned sequence, one error of each kind ----------
 rng = np.random.default_rng(7)
 trits = rng.integers(0, 3, size=120).astype(np.uint8)
 cfg = BarrierConfig(partition_len=20, window=12)
-seq = insert_barriers(trits, cfg)
-print(f"{trits.size} trits -> {seq.nts.size} nt in {seq.partition_count} partitions")
-print("encoded:", seq_to_string(seq.nts)[:80], "...")
+(nts,) = stream_payloads(trits, cfg, trits.size)  # all of it on one strand
+print(f"{trits.size} trits -> {nts.size} nt in {trits.size // cfg.partition_len} partitions")
+print("encoded:", seq_to_string(nts)[:80], "...")
 
 for label, mutate in (
     ("substitution", lambda nts: np.concatenate([nts[:31], [(nts[31] + 1) % 4], nts[32:]])),
     ("deletion    ", lambda nts: np.delete(nts, 31)),
     ("insertion   ", lambda nts: np.insert(nts, 31, 2)),
 ):
-    result = resync_decode(mutate(seq.nts.copy()), cfg, trits.size)
+    result = resync_decode(mutate(nts.copy()), cfg, trits.size)
     wrong = int(np.count_nonzero(result.trits != trits))
     parts = sorted({int(i) // cfg.partition_len for i in np.flatnonzero(result.trits != trits)})
     print(f"{label} at nt 31: {wrong:2d} trits wrong, partitions touched {parts}")

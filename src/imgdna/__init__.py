@@ -5,7 +5,7 @@ strands, injects synthesis/sequencing errors, decodes the damaged pool, and
 measures robustness (SSIM) against storage cost (bits per nucleotide).
 """
 
-from .barriers import BarrierConfig, BarrieredSequence, ResyncResult, insert_barriers, resync_decode
+from .barriers import BarrierConfig, ResyncResult, resync_decode
 from .channel import (
     ChannelConfig,
     load_channel_config,
@@ -57,14 +57,13 @@ from .strands import (
     StrandGeometry,
     validate_constraints,
 )
-from .ternary import AVG_BITS_PER_TRIT, CODE_LENGTHS, bytes_to_trits, trits_to_bytes
+from .ternary import AVG_BITS_PER_TRIT, CODE_LENGTHS, bytes_to_trits, trits_to_segments
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AVG_BITS_PER_TRIT",
     "BarrierConfig",
-    "BarrieredSequence",
     "CODE_LENGTHS",
     "CORPUS_SEED",
     "ChannelConfig",
@@ -99,7 +98,6 @@ __all__ = [
     "encode_image",
     "encoding_density",
     "forward_transform",
-    "insert_barriers",
     "inverse_transform",
     "load_channel_config",
     "parse_channel_config",
@@ -121,7 +119,7 @@ __all__ = [
     "seq_to_string",
     "ssim",
     "string_to_seq",
-    "trits_to_bytes",
+    "trits_to_segments",
     "validate_constraints",
     "write_csv",
     "write_mapping",

@@ -1,8 +1,10 @@
 """Error-containment barriers between independently encoded trit partitions.
 
 A trit stream is cut into fixed-length partitions. Each partition is
-rotation-encoded on its own (seeded from A), and partitions are joined with
-the two-nucleotide marker 'AA', which the rotating code can never emit.
+rotation-encoded on its own (seeded from A) and ends with the
+two-nucleotide marker 'AA', which the rotating code can never emit; the
+last partition on a strand ends with one too. A stream without barriers
+is one unbounded partition per strand and carries no marker.
 A whole stream is laid out at once, as one partition per row of a grid,
 and then cut into strands.
 An insertion or deletion inside one partition shifts only that partition's
@@ -31,12 +33,12 @@ BARRIER = np.array([A, A], dtype=np.uint8)
 class BarrierConfig:
     """Partition length in trits and marker search window in nucleotides.
 
-    partition_len None disables barriers entirely (one unbounded partition).
+    partition_len None disables barriers entirely (one unbounded partition,
+    no marker).
     """
 
     partition_len: int | None = 50
     window: int = 12
-    trailing: bool = False  # emit a marker after the final partition too
 
     def __post_init__(self):
         if self.window < 2 or self.window % 2:
@@ -46,23 +48,6 @@ class BarrierConfig:
                 raise ValueError("partition_len must be >= 2")
             if self.window >= 2 * self.partition_len:
                 raise ValueError("window must be smaller than two partitions")
-
-
-@dataclass
-class BarrieredSequence:
-    """Nucleotide sequence produced by insert_barriers."""
-
-    nts: np.ndarray
-    trit_count: int
-    partition_count: int
-    config: BarrierConfig
-
-    @property
-    def barrier_nt_count(self) -> int:
-        n = self.partition_count - 1
-        if self.config.trailing and self.partition_count:
-            n += 1
-        return max(n, 0) * 2
 
 
 def _partition_lengths(trit_count: int, cfg: BarrierConfig) -> list[int]:
@@ -78,14 +63,14 @@ def _partition_lengths(trit_count: int, cfg: BarrierConfig) -> list[int]:
 def stream_payloads(trits, cfg: BarrierConfig, per_strand: int) -> list[np.ndarray]:
     """Barriered payload of each consecutive per_strand-trit strand of a stream.
 
-    Each payload is insert_barriers of its strand's trits, all laid out in
-    one pass. per_strand is a whole number of partitions, so partitions
-    tile the stream: the stream becomes a grid of one partition per row,
-    each row is rotation-encoded from seed A (0) by one cumulative sum of
-    trit + 1 (mod 4, exact in uint8), and the two columns after it hold
-    its marker. The final partition may be short, and its marker follows
-    it directly. A strand's payload drops its final marker unless
-    cfg.trailing is set. The payloads are views into one array.
+    All strands are laid out in one pass. per_strand is a whole number of
+    partitions, so partitions tile the stream: the stream becomes a grid
+    of one partition per row, each row is rotation-encoded from seed A (0)
+    by one cumulative sum of trit + 1 (mod 4, exact in uint8), and the two
+    columns after it hold its marker. The final partition may be short,
+    and its marker follows it directly. Without barriers a strand is one
+    partition and its payload drops the marker. The payloads are views
+    into one array.
     """
     trits = np.asarray(trits, dtype=np.uint8)
     n = trits.size
@@ -107,22 +92,8 @@ def stream_payloads(trits, cfg: BarrierConfig, per_strand: int) -> list[np.ndarr
     grid[-1, last : last + 2] = A
     nts = grid.ravel()[: (rows - 1) * (pl + 2) + last + 2]
     span = per_strand // pl * (pl + 2)
-    cut = 0 if cfg.trailing else BARRIER.size
+    cut = 0 if cfg.partition_len is not None else BARRIER.size
     return [nts[s : min(s + span, nts.size) - cut] for s in range(0, nts.size, span)]
-
-
-def insert_barriers(trits, cfg: BarrierConfig) -> BarrieredSequence:
-    """Encode a trit stream as partitions separated by 'AA' markers: the
-    one-strand case of stream_payloads."""
-    trits = np.asarray(trits, dtype=np.uint8)
-    n = trits.size
-    if cfg.partition_len is None:
-        per_strand = max(n, 1)
-    else:
-        per_strand = max(-(-n // cfg.partition_len), 1) * cfg.partition_len
-    payloads = stream_payloads(trits, cfg, per_strand)
-    nts = payloads[0] if payloads else np.zeros(0, dtype=np.uint8)
-    return BarrieredSequence(nts, n, len(_partition_lengths(n, cfg)), cfg)
 
 
 @dataclass
@@ -167,10 +138,9 @@ class _ReadLayout:
 
     lengths and offsets are the partitions' trit counts and output offsets,
     and size is the read's length with its markers. checked lists the
-    marker columns followed by the column right after each marker (the
-    final marker has none when it ends the read), and holds_a says which
-    of them must hold A. payload lists the columns that carry trits, in
-    order.
+    marker columns followed by the column right after each marker but the
+    final one, which ends the read, and holds_a says which of them must
+    hold A. payload lists the columns that carry trits, in order.
     """
 
     lengths: tuple[int, ...]
@@ -186,11 +156,11 @@ class _ReadLayout:
 def _read_layout(expected_trits: int, cfg: BarrierConfig) -> _ReadLayout:
     lengths = tuple(_partition_lengths(expected_trits, cfg))
     offsets = (0, *itertools.accumulate(lengths))
-    markers = len(lengths) - 1 + cfg.trailing if lengths else 0
+    markers = len(lengths) if cfg.partition_len is not None else 0
     size = expected_trits + 2 * markers
     marker_at = [offsets[j + 1] + 2 * j for j in range(markers)]  # after partition j
     marker_cols = [m + d for m in marker_at for d in (0, 1)]
-    after = [m + 2 for m in marker_at if m + 2 < size]
+    after = [m + 2 for m in marker_at[:-1]]
     checked = np.array(marker_cols + after, dtype=np.int64)
     holds_a = np.arange(checked.size) < len(marker_cols)
     payload = np.delete(np.arange(size), marker_cols)

@@ -105,9 +105,8 @@ class SegmentRecord:
 @dataclass
 class StreamMap:
     stream_id: int  # 0 = DC (or the single interleaved stream), 1 = AC
-    partition_len: int | None
+    partition_len: int | None  # None: no barriers, and no markers
     window: int
-    trailing: bool
     total_trits: int
     strand_count: int
     first_uid: int
@@ -178,7 +177,7 @@ def write_mapping(path, table: MappingTable) -> None:
             sm.stream_id,
             sm.partition_len or 0,
             sm.window,
-            1 if sm.trailing else 0,
+            1 if sm.partition_len is not None else 0,  # ends with a marker
             sm.total_trits,
             sm.strand_count,
             sm.first_uid,
@@ -208,14 +207,17 @@ def read_mapping(path) -> MappingTable:
     pool_seed = cur.take("<Q")
     table = MappingTable(scheme, quality, strand_len, index_width, fwd, rev, pool_seed)
     for _ in range(cur.take("<B")):
-        sid, pl, window, trailing, total_trits, strand_count, first_uid = cur.take(
+        sid, pl, window, marked, total_trits, strand_count, first_uid = cur.take(
             "<BIIBQII"
         )
+        if marked != (1 if pl else 0):
+            raise FormatError(
+                f"stream {sid}: marker flag {marked} disagrees with partition length {pl}"
+            )
         sm = StreamMap(
             stream_id=sid,
             partition_len=pl or None,
             window=window,
-            trailing=bool(trailing),
             total_trits=total_trits,
             strand_count=strand_count,
             first_uid=first_uid,

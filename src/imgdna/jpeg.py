@@ -9,7 +9,7 @@ replication and cropped back after reconstruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -57,7 +57,6 @@ class ImageMetadata:
     block_count: int
     dc_code_lengths: Optional[dict[int, int]] = None
     ac_code_lengths: Optional[dict[int, int]] = None
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.quant_table = np.asarray(self.quant_table, dtype=np.int64)

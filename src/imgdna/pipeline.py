@@ -78,8 +78,8 @@ class ExperimentConfig:
     scheme: str = SCHEME_IMG_DNA
     quality: int = 75
     strand_len: int = 250
-    dc_partition_len: int | None = 20
-    ac_partition_len: int | None = 50
+    dc_partition_len: int = 20
+    ac_partition_len: int = 50
     barrier_window: int = 12
     dc_segment_blocks: int = 6
     seed: int = 0x5EED
@@ -91,6 +91,10 @@ class ExperimentConfig:
             raise PipelineError("quality must be in [1, 100]")
         if self.dc_segment_blocks < 1:
             raise PipelineError("dc_segment_blocks must be >= 1")
+        if self.dc_partition_len is None or self.ac_partition_len is None:
+            raise PipelineError(
+                f"partition lengths must be set; {SCHEME_NO_BARRIER} is the scheme without barriers"
+            )
         self.stream_configs()  # fail fast on bad barrier parameters
 
     def stream_configs(self) -> dict[int, BarrierConfig]:
@@ -101,12 +105,8 @@ class ExperimentConfig:
         if self.scheme == SCHEME_NO_BARRIER:
             return {STREAM_DC: none, STREAM_AC: none}
         return {
-            STREAM_DC: BarrierConfig(
-                self.dc_partition_len, self.barrier_window, trailing=True
-            ),
-            STREAM_AC: BarrierConfig(
-                self.ac_partition_len, self.barrier_window, trailing=True
-            ),
+            STREAM_DC: BarrierConfig(self.dc_partition_len, self.barrier_window),
+            STREAM_AC: BarrierConfig(self.ac_partition_len, self.barrier_window),
         }
 
 
@@ -278,7 +278,6 @@ def encode_image(image: np.ndarray, cfg: ExperimentConfig) -> EncodedImage:
                 stream_id=sid,
                 partition_len=bc.partition_len,
                 window=bc.window,
-                trailing=bc.trailing,
                 total_trits=trits.size,
                 strand_count=counts[sid],
                 first_uid=first_uid,
@@ -328,9 +327,7 @@ def _normalize_pool(pool) -> list[list[np.ndarray]]:
 
 
 def _strand_trit_layout(sm: StreamMap, capacity: int) -> tuple[BarrierConfig, int]:
-    bc = BarrierConfig(
-        partition_len=sm.partition_len, window=sm.window, trailing=sm.trailing
-    )
+    bc = BarrierConfig(partition_len=sm.partition_len, window=sm.window)
     return bc, _per_strand_trits(bc, capacity)
 
 

@@ -69,16 +69,12 @@ def _max_run(nts: np.ndarray) -> int:
 class StrandGeometry:
     """Fixed layout shared by every strand in a pool."""
 
-    strand_len: int = 250
-    fwd_primer: np.ndarray = None
-    rev_primer: np.ndarray = None
-    index_width: int = 6  # trits per index copy
+    strand_len: int
+    fwd_primer: np.ndarray
+    rev_primer: np.ndarray
+    index_width: int  # trits per index copy
 
     def __post_init__(self):
-        if self.fwd_primer is None or self.rev_primer is None:
-            fwd, rev = default_primer_pair()
-            self.fwd_primer = fwd if self.fwd_primer is None else self.fwd_primer
-            self.rev_primer = rev if self.rev_primer is None else self.rev_primer
         self.fwd_primer = np.asarray(self.fwd_primer, dtype=np.uint8)
         self.rev_primer = np.asarray(self.rev_primer, dtype=np.uint8)
         if self.index_width < 1:
@@ -262,10 +258,6 @@ def assemble_strands(
         index = _index_code(value, width, seed)
         strands.append(np.concatenate([geom.fwd_primer, index, payload, geom.rev_primer]))
     return strands
-
-
-def assemble_strand(geom: StrandGeometry, index_value: int, payload: np.ndarray) -> np.ndarray:
-    return assemble_strands(geom, [index_value], [payload])[0]
 
 
 @dataclass

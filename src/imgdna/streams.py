@@ -412,13 +412,6 @@ def encode_segments(
     return out[:total].astype(np.uint8).tobytes(), sizes_out, dc_spans
 
 
-def encode_segment(
-    flat: np.ndarray, dc_table: HuffmanTable | None, ac_table: HuffmanTable | None
-) -> bytes:
-    """Code (n, 64) zigzag rows as one segment; see encode_segments."""
-    return encode_segments(flat, [(0, len(flat))], dc_table, ac_table)[0]
-
-
 def decode_segment(
     data: bytes,
     dc_table: HuffmanTable | None,

@@ -124,8 +124,9 @@ def bytes_to_trits(data) -> np.ndarray:
 def trits_to_segments(trits, counts) -> list[bytes]:
     """Decode consecutive segments of counts[i] trits each from one stream.
 
-    Each segment decodes as trits_to_bytes would decode it on its own.
-    The symbol and codeword length of the MAX_LENGTH-trit window at every
+    Each segment decodes on its own: it skips one trit on the dummy
+    codeword and drops an unmatchable tail. The inverse of bytes_to_trits
+    is trits_to_segments(t, [t.size])[0]. The symbol and codeword length of the MAX_LENGTH-trit window at every
     stream position are looked up once; a codeword is a prefix of its
     window, so trits past a segment's end change neither a codeword that
     fits in the segment nor the verdict that none fits. A segment running
@@ -161,12 +162,3 @@ def trits_to_segments(trits, counts) -> list[bytes]:
         out.append(bytes(segment))
         start += count
     return out
-
-
-def trits_to_bytes(trits) -> bytes:
-    """Decode a trit array back to bytes.
-
-    Skips one trit on the dummy codeword and drops an unmatchable tail.
-    """
-    trits = np.asarray(trits, dtype=np.uint8)
-    return trits_to_segments(trits, [trits.size])[0]

@@ -8,7 +8,6 @@ from imgdna.barriers import (
     BarrierConfig,
     _find_marker,
     _partition_lengths,
-    insert_barriers,
     resync_decode,
     stream_payloads,
 )
@@ -16,6 +15,12 @@ from imgdna.corpus import corpus_image
 from imgdna.pipeline import SCHEMES, ExperimentConfig, _per_strand_trits, encode_image
 from imgdna.rotation import A, rotate_encode, seq_to_string
 from test_rotation import rotate_decode_arithmetic
+
+
+def one_strand(trits, cfg):
+    """The payload of one strand holding all of trits, laid out by stream_payloads."""
+    payloads = stream_payloads(trits, cfg, (cfg.partition_len or 1) * max(len(trits), 1))
+    return payloads[0] if payloads else np.zeros(0, dtype=np.uint8)
 
 
 def _damaged_partitions(orig, got, pl):
@@ -37,43 +42,37 @@ def test_config_validation():
     BarrierConfig(partition_len=None, window=12)  # barriers disabled
 
 
-def test_ten_trits_partition_five_gives_twelve_nt():
-    cfg = BarrierConfig(partition_len=5, window=8)
-    seq = insert_barriers(np.zeros(10, dtype=np.uint8), cfg)
-    assert seq.nts.size == 12
-    assert seq.partition_count == 2
-    assert seq.barrier_nt_count == 2
-    # marker sits exactly between the two 5-nt partitions
-    assert seq_to_string(seq.nts[5:7]) == "AA"
-
-
 def test_trailing_marker_adds_two_nt():
-    cfg = BarrierConfig(partition_len=5, window=8, trailing=True)
-    seq = insert_barriers(np.zeros(10, dtype=np.uint8), cfg)
-    assert seq.nts.size == 14
-    assert seq_to_string(seq.nts[-2:]) == "AA"
-    assert seq.barrier_nt_count == 4
+    # every partition ends with a marker, the last one included
+    cfg = BarrierConfig(partition_len=5, window=8)
+    nts = one_strand(np.zeros(10, dtype=np.uint8), cfg)
+    assert nts.size == 14
+    assert len(_partition_lengths(10, cfg)) == 2
+    # one marker sits exactly between the two 5-nt partitions
+    assert seq_to_string(nts[5:7]) == "AA"
+    assert seq_to_string(nts[-2:]) == "AA"
 
 
 def test_five_thousand_trits_partition_fifty():
     rng = np.random.default_rng(11)
     trits = rng.integers(0, 3, size=5000).astype(np.uint8)
     cfg = BarrierConfig(partition_len=50, window=12)
-    seq = insert_barriers(trits, cfg)
-    assert seq.partition_count == 100
-    assert seq.barrier_nt_count == 198
-    assert seq.nts.size == 5198
-    overhead = seq.barrier_nt_count / seq.nts.size
-    assert abs(overhead - 0.0381) < 0.0002
+    nts = one_strand(trits, cfg)
+    assert len(_partition_lengths(trits.size, cfg)) == 100
+    assert nts.size - trits.size == 200
+    assert nts.size == 5200
+    overhead = (nts.size - trits.size) / nts.size
+    assert abs(overhead - 0.0385) < 0.0002  # 2 of every 52 nt
 
 
 def test_no_barrier_mode_emits_payload_only():
     rng = np.random.default_rng(12)
     trits = rng.integers(0, 3, size=777).astype(np.uint8)
-    seq = insert_barriers(trits, BarrierConfig(partition_len=None))
-    assert seq.nts.size == 777
-    assert seq.partition_count == 1
-    assert seq.barrier_nt_count == 0
+    cfg = BarrierConfig(partition_len=None)
+    nts = one_strand(trits, cfg)
+    assert nts.size == 777
+    assert len(_partition_lengths(trits.size, cfg)) == 1
+    assert np.array_equal(nts, rotate_encode(trits, seed=A))  # no marker
 
 
 def test_homopolymer_runs_stay_below_four():
@@ -81,29 +80,25 @@ def test_homopolymer_runs_stay_below_four():
     rng = np.random.default_rng(13)
     for _ in range(20):
         trits = rng.integers(0, 3, size=400).astype(np.uint8)
-        seq = insert_barriers(trits, BarrierConfig(partition_len=20, window=12, trailing=True))
-        text = seq_to_string(seq.nts)
+        text = seq_to_string(one_strand(trits, BarrierConfig(partition_len=20, window=12)))
         for ch in "ACGT":
             assert ch * 4 not in text
 
 
 def test_clean_round_trip():
     rng = np.random.default_rng(14)
-    for trailing in (False, True):
-        cfg = BarrierConfig(partition_len=10, window=12, trailing=trailing)
-        trits = rng.integers(0, 3, size=95).astype(np.uint8)
-        seq = insert_barriers(trits, cfg)
-        res = resync_decode(seq.nts, cfg, trits.size)
-        assert np.array_equal(res.trits, trits)
-        assert res.damaged_count == 0
+    cfg = BarrierConfig(partition_len=10, window=12)
+    trits = rng.integers(0, 3, size=95).astype(np.uint8)
+    res = resync_decode(one_strand(trits, cfg), cfg, trits.size)
+    assert np.array_equal(res.trits, trits)
+    assert res.damaged_count == 0
 
 
 def test_clean_round_trip_without_barriers():
     rng = np.random.default_rng(15)
     trits = rng.integers(0, 3, size=321).astype(np.uint8)
     cfg = BarrierConfig(partition_len=None)
-    seq = insert_barriers(trits, cfg)
-    res = resync_decode(seq.nts, cfg, trits.size)
+    res = resync_decode(one_strand(trits, cfg), cfg, trits.size)
     assert np.array_equal(res.trits, trits)
 
 
@@ -111,8 +106,7 @@ def test_single_deletion_is_contained():
     rng = np.random.default_rng(16)
     cfg = BarrierConfig(partition_len=10, window=12)
     trits = rng.integers(0, 3, size=30).astype(np.uint8)
-    seq = insert_barriers(trits, cfg)
-    hit = np.delete(seq.nts, 3)  # inside partition 0
+    hit = np.delete(one_strand(trits, cfg), 3)  # inside partition 0
     res = resync_decode(hit, cfg, trits.size)
     assert np.array_equal(res.trits[10:], trits[10:])
     assert res.damaged == [True, False, False]
@@ -122,8 +116,7 @@ def test_single_insertion_is_contained():
     rng = np.random.default_rng(17)
     cfg = BarrierConfig(partition_len=10, window=12)
     trits = rng.integers(0, 3, size=30).astype(np.uint8)
-    seq = insert_barriers(trits, cfg)
-    hit = np.insert(seq.nts, 16, 2)  # inside partition 1 (nt 12..21)
+    hit = np.insert(one_strand(trits, cfg), 16, 2)  # inside partition 1 (nt 12..21)
     res = resync_decode(hit, cfg, trits.size)
     assert np.array_equal(res.trits[:10], trits[:10])
     assert np.array_equal(res.trits[20:], trits[20:])
@@ -134,9 +127,9 @@ def test_destroyed_marker_merges_two_partitions():
     rng = np.random.default_rng(18)
     cfg = BarrierConfig(partition_len=10, window=12)
     trits = rng.integers(0, 3, size=30).astype(np.uint8)
-    seq = insert_barriers(trits, cfg)
-    assert seq_to_string(seq.nts[10:12]) == "AA"
-    hit = seq.nts.copy()
+    nts = one_strand(trits, cfg)
+    assert seq_to_string(nts[10:12]) == "AA"
+    hit = nts.copy()
     hit[10] = 1  # C: first marker no longer reads 'AA'
     res = resync_decode(hit, cfg, trits.size)
     # damage stays inside the merged pair; partition 2 survives exactly
@@ -150,8 +143,7 @@ def test_substitution_in_body_is_silent_but_local():
     rng = np.random.default_rng(19)
     cfg = BarrierConfig(partition_len=10, window=12)
     trits = rng.integers(0, 3, size=30).astype(np.uint8)
-    seq = insert_barriers(trits, cfg)
-    hit = seq.nts.copy()
+    hit = one_strand(trits, cfg).copy()
     hit[14] = (hit[14] + 1) % 4  # inside partition 1
     res = resync_decode(hit, cfg, trits.size)
     bad = _damaged_partitions(trits, res.trits, 10)
@@ -167,8 +159,7 @@ def test_true_marker_beats_nearby_spurious_match():
     rng = np.random.default_rng(20)
     for _ in range(200):
         trits = rng.integers(0, 3, size=20).astype(np.uint8)
-        seq = insert_barriers(trits, cfg)
-        hit = seq.nts.copy()
+        hit = one_strand(trits, cfg).copy()
         hit[8] = A
         hit[9] = A  # spurious marker at distance 2 from the real one
         res = resync_decode(hit, cfg, trits.size)
@@ -180,23 +171,20 @@ def test_true_marker_beats_nearby_spurious_match():
     st.integers(0, 2**32 - 1),
     st.integers(40, 160),
     st.sampled_from(["sub", "ins", "del"]),
-    st.booleans(),
 )
-def test_any_single_error_damages_at_most_two_adjacent_partitions(
-    seed, ntrits, kind, trailing
-):
+def test_any_single_error_damages_at_most_two_adjacent_partitions(seed, ntrits, kind):
     rng = np.random.default_rng(seed)
     trits = rng.integers(0, 3, size=ntrits).astype(np.uint8)
-    cfg = BarrierConfig(partition_len=10, window=12, trailing=trailing)
-    seq = insert_barriers(trits, cfg)
-    pos = int(rng.integers(0, seq.nts.size))
+    cfg = BarrierConfig(partition_len=10, window=12)
+    nts = one_strand(trits, cfg)
+    pos = int(rng.integers(0, nts.size))
     if kind == "sub":
-        hit = seq.nts.copy()
+        hit = nts.copy()
         hit[pos] = (hit[pos] + int(rng.integers(1, 4))) % 4
     elif kind == "ins":
-        hit = np.insert(seq.nts, pos, int(rng.integers(0, 4)))
+        hit = np.insert(nts, pos, int(rng.integers(0, 4)))
     else:
-        hit = np.delete(seq.nts, pos)
+        hit = np.delete(nts, pos)
     res = resync_decode(hit, cfg, trits.size)
     assert res.trits.size == trits.size
     bad = _damaged_partitions(trits, res.trits, 10)
@@ -229,7 +217,7 @@ def resync_by_chunks(nts, cfg, expected_trits):
             at += lengths[j]
             damaged[j] = damaged[j] or not clean
 
-    for i in range(n - 1 + cfg.trailing):
+    for i in range(n if cfg.partition_len else 0):  # a marker after every partition
         expected = pos + int(offsets[i + 1] - offsets[chunk_first]) + 2 * merged
         s = _find_marker(nts, expected, pos, half)
         if s is None:
@@ -247,19 +235,17 @@ def resync_by_chunks(nts, cfg, expected_trits):
     st.integers(0, 2**32 - 1),
     st.integers(0, 200),
     st.sampled_from([(2, 2), (5, 8), (10, 12), (20, 12), (50, 12), (None, 12)]),
-    st.booleans(),
     st.integers(0, 8),
 )
-@example(0, 47, (10, 12), False, 0)  # no edits, short final partition
-@example(0, 47, (10, 12), True, 0)
-def test_resync_equals_per_chunk_rotation_decode(seed, ntrits, layout, trailing, edits):
+@example(0, 47, (10, 12), 0)  # no edits, short final partition
+def test_resync_equals_per_chunk_rotation_decode(seed, ntrits, layout, edits):
     rng = np.random.default_rng(seed)
-    cfg = BarrierConfig(partition_len=layout[0], window=layout[1], trailing=trailing)
+    cfg = BarrierConfig(partition_len=layout[0], window=layout[1])
     trits = rng.integers(0, 3, size=ntrits).astype(np.uint8)
-    nts = insert_barriers(trits, cfg).nts
+    nts = one_strand(trits, cfg)
     lengths = _partition_lengths(ntrits, cfg)
     starts = [sum(lengths[:j]) + 2 * j for j in range(len(lengths))]
-    markers = [s + n for s, n in zip(starts, lengths)][: len(lengths) - 1 + trailing]
+    markers = [s + n for s, n in zip(starts, lengths)] if layout[0] else []
     for _ in range(edits):
         pos = int(rng.integers(0, nts.size + 1))
         kind = int(rng.integers(0, 8))
@@ -315,10 +301,10 @@ def layout_by_partitions(trits, cfg, per_strand):
         pieces = []
         for off in range(0, chunk.size, pl):
             pieces += [rotate_encode(chunk[off : off + pl], seed=A), BARRIER]
-        if not cfg.trailing:
-            pieces.pop()
+        if cfg.partition_len is None:
+            pieces.pop()  # no barriers, no marker
         payloads.append(np.concatenate(pieces))
-        markers = -(-chunk.size // pl) - (0 if cfg.trailing else 1)
+        markers = -(-chunk.size // pl) if cfg.partition_len else 0
         barrier_nt += 2 * markers
     return payloads, barrier_nt
 
@@ -327,13 +313,12 @@ def layout_by_partitions(trits, cfg, per_strand):
 @given(
     st.integers(0, 2**32 - 1),
     st.sampled_from([(None, 12), (2, 2), (20, 12), (50, 12)]),
-    st.booleans(),
     st.integers(1, 4),
     st.sampled_from(["empty", "exact", "short"]),
 )
-def test_stream_payloads_equal_per_partition_layout(seed, layout, trailing, parts, fill):
+def test_stream_payloads_equal_per_partition_layout(seed, layout, parts, fill):
     rng = np.random.default_rng(seed)
-    cfg = BarrierConfig(partition_len=layout[0], window=layout[1], trailing=trailing)
+    cfg = BarrierConfig(partition_len=layout[0], window=layout[1])
     per_strand = parts * (layout[0] or int(rng.integers(1, 60)))
     strands = int(rng.integers(1, 5))
     ntrits = {
@@ -354,7 +339,7 @@ def test_stream_payloads_reject_bad_strand_sizes_and_trits():
     with pytest.raises(ValueError, match="whole number"):
         stream_payloads(np.zeros(30, dtype=np.uint8), BarrierConfig(partition_len=20), 30)
     with pytest.raises(ValueError, match="trit values"):
-        insert_barriers(np.array([0, 3, 1], dtype=np.uint8), BarrierConfig(partition_len=20))
+        stream_payloads(np.array([0, 3, 1], dtype=np.uint8), BarrierConfig(partition_len=20), 20)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -79,7 +81,6 @@ def test_mapping_round_trip(tmp_path):
                 stream_id=0,
                 partition_len=20,
                 window=12,
-                trailing=True,
                 total_trits=1357,
                 strand_count=9,
                 first_uid=0,
@@ -89,7 +90,6 @@ def test_mapping_round_trip(tmp_path):
                 stream_id=1,
                 partition_len=None,
                 window=12,
-                trailing=False,
                 total_trits=45776,
                 strand_count=300,
                 first_uid=9,
@@ -110,6 +110,25 @@ def test_mapping_rejects_wrong_magic(tmp_path):
     path.write_bytes(b"IDNM\x63\x00")
     with pytest.raises(FormatError):
         read_mapping(path)
+
+
+def test_mapping_rejects_marker_flag_that_disagrees_with_partition_length(tmp_path):
+    # the flag byte says whether partitions end in 'AA'; the decoder takes
+    # that from the partition length, so a disagreeing byte is corrupt
+    head = MappingTable("IMG-DNA", 75, 250, 6, "A" * 20, "C" * 20, 7)
+    path = tmp_path / "img.map"
+    write_mapping(path, head)
+    flag_at = len(path.read_bytes()) + 9  # after stream id, partition length, window
+    for pl in (20, None):
+        sm = StreamMap(0, pl, 12, total_trits=40, strand_count=1, first_uid=0)
+        write_mapping(path, replace(head, streams=[sm]))
+        data = bytearray(path.read_bytes())
+        assert data[flag_at] == (pl is not None)
+        assert read_mapping(path).streams == [sm]
+        data[flag_at] ^= 1
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="marker flag"):
+            read_mapping(path)
 
 
 def test_mapping_rejects_truncation(tmp_path):

@@ -339,6 +339,12 @@ def test_config_validation():
         ExperimentConfig(dc_segment_blocks=0)
     with pytest.raises(ValueError):
         ExperimentConfig(dc_partition_len=1)  # below the barrier minimum
+    # barriers are turned off by the NoBarrier-Separated scheme, not by None
+    for scheme in SCHEMES:
+        with pytest.raises(PipelineError, match="partition lengths"):
+            ExperimentConfig(scheme=scheme, dc_partition_len=None)
+        with pytest.raises(PipelineError, match="partition lengths"):
+            ExperimentConfig(scheme=scheme, ac_partition_len=None)
 
 
 def test_rates_constant_is_sorted():

@@ -14,7 +14,7 @@ from imgdna.strands import (
     STREAM_DC,
     ConstraintReport,
     StrandGeometry,
-    assemble_strand,
+    assemble_strands,
     decode_index,
     default_primer_pair,
     disassemble_pool,
@@ -277,38 +277,37 @@ def test_vote_index_matches_numpy_reference(width, seed, key, region, edits, low
 
 
 def test_geometry_capacity():
-    geom = StrandGeometry(strand_len=250, index_width=6)
+    geom = StrandGeometry(250, *default_primer_pair(), index_width=6)
     assert geom.fwd_len == geom.rev_len == 20
     assert geom.index_len == 18
     assert geom.capacity == 192
     with pytest.raises(ValueError):
-        StrandGeometry(strand_len=60, index_width=6)
+        StrandGeometry(60, *default_primer_pair(), index_width=6)
 
 
 def test_assemble_layout():
-    geom = StrandGeometry(strand_len=250, index_width=6)
+    geom = StrandGeometry(250, *default_primer_pair(), index_width=6)
     payload = np.ones(100, dtype=np.uint8)
-    s = assemble_strand(geom, 5, payload)
+    (s,) = assemble_strands(geom, [5], [payload])
     assert s.size == 20 + 18 + 100 + 20
     assert np.array_equal(s[:20], geom.fwd_primer)
     assert np.array_equal(s[-20:], geom.rev_primer)
     with pytest.raises(ValueError):
-        assemble_strand(geom, 5, np.ones(geom.capacity + 1, dtype=np.uint8))
+        assemble_strands(geom, [5], [np.ones(geom.capacity + 1, dtype=np.uint8)])
 
 
 def _make_pool(geom, n_dc, n_ac, rng):
     strands = []
     payloads = {STREAM_DC: [], STREAM_AC: []}
     for stream, count in ((STREAM_DC, n_dc), (STREAM_AC, n_ac)):
-        for off in range(count):
-            payload = rng.integers(0, 4, size=geom.capacity - 2).astype(np.uint8)
-            payloads[stream].append(payload)
-            strands.append(assemble_strand(geom, off * 2 + stream, payload))
+        for _ in range(count):
+            payloads[stream].append(rng.integers(0, 4, size=geom.capacity - 2).astype(np.uint8))
+        strands += assemble_strands(geom, range(stream, 2 * count, 2), payloads[stream])
     return strands, payloads
 
 
 def test_disassemble_clean_pool():
-    geom = StrandGeometry(strand_len=250, index_width=6)
+    geom = StrandGeometry(250, *default_primer_pair(), index_width=6)
     rng = np.random.default_rng(10)
     strands, payloads = _make_pool(geom, 7, 13, rng)
     result = disassemble_pool([[s] for s in strands], geom, {STREAM_DC: 7, STREAM_AC: 13})
@@ -319,7 +318,7 @@ def test_disassemble_clean_pool():
 
 
 def test_disassemble_handles_missing_and_bogus_strands():
-    geom = StrandGeometry(strand_len=250, index_width=6)
+    geom = StrandGeometry(250, *default_primer_pair(), index_width=6)
     rng = np.random.default_rng(11)
     strands, payloads = _make_pool(geom, 5, 5, rng)
     del strands[2]  # lost strand -> empty slot
@@ -331,7 +330,7 @@ def test_disassemble_handles_missing_and_bogus_strands():
 
 
 def test_disassemble_votes_across_copies():
-    geom = StrandGeometry(strand_len=250, index_width=6)
+    geom = StrandGeometry(250, *default_primer_pair(), index_width=6)
     rng = np.random.default_rng(12)
     strands, payloads = _make_pool(geom, 3, 0, rng)
     groups = []
@@ -345,7 +344,7 @@ def test_disassemble_votes_across_copies():
 
 
 def test_duplicate_claims_keep_first():
-    geom = StrandGeometry(strand_len=250, index_width=6)
+    geom = StrandGeometry(250, *default_primer_pair(), index_width=6)
     rng = np.random.default_rng(13)
     strands, payloads = _make_pool(geom, 2, 0, rng)
     clone = strands[0].copy()

@@ -15,7 +15,6 @@ from imgdna.streams import (
     _words,
     build_tables,
     decode_segment,
-    encode_segment,
     encode_segments,
     symbol_counts,
     zigzag_flatten,
@@ -23,6 +22,11 @@ from imgdna.streams import (
 )
 
 _ONES = np.ones(64, dtype=np.int64)  # quantizer 1: clamp bounds of +-1024
+
+
+def encode_segment(flat, dc_table, ac_table):
+    """Code (n, 64) zigzag rows as one segment."""
+    return encode_segments(flat, [(0, len(flat))], dc_table, ac_table)[0]
 
 
 def canonical_codes_oracle(lengths):

@@ -12,6 +12,11 @@ from hypothesis import strategies as st
 from imgdna import ternary
 
 
+def trits_to_bytes(trits) -> bytes:
+    """Decode trits as one segment: the inverse of bytes_to_trits."""
+    return ternary.trits_to_segments(trits, [len(trits)])[0]
+
+
 def ternary_huffman_lengths_oracle(n_symbols: int) -> list[int]:
     """Independent 3-ary Huffman over uniform weights; returns sorted depths.
 
@@ -83,19 +88,19 @@ def test_trits_are_ternary():
 def test_round_trip_all_single_bytes():
     for value in range(256):
         blob = bytes([value])
-        assert ternary.trits_to_bytes(ternary.bytes_to_trits(blob)) == blob
+        assert trits_to_bytes(ternary.bytes_to_trits(blob)) == blob
 
 
 def test_round_trip_large_blob():
     rng = np.random.default_rng(21)
     blob = rng.integers(0, 256, size=10240, dtype=np.uint8).tobytes()
-    assert ternary.trits_to_bytes(ternary.bytes_to_trits(blob)) == blob
+    assert trits_to_bytes(ternary.bytes_to_trits(blob)) == blob
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.binary(max_size=400))
 def test_round_trip_property(blob):
-    assert ternary.trits_to_bytes(ternary.bytes_to_trits(blob)) == blob
+    assert trits_to_bytes(ternary.bytes_to_trits(blob)) == blob
 
 
 def test_deleted_final_trit_drops_one_symbol():
@@ -106,7 +111,7 @@ def test_deleted_final_trit_drops_one_symbol():
     trits = ternary.bytes_to_trits(blob)
     assert len(trits) == 10  # both codewords have length 5
     damaged = trits[:-1]
-    assert ternary.trits_to_bytes(damaged) == b"A"
+    assert trits_to_bytes(damaged) == b"A"
 
 
 def test_tolerant_decode_of_mid_stream_deletion_keeps_prefix():
@@ -114,7 +119,7 @@ def test_tolerant_decode_of_mid_stream_deletion_keeps_prefix():
     trits = ternary.bytes_to_trits(blob)
     cut = len(trits) // 2
     damaged = np.delete(trits, cut)
-    out = ternary.trits_to_bytes(damaged)
+    out = trits_to_bytes(damaged)
     # everything encoded strictly before the deletion point survives
     prefix_symbols = 0
     consumed = 0
@@ -129,7 +134,7 @@ def test_tolerant_decode_of_mid_stream_deletion_keeps_prefix():
 
 def test_decode_skips_past_dummy_codeword():
     dummy = np.array(ternary.codeword(ternary.DUMMY_SYMBOL), dtype=np.uint8)
-    out = ternary.trits_to_bytes(dummy)
+    out = trits_to_bytes(dummy)
     assert isinstance(out, bytes)
 
 
@@ -182,7 +187,7 @@ def test_stream_decode_equals_per_segment_decode(stream, counts):
     pos = 0
     for count, data in zip(counts, got):
         segment = stream[pos : pos + count]
-        assert data == ternary.trits_to_bytes(segment) == decode_by_codewords(segment.tolist())
+        assert data == trits_to_bytes(segment) == decode_by_codewords(segment.tolist())
         pos += count
 
 
