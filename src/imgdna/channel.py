@@ -14,6 +14,7 @@ many other strands were processed first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,12 @@ class ChannelConfig:
     def fractions(self) -> tuple[float, float, float]:
         total = self.sub_weight + self.ins_weight + self.del_weight
         return (self.sub_weight / total, self.ins_weight / total, self.del_weight / total)
+
+    @cached_property
+    def kind_cdf(self) -> np.ndarray:
+        """Cumulative fractions scaled to end at exactly 1, as choice builds them."""
+        cdf = np.cumsum(self.fractions)
+        return cdf / cdf[-1]
 
     def describe(self) -> str:
         fs, fi, fd = self.fractions
@@ -94,7 +101,9 @@ def perturb_strand(
     hits = np.flatnonzero(draws < cfg.rate) + lo
     if hits.size == 0:
         return nts.copy()
-    kinds = rng.choice(3, size=hits.size, p=cfg.fractions)
+    # the draw Generator.choice(3, size, p=fractions) makes, without its
+    # argument checks: one uniform per hit, placed on the weights' CDF
+    kinds = cfg.kind_cdf.searchsorted(rng.random(hits.size), side="right")
     edits = [(pos, kind, edit_value(rng, kind)) for pos, kind in zip(hits.tolist(), kinds.tolist())]
     return apply_edits(nts, edits)
 

@@ -173,7 +173,8 @@ def _cmd_decode(args) -> int:
     print(f"decoded {meta.width}x{meta.height} image from {len(pool)} strand records")
     print(
         f"missing strands {result.missing_strands}  quarantined {result.quarantined}  "
-        f"duplicates {result.duplicates}  damaged partitions {result.damaged_partitions}"
+        f"duplicates {result.duplicates}  damaged partitions {result.damaged_partitions}  "
+        f"failed segments {result.segments_failed}"
     )
     if args.image is not None:
         original = read_pgm(args.image)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .barriers import BarrierConfig
 from .jpeg import ImageMetadata
 from .rotation import seq_to_string, string_to_seq
 
@@ -214,6 +215,10 @@ def read_mapping(path) -> MappingTable:
             raise FormatError(
                 f"stream {sid}: marker flag {marked} disagrees with partition length {pl}"
             )
+        try:
+            BarrierConfig(partition_len=pl or None, window=window)
+        except ValueError as exc:
+            raise FormatError(f"stream {sid}: {exc}") from None
         sm = StreamMap(
             stream_id=sid,
             partition_len=pl or None,

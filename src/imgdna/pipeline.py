@@ -16,7 +16,9 @@ Byte segments are block-aligned so a damaged segment tail corrupts a known
 block range: every AC segment covers one block, DC segments a few blocks,
 and Raw-DNA deliberately uses a single whole-image segment. One segment
 codec serves every stream; the scheme and stream only decide which code
-tables it gets (DC, AC or both), in _segment_tables. Segment extents
+tables it gets (DC, AC or both), in _segment_tables. An AC stream of
+one-block segments goes to the lockstep decoder, decode_ac_blocks, which
+gives the same blocks and clean flags all at once. Segment extents
 live in the mapping sidecar (the error-free side channel), so the decoder
 can carve the repaired trit stream back into segments no matter what the
 noisy channel did to individual strands.
@@ -54,6 +56,7 @@ from .strands import (
 from .streams import (
     HuffmanTable,
     build_tables,
+    decode_ac_blocks,
     decode_segment,
     encode_segments,
     zigzag_flatten,
@@ -316,6 +319,7 @@ class DecodeResult:
     missing_strands: int = 0
     quarantined: int = 0
     duplicates: int = 0
+    segments_failed: int = 0  # entropy segments whose decode hit damage
 
 
 def _normalize_pool(pool) -> list[list[np.ndarray]]:
@@ -362,11 +366,18 @@ def decode_pool(pool, mapping: MappingTable, meta: ImageMetadata) -> DecodeResul
         )
 
         datas = trits_to_segments(trits, [seg.trit_count for seg in sm.segments])
+        # each coefficient class comes from one stream, and a segment
+        # leaves the class it does not carry at 0
+        if tables[0] is None and all(seg.block_count == 1 for seg in sm.segments):
+            vals, clean = decode_ac_blocks(datas, ac_table, quant_zig)
+            # fancy += adds once per index; no block has two segments
+            flat[[seg.block_start for seg in sm.segments]] += vals
+            result.segments_failed += len(datas) - int(clean.sum())
+            continue
         for seg, data in zip(sm.segments, datas):
-            vals, _ = decode_segment(data, *tables, seg.block_count, quant_zig)
-            # each coefficient class comes from one stream, and a segment
-            # leaves the class it does not carry at 0
+            vals, clean = decode_segment(data, *tables, seg.block_count, quant_zig)
             flat[seg.block_start : seg.block_start + seg.block_count] += vals
+            result.segments_failed += not clean
 
     result.image = inverse_transform(zigzag_unflatten(flat), meta)
     return result

@@ -29,6 +29,15 @@ lookups that give the symbol and its code length at once, and amplitude
 bits come from the same words. A zero length, or a code or amplitude that
 runs past the segment, fails it. Decoded values are clamped to the valid
 coefficient range once per segment, with numpy.
+
+An AC stream cut into one-block segments (IMG-DNA's and
+NoBarrier-Separated's) is decoded in lockstep by decode_ac_blocks. Its
+segments are read from the words of their concatenation, and every
+segment keeps its own bit cursor and coefficient index: each step reads
+one codeword of every block still open with numpy gathers, under the
+same rules as the per-segment decoder. That decoder stays the reference,
+and it decodes DC segments and Raw-DNA's single interleaved segment,
+where lockstep has few or no segments to run side by side.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ MAX_CODE_LENGTH = 16
 _RESERVED = 0x100  # pseudo-symbol holding the all-ones codeword
 
 
-def _words(data: bytes) -> list[int]:
+def _words(data: bytes) -> np.ndarray:
     """24-bit big-endian word at each byte offset of data and one past it.
 
     Bytes past the end read as 0xFF. The 16 bits at bit position pos are
@@ -55,7 +64,7 @@ def _words(data: bytes) -> list[int]:
     starting there fit in the same word.
     """
     padded = np.frombuffer(bytes(data) + b"\xff\xff\xff", dtype=np.uint8).astype(np.int32)
-    return ((padded[:-2] << 16) | (padded[1:-1] << 8) | padded[2:]).tolist()
+    return (padded[:-2] << 16) | (padded[1:-1] << 8) | padded[2:]
 
 
 def _optimal_lengths(freqs: dict[int, int]) -> dict[int, int]:
@@ -426,7 +435,7 @@ def decode_segment(
     blocks after it stay zero. DC values are clamped as they are decoded,
     since the predictor chains them, and AC terms once per segment.
     """
-    words, nbits = _words(data), len(data) * 8
+    words, nbits = _words(data).tolist(), len(data) * 8
     dc_syms, dc_lens = dc_table.lookup() if dc_table is not None else (None, None)
     ac_syms, ac_lens = ac_table.lookup() if ac_table is not None else (None, None)
     bound = coefficient_bounds(quant_zig)
@@ -455,3 +464,72 @@ def decode_segment(
         out[:, 0] = prev
         out[: len(dc), 0] = dc
     return out, pos >= 0
+
+
+def _ac_symbol_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per AC symbol: its amplitude size, how far it moves the coefficient
+    index k, and the highest k that move may reach without failing the
+    block. A term moves k past itself and may reach 63; ZRL moves k by 16
+    and EOB by 63, and either may end the block; any other size-0 symbol
+    fails."""
+    sym = np.arange(256)
+    size = sym & 0xF
+    advance = np.where(size > 0, (sym >> 4) + 1, 16)
+    advance[EOB] = 63
+    limit = np.where(size > 0, 63, -1)
+    limit[[EOB, ZRL]] = 127
+    return size, advance, limit
+
+
+_AC_SIZE, _AC_ADVANCE, _AC_LIMIT = _ac_symbol_rules()
+
+
+def decode_ac_blocks(
+    datas: list[bytes], ac_table: HuffmanTable, quant_zig: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode one-block AC segments in lockstep: ((n, 64) rows, clean flags).
+
+    Row i and clean[i] equal decode_segment(datas[i], None, ac_table, 1,
+    quant_zig), under _ac_block's rules. Every segment keeps a bit cursor
+    and a coefficient index k, and each step reads one codeword for every
+    block still open, with numpy gathers over their cursors; a block
+    leaves when it fails or k reaches 63. Amplitudes are read after the
+    loop, from the bit position and size each term left behind.
+
+    The segments are read from the words of their concatenation, so a
+    cursor's window runs on into the next segment where decode_segment
+    sees 1 bits. That changes no result: a codeword is a prefix of its
+    window, so one that fits in the segment is found whatever follows,
+    and when none fits the lookup gives length 0 or a code past the end.
+    """
+    nbytes = np.array([len(d) for d in datas], dtype=np.int64)
+    words = _words(b"".join(datas))
+    pos = 8 * (np.cumsum(nbytes) - nbytes)
+    end = pos + 8 * nbytes
+    syms, lens = (np.frombuffer(t, dtype=np.uint8) for t in ac_table.lookup())
+    seg = np.arange(len(datas))
+    k = np.zeros_like(seg)
+    clean = np.zeros(len(datas), dtype=bool)
+    terms = [(seg[:0], pos[:0], k[:0])]  # (row * 64 + column, bit position, size)
+    while seg.size:
+        window = (words[pos >> 3] >> (8 - (pos & 7))) & 0xFFFF
+        sym = syms[window]
+        ln = lens[window]
+        size = _AC_SIZE[sym]
+        pos += ln
+        k += _AC_ADVANCE[sym]
+        ok = (ln > 0) & (pos + size <= end) & (k <= _AC_LIMIT[sym])
+        term = ok & (size > 0)  # its column is the new k: its index plus 1
+        terms.append((64 * seg[term] + k[term], pos[term], size[term]))
+        pos += size
+        closed = k >= 63
+        clean[seg[ok & closed]] = True
+        ok &= ~closed
+        seg, pos, end, k = seg[ok], pos[ok], end[ok], k[ok]
+    cell, at, size = (np.concatenate(column) for column in zip(*terms))
+    bits = (words[at >> 3] >> (24 - (at & 7) - size)) & ((1 << size) - 1)
+    out = np.zeros((len(datas), 64), dtype=np.int32)
+    out.flat[cell] = np.where(bits >> (size - 1), bits, bits - (1 << size) + 1)
+    bound = coefficient_bounds(quant_zig)
+    np.clip(out, -bound, bound, out=out)
+    return out, clean

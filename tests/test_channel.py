@@ -23,6 +23,20 @@ def test_config_validation():
     assert ChannelConfig(rate=0.5).fractions == (1 / 3, 1 / 3, 1 / 3)
 
 
+@pytest.mark.parametrize("weights", [(1, 1, 1), (2, 1, 1), (1, 0, 0), (0.2, 0, 0.8)])
+def test_kind_draw_matches_generator_choice(weights):
+    # perturb_strand places one uniform per hit on kind_cdf, which is the
+    # draw Generator.choice(3, n, p=fractions) makes; if numpy ever changes
+    # choice, this names the break before the seeded outputs move
+    cfg = ChannelConfig(0.1, *weights)
+    for seed in range(2000):
+        n = 1 + seed % 17
+        ours, theirs = strand_rng(seed, 0, 0), strand_rng(seed, 0, 0)
+        kinds = cfg.kind_cdf.searchsorted(ours.random(n), side="right")
+        assert np.array_equal(kinds, theirs.choice(3, n, p=cfg.fractions))
+        assert ours.random() == theirs.random()
+
+
 def test_zero_rate_is_identity():
     rng = np.random.default_rng(1)
     strand = rng.integers(0, 4, size=200).astype(np.uint8)

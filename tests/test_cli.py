@@ -35,6 +35,7 @@ def test_clean_decode_round_trip(encoded, tmp_path, capsys):
         "--out", out,
     ])
     assert code == 0
+    assert "damaged partitions 0  failed segments 0" in capsys.readouterr().out
     decoded = read_pgm(out)
     expect = reference_image(corpus_image(1), ExperimentConfig().quality)
     assert np.array_equal(decoded, expect)

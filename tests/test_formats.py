@@ -131,6 +131,22 @@ def test_mapping_rejects_marker_flag_that_disagrees_with_partition_length(tmp_pa
             read_mapping(path)
 
 
+def test_mapping_rejects_barrier_parameters_the_decoder_cannot_use(tmp_path):
+    # a sidecar that BarrierConfig rejects fails on read, not later in decode
+    head = MappingTable("IMG-DNA", 75, 250, 6, "A" * 20, "C" * 20, 7)
+    path = tmp_path / "img.map"
+    for pl, window, message in (
+        (20, 3, "even number"),
+        (None, 0, "even number"),
+        (1, 2, "partition_len must be >= 2"),
+        (5, 10, "smaller than two partitions"),
+    ):
+        sm = StreamMap(0, pl, window, total_trits=40, strand_count=1, first_uid=0)
+        write_mapping(path, replace(head, streams=[sm]))
+        with pytest.raises(FormatError, match=f"stream 0: .*{message}"):
+            read_mapping(path)
+
+
 def test_mapping_rejects_truncation(tmp_path):
     table = MappingTable("Raw-DNA", 75, 250, 6, "A" * 20, "C" * 20, 7)
     path = tmp_path / "img.map"

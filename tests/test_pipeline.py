@@ -132,6 +132,28 @@ def test_missing_strand_leaves_gap_not_crash(small_image):
     assert dec.damaged_partitions == -(-last // sm.partition_len)
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_missing_strands_fail_segments(scheme, small_image):
+    # a lost strand reads as zero trits; a segment that runs out of bits
+    # inside them fails (one whose zero bytes still decode stays clean).
+    # The last stream is the AC stream, or Raw-DNA's only one.
+    enc = encode_image(small_image, ExperimentConfig(scheme=scheme))
+    sm = enc.mapping.streams[-1]
+    lost = range(sm.first_uid, sm.first_uid + sm.strand_count, 8)
+    pool = {uid: [s] for uid, s in enumerate(enc.strands) if uid not in lost}
+    dec = decode_pool(pool, enc.mapping, enc.metadata)
+    assert dec.missing_strands == len(lost)
+    assert 0 < dec.segments_failed <= len(sm.segments)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_zero_rate_channel_fails_no_segment(scheme, small_image):
+    enc = encode_image(small_image, ExperimentConfig(scheme=scheme))
+    pool = perturb_pool(enc.strands, ChannelConfig(rate=0.0), 3, protect=_primer_bounds(enc))
+    dec = decode_pool(pool, enc.mapping, enc.metadata)
+    assert dec.segments_failed == 0
+
+
 def test_truncated_strand_is_quarantined(small_image):
     cfg = ExperimentConfig()
     enc = encode_image(small_image, cfg)

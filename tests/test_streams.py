@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imgdna import pipeline
+from imgdna.channel import ChannelConfig, perturb_pool
 from imgdna.corpus import corpus_image
 from imgdna.jpeg import ZIGZAG, coefficient_bounds, forward_transform
 from imgdna.streams import (
@@ -14,6 +16,7 @@ from imgdna.streams import (
     HuffmanTable,
     _words,
     build_tables,
+    decode_ac_blocks,
     decode_segment,
     encode_segments,
     symbol_counts,
@@ -325,7 +328,7 @@ def test_amplitude_overrun_fails_segment():
 
 
 def test_words_pad_with_ones_past_end():
-    words = _words(b"\x00")
+    words = _words(b"\x00").tolist()
     assert words == [0x00FFFF, 0xFFFFFF]
     assert (words[0] >> 8) & 0xFFFF == 0x00FF
 
@@ -751,3 +754,109 @@ def test_encode_segments_reject_symbols_without_a_codeword():
     _, ac_table = build_tables(flat[:1])  # knows EOB only
     with pytest.raises(ValueError, match="no codeword"):
         encode_segment(flat, None, ac_table)
+
+
+# -- lockstep AC decoder against the segment decoder ---------------------------
+
+
+def _assert_lockstep_matches_segment_decoder(datas, ac_table, quant_zig):
+    rows, clean = decode_ac_blocks(datas, ac_table, quant_zig)
+    assert rows.shape == (len(datas), 64) and clean.shape == (len(datas),)
+    for data, row, ok in zip(datas, rows, clean):
+        want, want_ok = decode_segment(data, None, ac_table, 1, quant_zig)
+        assert ok == want_ok
+        assert np.array_equal(row, want[0])
+    return rows, clean
+
+
+def _decoded_ac_streams(monkeypatch, image, scheme, rate):
+    """The AC segments decode_pool hands to decode_ac_blocks for one noisy pool."""
+    calls = []
+
+    def spy(datas, ac_table, quant_zig):
+        calls.append((datas, ac_table, quant_zig))
+        return decode_ac_blocks(datas, ac_table, quant_zig)
+
+    monkeypatch.setattr(pipeline, "decode_ac_blocks", spy)
+    enc = pipeline.encode_image(corpus_image(image), pipeline.ExperimentConfig(scheme=scheme))
+    pool = perturb_pool(enc.strands, ChannelConfig(rate=rate), 17, pipeline._primer_bounds(enc))
+    pipeline.decode_pool(pool, enc.mapping, enc.metadata)
+    assert len(calls) == 1  # the AC stream, and only it
+    return calls[0]
+
+
+@pytest.mark.parametrize("scheme", [pipeline.SCHEME_IMG_DNA, pipeline.SCHEME_NO_BARRIER])
+@pytest.mark.parametrize("image", [0, 7])
+@pytest.mark.parametrize("rate", [0.0, 0.01, 0.05])
+def test_lockstep_ac_decode_matches_segment_decoder_on_noisy_streams(
+    monkeypatch, scheme, image, rate
+):
+    datas, ac_table, quant_zig = _decoded_ac_streams(monkeypatch, image, scheme, rate)
+    _, clean = _assert_lockstep_matches_segment_decoder(datas, ac_table, quant_zig)
+    assert clean.all() == (rate == 0)
+
+
+def _ac_segment(case, spec):
+    """One AC segment: junk bytes, a run of 0xFF bytes (empty at length 0),
+    or one real block's segment cut after some bytes."""
+    kind, junk, block, cut = spec
+    if kind == "junk":
+        return junk
+    if kind == "ones":
+        return b"\xff" * cut
+    flat, _, ac_table, _ = case
+    b = block % len(flat)
+    return encode_segment(flat[b : b + 1], None, ac_table)[:cut]
+
+
+_AC_SEGMENT_SPECS = st.lists(
+    st.tuples(
+        st.sampled_from(["junk", "ones", "cut"]),
+        st.binary(max_size=48),
+        st.integers(0, 2**16),
+        st.integers(0, 48),
+    ),
+    max_size=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_IMAGES, _QUALITIES, _AC_SEGMENT_SPECS)
+def test_lockstep_ac_decode_matches_segment_decoder_on_junk(image, quality, specs):
+    case = _corpus_case(image, quality)
+    datas = [_ac_segment(case, spec) for spec in specs]
+    _assert_lockstep_matches_segment_decoder(datas, case[2], case[3])
+
+
+def test_lockstep_ac_decode_matches_segment_decoder_on_zero_runs():
+    # one to three terms per block leave runs of 16 zeros and more, so the
+    # blocks carry ZRLs, and every cut and bit flip of them is decoded
+    rng = np.random.default_rng(5)
+    flat = np.zeros((200, 64), dtype=np.int32)
+    for row in flat:
+        cols = rng.choice(63, size=int(rng.integers(1, 4)), replace=False) + 1
+        row[cols] = rng.integers(1, 60, size=cols.size) * rng.choice([-1, 1], size=cols.size)
+    _, ac_table = build_tables(flat)
+    assert ac_table.lengths.get(ZRL)
+    datas = []
+    for row in flat[:, None]:
+        data = encode_segment(row, None, ac_table)
+        datas += [data[:cut] for cut in range(len(data) + 1)]
+        flipped = bytearray(data)
+        flipped[int(rng.integers(0, len(data)))] ^= 1 << int(rng.integers(0, 8))
+        datas.append(bytes(flipped))
+    _, clean = _assert_lockstep_matches_segment_decoder(datas, ac_table, _ONES)
+    assert clean.any() and not clean.all()
+
+
+def test_lockstep_ac_decode_clamps_like_segment_decoder(monkeypatch):
+    # a coarse quantizer gives clamp bounds of 5 to 7, so noisy and junk
+    # terms hit them
+    quant_zig = np.arange(150, 214)
+    datas, ac_table, _ = _decoded_ac_streams(monkeypatch, 0, pipeline.SCHEME_IMG_DNA, 0.05)
+    rng = np.random.default_rng(3)
+    datas = datas + [rng.bytes(int(n)) for n in rng.integers(0, 40, size=200)]
+    rows, _ = _assert_lockstep_matches_segment_decoder(datas, ac_table, quant_zig)
+    bound = coefficient_bounds(quant_zig)
+    assert (np.abs(rows) == bound).any()
+    assert (np.abs(rows) <= bound).all()
