@@ -14,6 +14,13 @@ spread down the stream.
 The decoder knows the expected trit count, searches a +/- window around each
 expected marker position, and when a marker was destroyed it merges the two
 neighbouring partitions and carries on at the following one.
+
+resync_stream decodes a whole stream's reads, one per strand. The intact
+reads of its full strands, which are most reads at the error rates studied,
+decode together: one (reads, length) array, one intact test, one rotation
+decode along the rows and one gather of the payload columns into the
+stream's grid. Every other read, and the stream's short final strand, goes
+through resync_decode one by one, with the same result either way.
 """
 
 from __future__ import annotations
@@ -169,6 +176,13 @@ def _read_layout(expected_trits: int, cfg: BarrierConfig) -> _ReadLayout:
     return _ReadLayout(lengths, offsets, markers, size, checked, holds_a, payload)
 
 
+def _intact(nts: np.ndarray, layout: _ReadLayout):
+    """Whether reads of the layout's length are intact, along the last
+    axis: every marker column holds A and no column right after a marker
+    does."""
+    return ((nts.take(layout.checked, axis=-1) == A) == layout.holds_a).all(axis=-1)
+
+
 def resync_decode(nts, cfg: BarrierConfig, expected_trits: int) -> ResyncResult:
     """Decode a barriered sequence back to expected_trits trits.
 
@@ -196,7 +210,7 @@ def resync_decode(nts, cfg: BarrierConfig, expected_trits: int) -> ResyncResult:
     # one rotation decode for the whole read: every chunk starts at 0 or
     # right after a marker's A, so its predecessor is the seed A either way
     decoded = rotate_decode(nts, seed=A)
-    if nts.size == layout.size and np.array_equal(nts[layout.checked] == A, layout.holds_a):
+    if nts.size == layout.size and _intact(nts, layout):
         return ResyncResult(decoded[layout.payload], [False] * n)
 
     half = (cfg.window - 2) // 2
@@ -237,3 +251,39 @@ def resync_decode(nts, cfg: BarrierConfig, expected_trits: int) -> ResyncResult:
         close_chunk(n - 1, nts.size)
 
     return ResyncResult(out, damaged)
+
+
+def resync_stream(
+    reads, cfg: BarrierConfig, per_strand: int, total_trits: int
+) -> tuple[np.ndarray, int]:
+    """(trits, damaged partition count) of a whole stream, read k standing
+    for its k-th strand and None for a missing one. There must be one read
+    per strand: ceil(total_trits / per_strand) of them.
+
+    Intact reads of the full strands, the final strand excepted when it is
+    short, decode as resync_decode decodes them, all at once: their rows are
+    stacked, tested, rotation-decoded and gathered into the output grid.
+    Every other read goes through resync_decode, a missing one as an empty
+    read.
+    """
+    out = np.zeros(total_trits, dtype=np.uint8)
+    full = total_trits // per_strand
+    layout = _read_layout(per_strand, cfg)
+    whole = [k for k in range(full) if reads[k] is not None and reads[k].size == layout.size]
+    intact = set()
+    if whole:
+        rows = np.stack([reads[k] for k in whole])
+        ok = _intact(rows, layout)
+        kept = np.array(whole)[ok]
+        grid = out[: full * per_strand].reshape(full, per_strand)
+        grid[kept] = rotate_decode(rows[ok], seed=A)[:, layout.payload]
+        intact = set(kept.tolist())
+    damaged = 0
+    for k, read in enumerate(reads):
+        if k not in intact:
+            start = k * per_strand
+            read = np.zeros(0, dtype=np.uint8) if read is None else read
+            r = resync_decode(read, cfg, min(per_strand, total_trits - start))
+            out[start : start + r.trits.size] = r.trits
+            damaged += r.damaged_count
+    return out, damaged

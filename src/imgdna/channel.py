@@ -8,15 +8,22 @@ is set, matching their role as handles rather than data.
 
 Noise is reproducible: each (pool seed, strand uid, copy) triple seeds its
 own generator, so a strand's noise never depends on pool size or on how
-many other strands were processed first.
+many other strands were processed first. The generator is the one
+default_rng(SeedSequence([seed, uid, copy])) would give; its seed words
+are hashed for the whole pool at once (seed_words), and each read's PCG64
+starts from its row.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.random import PCG64
+from numpy.random.bit_generator import ISeedSequence
 
 
 @dataclass(frozen=True)
@@ -56,8 +63,69 @@ class ChannelConfig:
         )
 
 
-def strand_rng(seed: int, uid: int, copy: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, uid, copy]))
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe, pool of four uint32
+# words), run over one column per read. It must stay equal to
+# SeedSequence([seed, uid, copy]).generate_state(4, np.uint64), which
+# test_seed_words_equal_seed_sequence in tests/test_channel.py pins.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hasher(const: int, mult: int):
+    """numpy's hashmix: each call xors in the running constant, steps the
+    constant and multiplies by it."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> 16)
+
+
+def seed_words(seed, strands: int, copies: int) -> np.ndarray:
+    """The (strands, copies, 4) uint64 state words that
+    SeedSequence([seed, uid, copy]).generate_state(4, np.uint64) gives,
+    for every read at once."""
+    seed = operator.index(seed)  # TypeError unless an integer
+    if seed < 0 or max(strands, copies) > 2**32:
+        raise ValueError("the seed must be non-negative, and uid and copy below 2**32")
+    uid, copy = np.divmod(np.arange(strands * copies, dtype=np.uint32), np.uint32(copies))
+    # the seed's little-endian 32-bit words, one word for 0
+    parts = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full(uid.size, p, dtype=np.uint32) for p in parts] + [uid, copy]
+    entropy += [np.zeros_like(uid)] * (4 - len(entropy))  # a short entropy hashes zeros
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(e) for e in entropy[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for extra in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(extra))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    words = np.stack([state[i] | state[i + 1] << np.uint64(32) for i in range(0, 8, 2)], axis=-1)
+    return words.reshape(strands, copies, 4)
+
+
+class _StateWords(ISeedSequence):
+    """A seed sequence whose state words are already computed; numpy's
+    bit generators accept any ISeedSequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def edit_value(rng: np.random.Generator, kind: int) -> int:
@@ -118,16 +186,17 @@ def perturb_pool(
 
     protect gives the (prefix, suffix) primer lengths spared by default.
     """
+    words = seed_words(seed, len(strands), cfg.copies)
     out = []
-    for uid, strand in enumerate(strands):
+    for strand, rows in zip(strands, words):
         lo, hi = 0, strand.size
         if not cfg.corrupt_primers:
             lo = min(protect[0], strand.size)
             hi = max(strand.size - protect[1], lo)
         out.append(
             [
-                perturb_strand(strand, cfg, strand_rng(seed, uid, copy), lo, hi)
-                for copy in range(cfg.copies)
+                perturb_strand(strand, cfg, np.random.Generator(PCG64(_StateWords(w))), lo, hi)
+                for w in rows
             ]
         )
     return out

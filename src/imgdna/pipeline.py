@@ -36,9 +36,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .barriers import BarrierConfig, resync_decode, stream_payloads
+from .barriers import BarrierConfig, resync_decode, resync_stream, stream_payloads
 from .channel import ChannelConfig, apply_edits, edit_value, perturb_pool
-from .formats import MappingTable, SegmentRecord, StreamMap
+from .formats import FormatError, MappingTable, SegmentRecord, StreamMap
 from .jpeg import ZIGZAG, ImageMetadata, forward_transform, inverse_transform
 from .metrics import barrier_overhead, ci90_half_width, encoding_density, ssim, write_csv
 from .rotation import seq_to_string, string_to_seq
@@ -335,9 +335,21 @@ def _strand_trit_layout(sm: StreamMap, capacity: int) -> tuple[BarrierConfig, in
     return bc, _per_strand_trits(bc, capacity)
 
 
+def _check_mapping(mapping: MappingTable, meta: ImageMetadata, capacity: int) -> None:
+    """FormatError unless each stream's strand count fits its trits and each
+    segment's blocks lie inside the image."""
+    for sm in mapping.streams:
+        if sm.strand_count != _strand_count(sm.total_trits, _strand_trit_layout(sm, capacity)[1]):
+            raise FormatError(f"stream {sm.stream_id}: strand count does not fit its trits")
+        for seg in sm.segments:
+            if not 0 <= seg.block_start <= seg.block_start + seg.block_count <= meta.block_count:
+                raise FormatError(f"stream {sm.stream_id}: segment blocks outside the image")
+
+
 def decode_pool(pool, mapping: MappingTable, meta: ImageMetadata) -> DecodeResult:
     """Reassemble an image from a (possibly noisy) strand pool."""
     geom = _geometry_from_mapping(mapping)
+    _check_mapping(mapping, meta, geom.capacity)
     counts = {sm.stream_id: sm.strand_count for sm in mapping.streams}
     dis = disassemble_pool(_normalize_pool(pool), geom, counts)
 
@@ -352,18 +364,10 @@ def decode_pool(pool, mapping: MappingTable, meta: ImageMetadata) -> DecodeResul
         bc, per = _strand_trit_layout(sm, geom.capacity)
         tables = _segment_tables(mapping.scheme, sm.stream_id, dc_table, ac_table)
         slots = dis.streams[sm.stream_id]
-        pieces = []
-        for k in range(sm.strand_count):
-            payload = slots[k]
-            if payload is None:  # decodes as an empty read: zeros, all partitions damaged
-                result.missing_strands += 1
-                payload = np.zeros(0, dtype=np.uint8)
-            r = resync_decode(payload, bc, min(per, sm.total_trits - k * per))
-            result.damaged_partitions += r.damaged_count
-            pieces.append(r.trits)
-        trits = (
-            np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.uint8)
-        )
+        # a missing strand decodes as an empty read: zeros, all partitions damaged
+        result.missing_strands += sum(read is None for read in slots)
+        trits, damaged = resync_stream(slots, bc, per, sm.total_trits)
+        result.damaged_partitions += damaged
 
         datas = trits_to_segments(trits, [seg.trit_count for seg in sm.segments])
         # each coefficient class comes from one stream, and a segment

@@ -57,7 +57,8 @@ def rotate_encode(trits, seed: int = A) -> np.ndarray:
 
 
 def rotate_decode(nts, seed: int = A) -> np.ndarray:
-    """Invert rotate_encode; repeated nucleotides decode as trit 0.
+    """Invert rotate_encode along the last axis; repeated nucleotides
+    decode as trit 0. Each row of a 2D array decodes on its own, from seed.
 
     Each output is one lookup of its (previous, current) pair in a 16-entry
     table. Only the low two bits of each value count, as in the arithmetic
@@ -67,7 +68,7 @@ def rotate_decode(nts, seed: int = A) -> np.ndarray:
     if low.size == 0:
         return low
     pairs = np.empty_like(low)  # prev << 2 | nt
-    pairs[0] = (seed & 3) << 2
-    np.left_shift(low[:-1], 2, out=pairs[1:])
+    pairs[..., 0] = (seed & 3) << 2
+    np.left_shift(low[..., :-1], 2, out=pairs[..., 1:])
     pairs |= low
     return _TRIT_FROM_PAIR[pairs]

@@ -9,6 +9,7 @@ from imgdna.barriers import (
     _find_marker,
     _partition_lengths,
     resync_decode,
+    resync_stream,
     stream_payloads,
 )
 from imgdna.corpus import corpus_image
@@ -230,22 +231,14 @@ def resync_by_chunks(nts, cfg, expected_trits):
     return out, damaged
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.integers(0, 200),
-    st.sampled_from([(2, 2), (5, 8), (10, 12), (20, 12), (50, 12), (None, 12)]),
-    st.integers(0, 8),
-)
-@example(0, 47, (10, 12), 0)  # no edits, short final partition
-def test_resync_equals_per_chunk_rotation_decode(seed, ntrits, layout, edits):
-    rng = np.random.default_rng(seed)
-    cfg = BarrierConfig(partition_len=layout[0], window=layout[1])
-    trits = rng.integers(0, 3, size=ntrits).astype(np.uint8)
-    nts = one_strand(trits, cfg)
+def random_edits(nts, rng, cfg, ntrits, edits):
+    """nts after edits random edits, aimed at a read of ntrits trits: plain
+    indels and substitutions, substitutions on marker columns, an A right
+    after a marker, indel pairs inside one partition, destroyed markers and
+    new ones."""
     lengths = _partition_lengths(ntrits, cfg)
     starts = [sum(lengths[:j]) + 2 * j for j in range(len(lengths))]
-    markers = [s + n for s, n in zip(starts, lengths)] if layout[0] else []
+    markers = [s + n for s, n in zip(starts, lengths)] if cfg.partition_len else []
     for _ in range(edits):
         pos = int(rng.integers(0, nts.size + 1))
         kind = int(rng.integers(0, 8))
@@ -282,10 +275,76 @@ def test_resync_equals_per_chunk_rotation_decode(seed, ntrits, layout, edits):
         else:  # create a marker
             nts = nts.copy()
             nts[pos : pos + 2] = A
+    return nts
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 200),
+    st.sampled_from([(2, 2), (5, 8), (10, 12), (20, 12), (50, 12), (None, 12)]),
+    st.integers(0, 8),
+)
+@example(0, 47, (10, 12), 0)  # no edits, short final partition
+def test_resync_equals_per_chunk_rotation_decode(seed, ntrits, layout, edits):
+    rng = np.random.default_rng(seed)
+    cfg = BarrierConfig(partition_len=layout[0], window=layout[1])
+    trits = rng.integers(0, 3, size=ntrits).astype(np.uint8)
+    nts = random_edits(one_strand(trits, cfg), rng, cfg, ntrits, edits)
     want_trits, want_damaged = resync_by_chunks(nts, cfg, ntrits)
     got = resync_decode(nts, cfg, ntrits)
     assert np.array_equal(got.trits, want_trits)
     assert got.damaged == want_damaged
+
+
+def resync_strand_by_strand(reads, cfg, per_strand, total_trits):
+    """resync_stream by one resync_decode per read, a missing one empty."""
+    pieces, damaged = [np.zeros(0, dtype=np.uint8)], 0
+    for k, read in enumerate(reads):
+        read = np.zeros(0, dtype=np.uint8) if read is None else read
+        r = resync_decode(read, cfg, min(per_strand, total_trits - k * per_strand))
+        pieces.append(r.trits)
+        damaged += r.damaged_count
+    return np.concatenate(pieces), damaged
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(2, 2), (10, 12), (20, 12), (50, 12), (None, 12)]),
+    st.integers(1, 4),
+    st.sampled_from(["exact", "short"]),
+    st.lists(st.sampled_from(["intact", "edits", "missing", "short", "long"]), max_size=6),
+)
+@example(0, (20, 12), 2, "short", ["intact", "missing", "edits", "long"])
+@example(1, (None, 12), 1, "exact", ["intact", "short", "intact"])
+def test_resync_stream_equals_strand_by_strand_loop(seed, layout, parts, fill, fates):
+    rng = np.random.default_rng(seed)
+    cfg = BarrierConfig(partition_len=layout[0], window=layout[1])
+    per_strand = parts * (layout[0] or int(rng.integers(1, 60)))
+    strands = len(fates)
+    ntrits = strands * per_strand
+    if fill == "short" and strands:  # total_trits not a multiple of per_strand
+        ntrits -= int(rng.integers(1, per_strand)) if per_strand > 1 else 0
+    trits = rng.integers(0, 3, size=ntrits).astype(np.uint8)
+    reads = stream_payloads(trits, cfg, per_strand)
+    assert len(reads) == strands
+    for k, fate in enumerate(fates):
+        if fate == "edits":
+            expected = min(per_strand, ntrits - k * per_strand)
+            reads[k] = random_edits(reads[k], rng, cfg, expected, int(rng.integers(1, 4)))
+        elif fate == "missing":
+            reads[k] = None
+        elif fate == "short":
+            reads[k] = reads[k][: int(rng.integers(0, reads[k].size))]
+        elif fate == "long":
+            extra = rng.integers(0, 4, size=int(rng.integers(1, 5))).astype(np.uint8)
+            reads[k] = np.concatenate([reads[k], extra])
+    got, damaged = resync_stream(reads, cfg, per_strand, ntrits)
+    want, want_damaged = resync_strand_by_strand(reads, cfg, per_strand, ntrits)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
+    assert damaged == want_damaged
 
 
 # -- stream layout against a per-partition reference -------------------------

@@ -7,8 +7,27 @@ from imgdna.channel import (
     parse_channel_config,
     perturb_pool,
     perturb_strand,
-    strand_rng,
+    seed_words,
 )
+
+
+def strand_rng(seed: int, uid: int, copy: int) -> np.random.Generator:
+    """The generator perturb_pool gives read (uid, copy), built by numpy."""
+    return np.random.default_rng(np.random.SeedSequence([seed, uid, copy]))
+
+
+def perturb_pool_reference(strands, cfg, seed, protect=(0, 0)):
+    """perturb_pool with one numpy-seeded generator per read."""
+    out = []
+    for uid, strand in enumerate(strands):
+        lo, hi = 0, strand.size
+        if not cfg.corrupt_primers:
+            lo = min(protect[0], strand.size)
+            hi = max(strand.size - protect[1], lo)
+        out.append(
+            [perturb_strand(strand, cfg, strand_rng(seed, uid, c), lo, hi) for c in range(cfg.copies)]
+        )
+    return out
 
 
 def test_config_validation():
@@ -35,6 +54,52 @@ def test_kind_draw_matches_generator_choice(weights):
         kinds = cfg.kind_cdf.searchsorted(ours.random(n), side="right")
         assert np.array_equal(kinds, theirs.choice(3, n, p=cfg.fractions))
         assert ours.random() == theirs.random()
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**70 + 3]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_seed_words_equal_seed_sequence(seed):
+    # seed_words re-implements numpy's SeedSequence hash; if a numpy
+    # release changes that hash, this test names the break
+    words = seed_words(seed, 301, 5)
+    assert words.shape == (301, 5, 4) and words.dtype == np.uint64
+    for uid in range(301):
+        for copy in range(5):
+            want = np.random.SeedSequence([seed, uid, copy]).generate_state(4, np.uint64)
+            assert np.array_equal(words[uid, copy], want), (uid, copy)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.01, 1.0])
+@pytest.mark.parametrize("copies", [1, 3])
+@pytest.mark.parametrize("protect", [(0, 0), (20, 15)])
+@pytest.mark.parametrize("corrupt_primers", [False, True])
+def test_perturb_pool_equals_per_read_reference(rate, copies, protect, corrupt_primers):
+    rng = np.random.default_rng(6)
+    strands = [rng.integers(0, 4, size=int(n)).astype(np.uint8) for n in rng.integers(0, 260, 40)]
+    cfg = ChannelConfig(rate=rate, copies=copies, corrupt_primers=corrupt_primers)
+    for seed in (0, 2**32, 2**70 + 3):
+        got = perturb_pool(strands, cfg, seed, protect=protect)
+        want = perturb_pool_reference(strands, cfg, seed, protect=protect)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert len(g) == copies
+            for gc, wc in zip(g, w):
+                assert gc.dtype == np.uint8 and np.array_equal(gc, wc)
+
+
+def test_pool_seed_must_be_a_nonnegative_integer():
+    strands = [np.zeros(50, dtype=np.uint8)]
+    cfg = ChannelConfig(rate=0.2)
+    with pytest.raises(ValueError):
+        perturb_pool(strands, cfg, seed=-1)
+    with pytest.raises(TypeError):
+        perturb_pool(strands, cfg, seed=3.0)
+    want = perturb_pool(strands, cfg, seed=7)[0][0]
+    for seed in (np.uint32(7), np.int64(7)):
+        assert np.array_equal(perturb_pool(strands, cfg, seed=seed)[0][0], want)
+    assert perturb_pool([], cfg, seed=7) == []
 
 
 def test_zero_rate_is_identity():

@@ -1,5 +1,6 @@
 """End-to-end pipeline behaviour: round trips, routing, experiments."""
 
+import copy
 from functools import lru_cache
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from imgdna.channel import ChannelConfig, perturb_pool
 from imgdna.corpus import corpus_image
-from imgdna.formats import read_mapping, read_metadata, read_pool, write_mapping, write_metadata, write_pool
+from imgdna.formats import FormatError, read_mapping, read_metadata, read_pool, write_mapping, write_metadata, write_pool
 from imgdna.pipeline import (
     DEFAULT_RATES,
     SCHEME_IMG_DNA,
@@ -208,6 +209,33 @@ def test_empty_read_group_counts_as_missing(scheme):
     assert np.array_equal(as_dict.image, dec.image)
     assert np.array_equal(without.image, dec.image)
     assert without.missing_strands == 1
+
+
+# each edit breaks one stream of a mapping and returns that stream
+def _bump_strand_count(m):
+    m.streams[-1].strand_count += 1
+    return m.streams[-1]
+
+
+def _far_block_start(m):
+    m.streams[-1].segments[0].block_start = 10**6
+    return m.streams[-1]
+
+
+def _long_last_dc_segment(m):
+    m.streams[0].segments[-1].block_count += 5
+    return m.streams[0]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("edit", [_bump_strand_count, _far_block_start, _long_last_dc_segment])
+def test_mapping_that_disagrees_with_the_image_is_a_format_error(scheme, edit):
+    enc = _crop_encoding(scheme)
+    decode_pool(enc.strands, enc.mapping, enc.metadata)  # the encoded mapping is accepted
+    mapping = copy.deepcopy(enc.mapping)
+    sid = edit(mapping).stream_id
+    with pytest.raises(FormatError, match=f"stream {sid}:"):
+        decode_pool(enc.strands, mapping, enc.metadata)
 
 
 def test_single_error_containment(small_image):

@@ -130,3 +130,20 @@ def test_decode_total_on_arbitrary_sequences(nts, seed):
     assert len(trits) == len(nts)
     assert trits.size == 0 or (trits.min() >= 0 and trits.max() <= 2)
     assert trits.tolist() == rotate_decode_arithmetic(nts, seed).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 6),
+    st.integers(0, 80),
+    st.integers(0, 3),
+)
+@example(0, 0, 5, 0)
+@example(0, 3, 0, 1)
+def test_2d_decode_equals_row_by_row(seed, rows, cols, start):
+    grid = np.random.default_rng(seed).integers(0, 256, size=(rows, cols)).astype(np.uint8)
+    got = rotate_decode(grid, seed=start)
+    assert got.shape == grid.shape and got.dtype == np.uint8
+    for row, want in zip(got, grid):
+        assert row.tolist() == rotate_decode(want, seed=start).tolist()
