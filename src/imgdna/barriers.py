@@ -15,12 +15,11 @@ The decoder knows the expected trit count, searches a +/- window around each
 expected marker position, and when a marker was destroyed it merges the two
 neighbouring partitions and carries on at the following one.
 
-resync_stream decodes a whole stream's reads, one per strand. The intact
-reads of its full strands, which are most reads at the error rates studied,
-decode together: one (reads, length) array, one intact test, one rotation
-decode along the rows and one gather of the payload columns into the
-stream's grid. Every other read, and the stream's short final strand, goes
-through resync_decode one by one, with the same result either way.
+resync_reads decodes a batch of reads of one layout. Its intact reads,
+most reads at the error rates studied, decode together: one (reads,
+length) array, one intact test, one rotation decode along the rows and one
+gather of the payload columns. Every other read goes through
+resync_decode, the marker search, with the same result either way.
 """
 
 from __future__ import annotations
@@ -184,35 +183,17 @@ def _intact(nts: np.ndarray, layout: _ReadLayout):
 
 
 def resync_decode(nts, cfg: BarrierConfig, expected_trits: int) -> ResyncResult:
-    """Decode a barriered sequence back to expected_trits trits.
-
-    Damaged partitions are padded with trit 0 or truncated so every
+    """Decode a barriered sequence back to expected_trits trits by marker
+    search. Damaged partitions are padded with trit 0 or truncated so every
     partition lands at its original offset in the output stream.
-
-    A read is intact when it has the layout's length, every marker column
-    holds A and no column right after a marker does. An intact read is
-    decoded by dropping its marker columns from one rotation decode, with
-    no partition damaged. That is what the marker search gives it too: at
-    each marker the true 'AA' is a candidate at distance 0 from the
-    expected position, and the non-A after it stops the run-snapping, so
-    _find_marker returns the expected column every time and every chunk is
-    exactly its span long. Being intact does not mean error-free: a
-    substitution inside a partition reads as clean on both paths. Any
-    other read goes through the marker search.
     """
     nts = np.asarray(nts, dtype=np.uint8)
     layout = _read_layout(expected_trits, cfg)
     lengths, offsets = layout.lengths, layout.offsets
     n = len(lengths)
-    if n == 0:
-        return ResyncResult(np.zeros(0, dtype=np.uint8))
-
     # one rotation decode for the whole read: every chunk starts at 0 or
     # right after a marker's A, so its predecessor is the seed A either way
     decoded = rotate_decode(nts, seed=A)
-    if nts.size == layout.size and _intact(nts, layout):
-        return ResyncResult(decoded[layout.payload], [False] * n)
-
     half = (cfg.window - 2) // 2
     out = np.zeros(expected_trits, dtype=np.uint8)
     damaged = [False] * n
@@ -231,18 +212,16 @@ def resync_decode(nts, cfg: BarrierConfig, expected_trits: int) -> ResyncResult:
             take = min(lengths[j], max(chunk.size - at, 0))
             out[offsets[j] : offsets[j] + take] = chunk[at : at + take]
             at += lengths[j]
-            if not clean:
-                damaged[j] = True
+            damaged[j] = not clean  # each partition closes once
 
     codes = nts.tolist()
-    for i in range(layout.markers):
-        last_part = i  # marker i follows partition i
+    for i in range(layout.markers):  # marker i follows partition i
         expected = pos + offsets[i + 1] - offsets[chunk_first] + 2 * merged
         s = _find_marker(codes, expected, pos, half)
         if s is None:
             merged += 1
             continue
-        close_chunk(last_part, s)
+        close_chunk(i, s)
         pos = s + 2
         chunk_first = i + 1
         merged = 0
@@ -253,37 +232,33 @@ def resync_decode(nts, cfg: BarrierConfig, expected_trits: int) -> ResyncResult:
     return ResyncResult(out, damaged)
 
 
-def resync_stream(
-    reads, cfg: BarrierConfig, per_strand: int, total_trits: int
-) -> tuple[np.ndarray, int]:
-    """(trits, damaged partition count) of a whole stream, read k standing
-    for its k-th strand and None for a missing one. There must be one read
-    per strand: ceil(total_trits / per_strand) of them.
+def resync_reads(reads, cfg: BarrierConfig, expected_trits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(len(reads), expected_trits) uint8 trits and damaged partitions per
+    read; None stands for a missing read, which decodes as an empty one.
 
-    Intact reads of the full strands, the final strand excepted when it is
-    short, decode as resync_decode decodes them, all at once: their rows are
-    stacked, tested, rotation-decoded and gathered into the output grid.
-    Every other read goes through resync_decode, a missing one as an empty
-    read.
+    Intact reads (the layout's length, A in every marker column and in no
+    column right after a marker) are stacked, rotation-decoded and gathered
+    at once, with no partition damaged. The marker search gives them the
+    same: at each marker the true 'AA' is a candidate at distance 0 from
+    the expected position, and the non-A after it stops the run-snapping,
+    so _find_marker returns the expected column every time and every chunk
+    is exactly its span long. Intact is not error-free: a substitution
+    inside a partition reads as clean on both paths. Every other read goes
+    through resync_decode.
     """
-    out = np.zeros(total_trits, dtype=np.uint8)
-    full = total_trits // per_strand
-    layout = _read_layout(per_strand, cfg)
-    whole = [k for k in range(full) if reads[k] is not None and reads[k].size == layout.size]
-    intact = set()
+    out = np.zeros((len(reads), expected_trits), dtype=np.uint8)
+    damaged = np.zeros(len(reads), dtype=np.int64)
+    layout = _read_layout(expected_trits, cfg)
+    whole = [k for k, read in enumerate(reads) if read is not None and read.size == layout.size]
+    intact = np.zeros(len(reads), dtype=bool)
     if whole:
         rows = np.stack([reads[k] for k in whole])
         ok = _intact(rows, layout)
-        kept = np.array(whole)[ok]
-        grid = out[: full * per_strand].reshape(full, per_strand)
-        grid[kept] = rotate_decode(rows[ok], seed=A)[:, layout.payload]
-        intact = set(kept.tolist())
-    damaged = 0
-    for k, read in enumerate(reads):
-        if k not in intact:
-            start = k * per_strand
-            read = np.zeros(0, dtype=np.uint8) if read is None else read
-            r = resync_decode(read, cfg, min(per_strand, total_trits - start))
-            out[start : start + r.trits.size] = r.trits
-            damaged += r.damaged_count
+        intact[whole] = ok
+        out[intact] = rotate_decode(rows[ok], seed=A)[:, layout.payload]
+    empty = np.zeros(0, dtype=np.uint8)
+    for k in np.flatnonzero(~intact).tolist():
+        r = resync_decode(empty if reads[k] is None else reads[k], cfg, expected_trits)
+        out[k] = r.trits
+        damaged[k] = r.damaged_count
     return out, damaged

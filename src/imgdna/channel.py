@@ -17,6 +17,7 @@ starts from its row.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,8 +40,8 @@ class ChannelConfig:
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError("rate must be in [0, 1]")
         weights = (self.sub_weight, self.ins_weight, self.del_weight)
-        if min(weights) < 0 or sum(weights) <= 0:
-            raise ValueError("error weights must be nonnegative with a positive sum")
+        if not all(map(math.isfinite, weights)) or min(weights) < 0 or sum(weights) <= 0:
+            raise ValueError("error weights must be finite and nonnegative with a positive sum")
         if self.copies < 1:
             raise ValueError("copies must be >= 1")
 

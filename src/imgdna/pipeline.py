@@ -23,11 +23,13 @@ live in the mapping sidecar (the error-free side channel), so the decoder
 can carve the repaired trit stream back into segments no matter what the
 noisy channel did to individual strands.
 
-Every strand slot goes through the barrier resync decode, which treats a
-stream without barriers as one unbounded partition per strand; such a
-strand counts as one damaged partition when its decoded length is wrong.
-A missing or quarantined strand decodes as an empty read: zero trits, with
-every one of its partitions counted as damaged.
+Every strand slot goes through the barrier resync decode, resync_reads,
+which decode_pool calls for a stream's full strands and for its final one
+and run_containment for each barrier layout. It treats a stream without
+barriers as one unbounded partition per strand; such a strand counts as
+one damaged partition when its decoded length is wrong. A missing or
+quarantined strand decodes as an empty read: zero trits, with every one
+of its partitions counted as damaged.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .barriers import BarrierConfig, resync_decode, resync_stream, stream_payloads
+from .barriers import BarrierConfig, resync_reads, stream_payloads
 from .channel import ChannelConfig, apply_edits, edit_value, perturb_pool
 from .formats import FormatError, MappingTable, SegmentRecord, StreamMap
 from .jpeg import ZIGZAG, ImageMetadata, forward_transform, inverse_transform
@@ -366,8 +368,11 @@ def decode_pool(pool, mapping: MappingTable, meta: ImageMetadata) -> DecodeResul
         slots = dis.streams[sm.stream_id]
         # a missing strand decodes as an empty read: zeros, all partitions damaged
         result.missing_strands += sum(read is None for read in slots)
-        trits, damaged = resync_stream(slots, bc, per, sm.total_trits)
-        result.damaged_partitions += damaged
+        full = sm.total_trits // per  # the final strand may be short
+        head, head_damaged = resync_reads(slots[:full], bc, per)
+        tail, tail_damaged = resync_reads(slots[full:], bc, sm.total_trits - full * per)
+        trits = np.append(head, tail)
+        result.damaged_partitions += int(head_damaged.sum() + tail_damaged.sum())
 
         datas = trits_to_segments(trits, [seg.trit_count for seg in sm.segments])
         # each coefficient class comes from one stream, and a segment
@@ -472,6 +477,8 @@ def _score_trials(encs, refs, trials: int, noisy_pool) -> tuple[float, float]:
     noisy_pool(ii, enc, trial) returns the noisy pool for one trial; each
     trial seeds its own generator, so the call order cannot change a score.
     """
+    if trials < 1:
+        raise PipelineError("trials must be >= 1")
     scores = [
         ssim(refs[ii], decode_pool(noisy_pool(ii, enc, trial), enc.mapping, enc.metadata).image)
         for ii, enc in enumerate(encs)
@@ -627,11 +634,15 @@ class ContainmentStats:
         return self.confined_to_strand / self.trials if self.trials else 1.0
 
 
-def _partition_damage(got: np.ndarray, want: np.ndarray, pl: int | None) -> int:
-    if want.size == 0:
-        return 0
-    starts = np.arange(0, want.size, pl or want.size)  # None: one unbounded partition
-    return int(np.logical_or.reduceat(got != want, starts).sum())
+# trials whose reads are decoded together; bounds memory for any trial count
+CONTAINMENT_BATCH = 4096
+
+
+def _damage_per_row(got: np.ndarray, want: np.ndarray, pl: int | None) -> np.ndarray:
+    """Partitions of pl trits in which each row of got differs from the
+    same row of want; the last partition may be short."""
+    starts = np.arange(0, want.shape[1], pl or want.shape[1])  # None: one unbounded partition
+    return np.logical_or.reduceat(got != want, starts, axis=1).sum(axis=1)
 
 
 def run_containment(
@@ -643,11 +654,14 @@ def run_containment(
     """Single-error injections: how far does the damage spread?
 
     Each trial mutates one nucleotide (uniform position incl. primers and
-    index, uniform type) in one strand, routes and decodes that read as
-    decode_pool would, and counts damaged partitions against the pristine
-    trit stream. A quarantined read loses the whole strand but stays
-    confined; routing to any other address counts as unconfined.
+    index, uniform type) in one strand and routes that read; the reads of
+    up to CONTAINMENT_BATCH trials decode together as decode_pool would,
+    and each trial counts damaged partitions against the pristine trit
+    stream. A quarantined read loses the whole strand but stays confined;
+    routing to any other address counts as unconfined.
     """
+    if trials < 0:
+        raise PipelineError("trials must be >= 0")
     cfg = cfg or ExperimentConfig()
     enc = encode_image(image, cfg)
     geom = enc.geometry()
@@ -660,29 +674,34 @@ def run_containment(
             want = enc.stream_trits[sm.stream_id][k * per : (k + 1) * per]
             targets[sm.first_uid + k] = (sm.stream_id, k, bc, want)
 
-    lengths = np.array([s.size for s in enc.strands], dtype=np.int64)
-    cum = np.concatenate([[0], np.cumsum(lengths)])
+    cum = np.concatenate([[0], np.cumsum([s.size for s in enc.strands], dtype=np.int64)])
     rng = np.random.default_rng(seed)
     stats = ContainmentStats(trials=trials)
 
-    for _ in range(trials):
-        flat_pos = int(rng.integers(0, cum[-1]))
-        uid = int(np.searchsorted(cum, flat_pos, side="right")) - 1
-        pos = flat_pos - int(cum[uid])
-        kind = int(rng.integers(0, 3))
-        read = apply_edits(enc.strands[uid], [(pos, kind, edit_value(rng, kind))])
-
-        sid, offset, bc, want = targets[uid]
-        routed = route_read(read, geom, limit)
-        confined = routed is None or routed[:2] == (sid, offset)
-        if routed is not None and confined:
-            got = resync_decode(routed[2], bc, want.size).trits
-        else:
-            got = np.zeros_like(want)
-        damage = _partition_damage(got, want, bc.partition_len)
-
-        stats.within_two_partitions += damage <= 2
-        stats.confined_to_strand += confined
-        stats.damage_histogram[damage] = stats.damage_histogram.get(damage, 0) + 1
+    for first in range(0, trials, CONTAINMENT_BATCH):
+        batch = min(CONTAINMENT_BATCH, trials - first)
+        # (barrier layout, trits) -> trial, confined payload or None, pristine trits
+        groups: dict[tuple[BarrierConfig, int], list] = {}
+        for t in range(batch):
+            flat_pos = int(rng.integers(0, cum[-1]))
+            uid = int(np.searchsorted(cum, flat_pos, side="right")) - 1
+            pos = flat_pos - int(cum[uid])
+            kind = int(rng.integers(0, 3))
+            read = apply_edits(enc.strands[uid], [(pos, kind, edit_value(rng, kind))])
+            sid, offset, bc, want = targets[uid]
+            routed = route_read(read, geom, limit)
+            confined = routed is None or routed[:2] == (sid, offset)
+            stats.confined_to_strand += confined
+            # a quarantined or misrouted read decodes as a missing one: zeros
+            payload = routed[2] if routed is not None and confined else None
+            groups.setdefault((bc, want.size), []).append((t, payload, want))
+        damage = np.zeros(batch, dtype=np.int64)
+        for (bc, size), items in groups.items():
+            trial_ids, payloads, wants = zip(*items)
+            got, _ = resync_reads(payloads, bc, size)
+            damage[list(trial_ids)] = _damage_per_row(got, np.stack(wants), bc.partition_len)
+        for d in damage.tolist():
+            stats.within_two_partitions += d <= 2
+            stats.damage_histogram[d] = stats.damage_histogram.get(d, 0) + 1
 
     return stats

@@ -126,11 +126,12 @@ def trits_to_segments(trits, counts) -> list[bytes]:
 
     Each segment decodes on its own: it skips one trit on the dummy
     codeword and drops an unmatchable tail. The inverse of bytes_to_trits
-    is trits_to_segments(t, [t.size])[0]. The symbol and codeword length of the MAX_LENGTH-trit window at every
-    stream position are looked up once; a codeword is a prefix of its
-    window, so trits past a segment's end change neither a codeword that
-    fits in the segment nor the verdict that none fits. A segment running
-    past the stream's end is cut short there.
+    is trits_to_segments(t, [t.size])[0]. The symbol and codeword length
+    of the MAX_LENGTH-trit window at every stream position are looked up
+    once; a codeword is a prefix of its window, so trits past a segment's
+    end change neither a codeword that fits in the segment nor the verdict
+    that none fits. A segment running past the stream's end is cut short
+    there.
     """
     trits = np.asarray(trits, dtype=np.uint8)
     n = trits.size

@@ -9,7 +9,7 @@ from imgdna.barriers import (
     _find_marker,
     _partition_lengths,
     resync_decode,
-    resync_stream,
+    resync_reads,
     stream_payloads,
 )
 from imgdna.corpus import corpus_image
@@ -297,15 +297,16 @@ def test_resync_equals_per_chunk_rotation_decode(seed, ntrits, layout, edits):
     assert got.damaged == want_damaged
 
 
-def resync_strand_by_strand(reads, cfg, per_strand, total_trits):
-    """resync_stream by one resync_decode per read, a missing one empty."""
-    pieces, damaged = [np.zeros(0, dtype=np.uint8)], 0
-    for k, read in enumerate(reads):
-        read = np.zeros(0, dtype=np.uint8) if read is None else read
-        r = resync_decode(read, cfg, min(per_strand, total_trits - k * per_strand))
-        pieces.append(r.trits)
-        damaged += r.damaged_count
-    return np.concatenate(pieces), damaged
+def resync_read_by_read(reads, cfg, expected_trits):
+    """resync_reads by one marker search per read, a missing one empty."""
+    results = [
+        resync_decode(np.zeros(0, dtype=np.uint8) if read is None else read, cfg, expected_trits)
+        for read in reads
+    ]
+    trits = np.zeros((len(reads), expected_trits), dtype=np.uint8)
+    for k, r in enumerate(results):
+        trits[k] = r.trits
+    return trits, [r.damaged_count for r in results]
 
 
 @settings(max_examples=300, deadline=None)
@@ -314,24 +315,34 @@ def resync_strand_by_strand(reads, cfg, per_strand, total_trits):
     st.sampled_from([(2, 2), (10, 12), (20, 12), (50, 12), (None, 12)]),
     st.integers(1, 4),
     st.sampled_from(["exact", "short"]),
+    st.sampled_from(["strands", "copies"]),
     st.lists(st.sampled_from(["intact", "edits", "missing", "short", "long"]), max_size=6),
 )
-@example(0, (20, 12), 2, "short", ["intact", "missing", "edits", "long"])
-@example(1, (None, 12), 1, "exact", ["intact", "short", "intact"])
-def test_resync_stream_equals_strand_by_strand_loop(seed, layout, parts, fill, fates):
+@example(0, (20, 12), 2, "short", "strands", ["intact", "missing", "edits", "long"])
+@example(1, (None, 12), 1, "exact", "strands", ["intact", "short", "intact"])
+@example(2, (10, 12), 3, "exact", "copies", ["intact", "edits", "edits", "intact", "missing"])
+@example(3, (20, 12), 2, "short", "copies", ["missing", "missing", "missing"])
+@example(4, (50, 12), 1, "exact", "strands", [])
+def test_resync_reads_equals_per_read_marker_search(seed, layout, parts, fill, source, fates):
+    # strands: distinct reads, as a stream's strands are; copies: repeated
+    # reads of one strand, as containment trials are; short: the trits of
+    # a stream's final strand
     rng = np.random.default_rng(seed)
     cfg = BarrierConfig(partition_len=layout[0], window=layout[1])
     per_strand = parts * (layout[0] or int(rng.integers(1, 60)))
-    strands = len(fates)
-    ntrits = strands * per_strand
-    if fill == "short" and strands:  # total_trits not a multiple of per_strand
-        ntrits -= int(rng.integers(1, per_strand)) if per_strand > 1 else 0
-    trits = rng.integers(0, 3, size=ntrits).astype(np.uint8)
-    reads = stream_payloads(trits, cfg, per_strand)
-    assert len(reads) == strands
+    expected = per_strand
+    if fill == "short" and per_strand > 1:
+        expected = int(rng.integers(1, per_strand))
+
+    def strand():
+        trits = rng.integers(0, 3, size=expected).astype(np.uint8)
+        (payload,) = stream_payloads(trits, cfg, per_strand)
+        return payload
+
+    base = strand()
+    reads = [strand() if source == "strands" else base for _ in fates]
     for k, fate in enumerate(fates):
         if fate == "edits":
-            expected = min(per_strand, ntrits - k * per_strand)
             reads[k] = random_edits(reads[k], rng, cfg, expected, int(rng.integers(1, 4)))
         elif fate == "missing":
             reads[k] = None
@@ -340,11 +351,21 @@ def test_resync_stream_equals_strand_by_strand_loop(seed, layout, parts, fill, f
         elif fate == "long":
             extra = rng.integers(0, 4, size=int(rng.integers(1, 5))).astype(np.uint8)
             reads[k] = np.concatenate([reads[k], extra])
-    got, damaged = resync_stream(reads, cfg, per_strand, ntrits)
-    want, want_damaged = resync_strand_by_strand(reads, cfg, per_strand, ntrits)
+    got, damaged = resync_reads(reads, cfg, expected)
+    want, want_damaged = resync_read_by_read(reads, cfg, expected)
     assert got.dtype == np.uint8
+    assert got.shape == (len(reads), expected)
     assert np.array_equal(got, want)
-    assert damaged == want_damaged
+    assert damaged.tolist() == want_damaged
+
+
+def test_resync_reads_of_missing_reads_are_zeros_with_every_partition_damaged():
+    cfg = BarrierConfig(partition_len=20)
+    got, damaged = resync_reads([None] * 3, cfg, 45)
+    assert np.array_equal(got, np.zeros((3, 45), dtype=np.uint8))
+    assert damaged.tolist() == [3, 3, 3]
+    got, damaged = resync_reads([], cfg, 45)
+    assert got.shape == (0, 45) and damaged.size == 0
 
 
 # -- stream layout against a per-partition reference -------------------------

@@ -39,6 +39,10 @@ def test_config_validation():
         ChannelConfig(rate=0.1, sub_weight=0, ins_weight=0, del_weight=0)
     with pytest.raises(ValueError):
         ChannelConfig(rate=0.1, copies=0)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for field in ("sub_weight", "ins_weight", "del_weight"):
+            with pytest.raises(ValueError, match="finite"):
+                ChannelConfig(rate=0.1, **{field: bad})
     assert ChannelConfig(rate=0.5).fractions == (1 / 3, 1 / 3, 1 / 3)
 
 
@@ -260,3 +264,6 @@ def test_parse_channel_config():
         parse_channel_config("")  # rate is mandatory
     with pytest.raises(ValueError):
         parse_channel_config("rate=0.1\ncorrupt_primers=maybe")
+    for text in ("rate=0.5\nsub_weight=nan", "rate=0.5\nins_weight=inf", "rate=0.5\ndel_weight=-inf"):
+        with pytest.raises(ValueError, match="finite"):
+            parse_channel_config(text)

@@ -90,6 +90,30 @@ def test_perturb_requires_rate_or_config(encoded, tmp_path, capsys):
     assert "rate" in err["message"]
 
 
+@pytest.mark.parametrize("flag", [["--sub-weight", "nan"], ["--ins-weight", "inf"]])
+def test_perturb_rejects_non_finite_weights(encoded, tmp_path, capsys, flag):
+    code = run(["perturb", "--pool", f"{encoded}.pool.fa", "--mapping", f"{encoded}.map",
+                "--rate", 0.01, *flag, "--out", tmp_path / "x.fa"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "finite" in err["message"]
+    assert not (tmp_path / "x.fa").exists()
+
+
+@pytest.mark.parametrize("verb", ["validate", "sweep", "isolate"])
+def test_bad_trial_counts_exit_1(encoded, tmp_path, capsys, verb):
+    argv = {
+        "validate": ["validate", "--pool", f"{encoded}.pool.fa", "--containment", -3],
+        "sweep": ["sweep", "--builtin-corpus", 1, "--trials", 0, "--out", tmp_path / "s.csv"],
+        "isolate": ["isolate", "--builtin-corpus", 1, "--trials", 0, "--out", tmp_path / "i.csv"],
+    }[verb]
+    assert run(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PipelineError"
+    assert "trials" in err["message"]
+
+
 def test_machine_readable_error_on_missing_file(tmp_path, capsys):
     code = run(["decode", "--pool", tmp_path / "nope.fa", "--mapping", tmp_path / "m",
                 "--metadata", tmp_path / "t", "--out", tmp_path / "o.pgm"])

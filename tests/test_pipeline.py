@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from imgdna.channel import ChannelConfig, perturb_pool
+from imgdna import pipeline
+from imgdna.barriers import resync_decode
+from imgdna.channel import ChannelConfig, apply_edits, edit_value, perturb_pool
 from imgdna.corpus import corpus_image
 from imgdna.formats import FormatError, read_mapping, read_metadata, read_pool, write_mapping, write_metadata, write_pool
 from imgdna.pipeline import (
@@ -26,12 +28,12 @@ from imgdna.pipeline import (
     run_containment,
     run_pipeline,
     run_sweep,
-    _partition_damage,
+    _damage_per_row,
     _primer_bounds,
     _strand_trit_layout,
     _target_positions,
 )
-from imgdna.strands import STREAM_AC, STREAM_DC
+from imgdna.strands import STREAM_AC, STREAM_DC, route_read
 
 
 @pytest.fixture(scope="module")
@@ -269,19 +271,100 @@ def test_seeded_draw_order_is_pinned(small_image):
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
+    st.integers(0, 5),
     st.integers(1, 300),
     st.sampled_from([None, 2, 7, 50, 400]),
     st.integers(0, 4),
 )
-def test_partition_damage_equals_per_partition_loop(seed, size, pl, hits):
+def test_partition_damage_equals_per_partition_loop(seed, rows, size, pl, hits):
     rng = np.random.default_rng(seed)
-    want = rng.integers(0, 3, size=size).astype(np.uint8)
+    want = rng.integers(0, 3, size=(rows, size)).astype(np.uint8)
     got = want.copy()
-    got[rng.integers(0, size, size=hits)] = rng.integers(0, 3, size=hits)
+    for row in got:
+        row[rng.integers(0, size, size=hits)] = rng.integers(0, 3, size=hits)
     diff = got != want
     step = pl or size  # None: one unbounded partition; the last may be short
-    loop = sum(1 for j in range(0, size, step) if diff[j : j + step].any())
-    assert _partition_damage(got, want, pl) == loop
+    loop = [sum(1 for j in range(0, size, step) if d[j : j + step].any()) for d in diff]
+    assert _damage_per_row(got, want, pl).tolist() == loop
+
+
+def containment_by_trial(image, cfg, trials, seed):
+    """run_containment with one route_read, one marker search and one
+    per-partition damage count per trial, each in turn."""
+    enc = encode_image(image, cfg)
+    geom = enc.geometry()
+    limit = 2 * max(sm.strand_count for sm in enc.mapping.streams)
+    targets = {}
+    for sm in enc.mapping.streams:
+        bc, per = _strand_trit_layout(sm, geom.capacity)
+        for k in range(sm.strand_count):
+            want = enc.stream_trits[sm.stream_id][k * per : (k + 1) * per]
+            targets[sm.first_uid + k] = (sm.stream_id, k, bc, want)
+    cum = np.concatenate([[0], np.cumsum([s.size for s in enc.strands])])
+    rng = np.random.default_rng(seed)
+    within = confined_count = 0
+    hist = {}
+    for _ in range(trials):
+        flat_pos = int(rng.integers(0, cum[-1]))
+        uid = int(np.searchsorted(cum, flat_pos, side="right")) - 1
+        pos = flat_pos - int(cum[uid])
+        kind = int(rng.integers(0, 3))
+        read = apply_edits(enc.strands[uid], [(pos, kind, edit_value(rng, kind))])
+        sid, offset, bc, want = targets[uid]
+        routed = route_read(read, geom, limit)
+        confined = routed is None or routed[:2] == (sid, offset)
+        if routed is not None and confined:
+            got = resync_decode(routed[2], bc, want.size).trits
+        else:
+            got = np.zeros_like(want)
+        step = bc.partition_len or want.size
+        damage = sum(
+            1 for j in range(0, want.size, step) if (got[j : j + step] != want[j : j + step]).any()
+        )
+        within += damage <= 2
+        confined_count += confined
+        hist[damage] = hist.get(damage, 0) + 1
+    return within, confined_count, hist
+
+
+def _pattern(height, width):
+    return (np.arange(height * width).reshape(height, width) * 7 % 256).astype(np.uint8)
+
+
+CONTAINMENT_IMAGES = {
+    "corpus3": lambda: corpus_image(3),
+    "corpus15": lambda: corpus_image(15),
+    "16x16": lambda: _pattern(16, 16),
+    "8x8": lambda: _pattern(8, 8),
+    "40x24": lambda: _pattern(24, 40),
+}
+
+
+@pytest.mark.parametrize("seed", [5, 0xC2C2])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("image", sorted(CONTAINMENT_IMAGES))
+def test_containment_equals_per_trial_loop(image, scheme, seed, monkeypatch):
+    # small images have a short final strand per stream, and NoBarrier's
+    # DC and AC strands share a layout, so one batch mixes both streams;
+    # a batch of 97 trials makes the trial count cross batch boundaries
+    monkeypatch.setattr(pipeline, "CONTAINMENT_BATCH", 97)
+    img, cfg = CONTAINMENT_IMAGES[image](), ExperimentConfig(scheme=scheme)
+    stats = run_containment(img, cfg, trials=400, seed=seed)
+    within, confined, hist = containment_by_trial(img, cfg, 400, seed)
+    assert stats.trials == 400
+    assert (stats.within_two_partitions, stats.confined_to_strand) == (within, confined)
+    assert list(stats.damage_histogram.items()) == list(hist.items())
+
+
+def test_trial_counts_are_validated(small_image):
+    with pytest.raises(PipelineError, match="trials"):
+        run_containment(small_image, trials=-3)
+    assert run_containment(small_image, trials=0).trials == 0
+    points = [(SCHEME_IMG_DNA, ExperimentConfig())]
+    with pytest.raises(PipelineError, match="trials"):
+        run_sweep([small_image], points, rates=(0.01,), trials=0)
+    with pytest.raises(PipelineError, match="trials"):
+        run_coefficient_isolation([small_image], trials=0)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
