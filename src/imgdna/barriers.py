@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rotation import A, rotate_decode
+from .rotation import A, rotate_decode, rotate_encode
 
 BARRIER = np.array([A, A], dtype=np.uint8)
 
@@ -71,29 +71,24 @@ def stream_payloads(trits, cfg: BarrierConfig, per_strand: int) -> list[np.ndarr
 
     All strands are laid out in one pass. per_strand is a whole number of
     partitions, so partitions tile the stream: the stream becomes a grid
-    of one partition per row, each row is rotation-encoded from seed A (0)
-    by one cumulative sum of trit + 1 (mod 4, exact in uint8), and the two
-    columns after it hold its marker. The final partition may be short,
-    and its marker follows it directly. Without barriers a strand is one
-    partition and its payload drops the marker. The payloads are views
-    into one array.
+    of one partition per row, the rows are rotation-encoded from seed A in
+    one call, and the two columns after each row hold its marker. The
+    final partition may be short, and its marker follows it directly.
+    Without barriers a strand is one partition and its payload drops the
+    marker. The payloads are views into one array.
     """
     trits = np.asarray(trits, dtype=np.uint8)
     n = trits.size
     pl = per_strand if cfg.partition_len is None else cfg.partition_len
     if per_strand % pl:
         raise ValueError("a strand must hold a whole number of partitions")
-    if n and trits.max() > 2:
-        raise ValueError("trit values must be 0, 1 or 2")
     if n == 0:
         return []
     rows = -(-n // pl)
-    steps = np.zeros(rows * pl, dtype=np.uint8)
-    steps[:n] = trits
-    steps += 1
+    padded = np.zeros(rows * pl, dtype=np.uint8)
+    padded[:n] = trits
     grid = np.full((rows, pl + 2), A, dtype=np.uint8)
-    np.cumsum(steps.reshape(rows, pl), axis=1, dtype=np.uint8, out=grid[:, :pl])
-    grid[:, :pl] &= 3
+    grid[:, :pl] = rotate_encode(padded.reshape(rows, pl), seed=A)
     last = n - (rows - 1) * pl  # trits in the final partition
     grid[-1, last : last + 2] = A
     nts = grid.ravel()[: (rows - 1) * (pl + 2) + last + 2]

@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,16 +57,7 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        scheme=args.scheme,
-        quality=args.quality,
-        strand_len=args.strand_len,
-        dc_partition_len=args.dc_partition_len,
-        ac_partition_len=args.ac_partition_len,
-        barrier_window=args.barrier_window,
-        dc_segment_blocks=args.dc_segment_blocks,
-        seed=args.seed,
-    )
+    return ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)})
 
 
 def _add_channel_flags(sub: argparse.ArgumentParser) -> None:

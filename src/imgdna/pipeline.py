@@ -29,7 +29,8 @@ and run_containment for each barrier layout. It treats a stream without
 barriers as one unbounded partition per strand; such a strand counts as
 one damaged partition when its decoded length is wrong. A missing or
 quarantined strand decodes as an empty read: zero trits, with every one
-of its partitions counted as damaged.
+of its partitions counted as damaged and every segment with a trit on it
+counted as failed.
 """
 
 from __future__ import annotations
@@ -321,7 +322,7 @@ class DecodeResult:
     missing_strands: int = 0
     quarantined: int = 0
     duplicates: int = 0
-    segments_failed: int = 0  # entropy segments whose decode hit damage
+    segments_failed: int = 0  # entropy segments whose decode hit damage or a lost strand
 
 
 def _normalize_pool(pool) -> list[list[np.ndarray]]:
@@ -367,26 +368,34 @@ def decode_pool(pool, mapping: MappingTable, meta: ImageMetadata) -> DecodeResul
         tables = _segment_tables(mapping.scheme, sm.stream_id, dc_table, ac_table)
         slots = dis.streams[sm.stream_id]
         # a missing strand decodes as an empty read: zeros, all partitions damaged
-        result.missing_strands += sum(read is None for read in slots)
+        lost = np.cumsum([0] + [read is None for read in slots])  # lost slots before each
+        result.missing_strands += int(lost[-1])
         full = sm.total_trits // per  # the final strand may be short
         head, head_damaged = resync_reads(slots[:full], bc, per)
         tail, tail_damaged = resync_reads(slots[full:], bc, sm.total_trits - full * per)
         trits = np.append(head, tail)
         result.damaged_partitions += int(head_damaged.sum() + tail_damaged.sum())
 
-        datas = trits_to_segments(trits, [seg.trit_count for seg in sm.segments])
+        counts = [seg.trit_count for seg in sm.segments]
+        datas = trits_to_segments(trits, counts)
+        # a segment with a trit on a lost slot fails, even where its zero
+        # trits decode cleanly
+        edges = np.cumsum([0] + counts)
+        first = np.minimum(edges[:-1] // per, len(slots))
+        stop = np.minimum(-(-edges[1:] // per), len(slots))
+        meets = lost[stop] > lost[first]
         # each coefficient class comes from one stream, and a segment
         # leaves the class it does not carry at 0
         if tables[0] is None and all(seg.block_count == 1 for seg in sm.segments):
             vals, clean = decode_ac_blocks(datas, ac_table, quant_zig)
             # fancy += adds once per index; no block has two segments
             flat[[seg.block_start for seg in sm.segments]] += vals
-            result.segments_failed += len(datas) - int(clean.sum())
+            result.segments_failed += int((meets | ~clean).sum())
             continue
-        for seg, data in zip(sm.segments, datas):
+        for seg, data, lost_trits in zip(sm.segments, datas, meets.tolist()):
             vals, clean = decode_segment(data, *tables, seg.block_count, quant_zig)
             flat[seg.block_start : seg.block_start + seg.block_count] += vals
-            result.segments_failed += not clean
+            result.segments_failed += lost_trits or not clean
 
     result.image = inverse_transform(zigzag_unflatten(flat), meta)
     return result

@@ -44,16 +44,21 @@ def string_to_seq(text: str) -> np.ndarray:
 
 
 def rotate_encode(trits, seed: int = A) -> np.ndarray:
-    """Encode trits as nucleotides, rotating away from the previous output.
+    """Encode trits as nucleotides along the last axis, rotating away from
+    the previous output; each row of a 2D array encodes on its own.
 
     The seed is the imaginary predecessor of the first nucleotide, so the
-    first output always differs from it.
+    first output always differs from it. The cumulative sum of trit + 1
+    runs in uint8, which stays exact mod 4.
     """
-    trits = np.asarray(trits, dtype=np.int64)
+    trits = np.asarray(trits)
     if trits.size and (trits.min() < 0 or trits.max() > 2):
         raise ValueError("trit values must be 0, 1 or 2")
-    steps = np.cumsum(trits + 1)
-    return ((seed + steps) % 4).astype(np.uint8)
+    steps = trits.astype(np.uint8) + np.uint8(1)
+    np.cumsum(steps, axis=-1, dtype=np.uint8, out=steps)
+    steps += np.uint8(seed & 3)
+    steps &= 3
+    return steps
 
 
 def rotate_decode(nts, seed: int = A) -> np.ndarray:

@@ -4,7 +4,9 @@ DC terms are difference-coded as (category, amplitude bits); AC terms are
 run-length coded with (run, size) symbols plus end-of-block and
 sixteen-zeros markers, as in baseline JPEG. Code tables are canonical
 Huffman built per image from symbol counts, with the all-ones codeword
-reserved so byte padding never decodes as data.
+reserved so byte padding never decodes as data. prefix.py builds the
+depths, the codewords and the decode lookup, as it does for the ternary
+byte code; the 16-bit length cap is JPEG's and stays here.
 
 Streams are cut into segments of whole blocks, and one encoder and one
 decoder handle every segment. For each block a segment holds the DC
@@ -42,13 +44,13 @@ where lockstep has few or no segments to run side by side.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .jpeg import ZIGZAG, coefficient_bounds
+from .prefix import canonical_codes, huffman_depths, window_lookup
 
 EOB = 0x00  # end of block: all remaining AC terms are zero
 ZRL = 0xF0  # sixteen zero AC terms
@@ -74,24 +76,12 @@ def _optimal_lengths(freqs: dict[int, int]) -> dict[int, int]:
     at the maximum depth; being the highest symbol value it then takes the
     numerically largest (all ones) codeword in the canonical assignment.
     """
-    items = dict(freqs)
-    items[_RESERVED] = 0
-    heap = []
-    for tie, (sym, f) in enumerate(sorted(items.items())):
-        heap.append((f, tie, (sym,)))
-    heapq.heapify(heap)
-    tie = len(heap)
-    depth = dict.fromkeys(items, 0)
-    while len(heap) > 1:
-        fa, _, a = heapq.heappop(heap)
-        fb, _, b = heapq.heappop(heap)
-        for sym in a + b:
-            depth[sym] += 1
-        heapq.heappush(heap, (fa + fb, tie, a + b))
-        tie += 1
-    if len(items) == 1:  # degenerate: only the pseudo-symbol
-        depth[_RESERVED] = 1
-    return depth
+    items = {**freqs, _RESERVED: 0}
+    syms = sorted(items)
+    depths = huffman_depths([items[s] for s in syms], 2)
+    if len(syms) == 1:  # degenerate: only the pseudo-symbol
+        depths = [1]
+    return dict(zip(syms, depths))
 
 
 def _limit_lengths(lengths: dict[int, int], cap: int = MAX_CODE_LENGTH) -> dict[int, int]:
@@ -116,19 +106,6 @@ def _limit_lengths(lengths: dict[int, int], cap: int = MAX_CODE_LENGTH) -> dict[
     return dict(zip(syms, new_sorted))
 
 
-def _canonical_codes(lengths: dict[int, int]) -> dict[int, tuple[int, int]]:
-    out = {}
-    code = 0
-    prev = 0
-    for sym in sorted(lengths, key=lambda s: (lengths[s], s)):
-        ln = lengths[sym]
-        code <<= ln - prev
-        prev = ln
-        out[sym] = (code, ln)
-        code += 1
-    return out
-
-
 @dataclass
 class HuffmanTable:
     """Canonical code defined entirely by its per-symbol lengths."""
@@ -149,7 +126,7 @@ class HuffmanTable:
             1 << MAX_CODE_LENGTH
         ):
             raise ValueError("code lengths violate the Kraft bound")
-        self._encode = _canonical_codes(self.lengths)
+        self._encode = canonical_codes(self.lengths, 2)
 
     @classmethod
     def from_frequencies(cls, freqs: dict[int, int]) -> "HuffmanTable":
@@ -177,14 +154,8 @@ class HuffmanTable:
         with, and its length, 0 where no codeword matches. Built on first
         use, so encoding never pays for it."""
         if self._lookup is None:
-            sym = np.zeros(1 << MAX_CODE_LENGTH, dtype=np.uint8)
-            ln_arr = np.zeros(1 << MAX_CODE_LENGTH, dtype=np.uint8)
-            for s, (code, ln) in self._encode.items():
-                lo = code << (MAX_CODE_LENGTH - ln)
-                hi = lo + (1 << (MAX_CODE_LENGTH - ln))
-                sym[lo:hi] = s
-                ln_arr[lo:hi] = ln
-            self._lookup = sym.tobytes(), ln_arr.tobytes()
+            sym, ln = window_lookup(self._encode, 2, MAX_CODE_LENGTH)
+            self._lookup = sym.tobytes(), ln.tobytes()
         return self._lookup
 
 

@@ -7,64 +7,30 @@ window decodes to *some* symbol and only the dummy codeword is invalid.
 Decoding never fails: it resynchronizes after damage by skipping one trit
 at a time past a dummy codeword, and drops an unmatchable tail shorter than
 a codeword.
+
+The code lengths, codewords and the decode table of every MAX_LENGTH-trit
+window come from prefix.py, which builds the binary entropy code too.
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
+
+from .prefix import canonical_codes, huffman_depths, window_lookup
 
 DUMMY_SYMBOL = 256
 _N_SYMBOLS = 257
 
 
-def _huffman_lengths(n_symbols: int) -> list[int]:
-    # 3-ary Huffman over uniform weights; n_symbols must be odd so that
-    # every merge consumes exactly three nodes.
-    if n_symbols % 2 != 1:
-        raise ValueError("symbol count must be odd for a full ternary tree")
-    heap = [(1, i, (i,)) for i in range(n_symbols)]
-    heapq.heapify(heap)
-    depths = [0] * n_symbols
-    next_id = n_symbols
-    while len(heap) > 1:
-        weight = 0
-        members: tuple[int, ...] = ()
-        for _ in range(3):
-            w, _, ids = heapq.heappop(heap)
-            weight += w
-            members += ids
-        for i in members:
-            depths[i] += 1
-        heapq.heappush(heap, (weight, next_id, members))
-        next_id += 1
-    return depths
-
-
-def _build_code() -> tuple[np.ndarray, list[tuple[int, ...]]]:
+def _build_code() -> tuple[np.ndarray, dict[int, tuple[int, int]]]:
     # Uniform weights make the length assignment arbitrary; canonically the
     # sorted length multiset is assigned to symbols in index order, so low
     # byte values get the short codewords and the dummy comes last.
-    lengths = sorted(_huffman_lengths(_N_SYMBOLS))
-    words: list[tuple[int, ...]] = []
-    code = 0
-    prev_len = lengths[0]
-    for length in lengths:
-        if length > prev_len:
-            code *= 3 ** (length - prev_len)
-            prev_len = length
-        digits = []
-        value = code
-        for _ in range(length):
-            digits.append(value % 3)
-            value //= 3
-        words.append(tuple(reversed(digits)))
-        code += 1
-    return np.array(lengths, dtype=np.int64), words
+    lengths = sorted(huffman_depths([1] * _N_SYMBOLS, 3))
+    return np.array(lengths, dtype=np.int64), canonical_codes(dict(enumerate(lengths)), 3)
 
 
-_ALL_LENGTHS, _CODEWORDS = _build_code()
+_ALL_LENGTHS, _CODES = _build_code()
 CODE_LENGTHS = _ALL_LENGTHS[:256].copy()  # per byte value; dummy excluded
 DUMMY_LENGTH = int(_ALL_LENGTHS[DUMMY_SYMBOL])
 MAX_LENGTH = int(_ALL_LENGTHS.max())
@@ -73,44 +39,28 @@ MEAN_CODE_LENGTH = float(CODE_LENGTHS.mean())
 AVG_BITS_PER_TRIT = 8.0 / MEAN_CODE_LENGTH
 
 
+def _digit_matrix() -> tuple[np.ndarray, np.ndarray]:
+    # row s holds symbol s's codeword left-aligned in MAX_LENGTH trits,
+    # most significant first, with 0 past its length; the mask marks its trits
+    aligned = [code * 3 ** (MAX_LENGTH - ln) for code, ln in map(_CODES.get, range(_N_SYMBOLS))]
+    digits = np.array(aligned)[:, None] // 3 ** np.arange(MAX_LENGTH - 1, -1, -1) % 3
+    return digits.astype(np.uint8), np.arange(MAX_LENGTH) < _ALL_LENGTHS[:, None]
+
+
+_DIGITS, _DIGIT_MASK = _digit_matrix()
+_ENCODE_TRITS, _ENCODE_MASK = _DIGITS[:256], _DIGIT_MASK[:256]
+
+
 def codeword(symbol: int) -> tuple[int, ...]:
     """Trit tuple for a symbol (bytes 0-255 plus DUMMY_SYMBOL)."""
-    return _CODEWORDS[symbol]
+    return tuple(_DIGITS[symbol, : _ALL_LENGTHS[symbol]].tolist())
 
 
-def _build_encode_matrix() -> tuple[np.ndarray, np.ndarray]:
-    matrix = np.zeros((256, MAX_LENGTH), dtype=np.uint8)
-    mask = np.zeros((256, MAX_LENGTH), dtype=bool)
-    for value in range(256):
-        word = _CODEWORDS[value]
-        matrix[value, : len(word)] = word
-        mask[value, : len(word)] = True
-    return matrix, mask
-
-
-_ENCODE_TRITS, _ENCODE_MASK = _build_encode_matrix()
-
-
-def _build_decode_table() -> tuple[np.ndarray, np.ndarray]:
-    # Every MAX_LENGTH-trit window resolves to exactly one codeword because
-    # the code is complete.
-    size = 3**MAX_LENGTH
-    symbols = np.full(size, -1, dtype=np.int64)
-    lengths = np.zeros(size, dtype=np.int64)
-    for symbol, word in enumerate(_CODEWORDS):
-        prefix = 0
-        for trit in word:
-            prefix = prefix * 3 + trit
-        span = 3 ** (MAX_LENGTH - len(word))
-        start = prefix * span
-        symbols[start : start + span] = symbol
-        lengths[start : start + span] = len(word)
-    if (symbols < 0).any():
-        raise AssertionError("decode table has holes; code is not complete")
-    return symbols, lengths
-
-
-_DECODE_SYMBOL, _DECODE_LENGTH = _build_decode_table()
+# Every MAX_LENGTH-trit window resolves to exactly one codeword because the
+# code is complete.
+_DECODE_SYMBOL, _DECODE_LENGTH = window_lookup(_CODES, 3, MAX_LENGTH)
+if not _DECODE_LENGTH.all():
+    raise AssertionError("decode table has holes; code is not complete")
 
 
 def bytes_to_trits(data) -> np.ndarray:

@@ -1,12 +1,14 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from imgdna import cli
 from imgdna.cli import main
 from imgdna.corpus import corpus_image
 from imgdna.pgm import read_pgm, write_pgm
-from imgdna.pipeline import ExperimentConfig, reference_image
+from imgdna.pipeline import SCHEMES, ExperimentConfig, reference_image
 
 
 def run(argv):
@@ -168,3 +170,17 @@ def test_corpus_directory_input(tmp_path):
                 "--rates", "0.001", "--trials", 1, "--out", out])
     assert code == 0
     assert len(out.read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("verb", ["encode", "sweep", "isolate"])
+def test_every_experiment_field_has_a_flag_that_reaches_the_config(verb):
+    default = ExperimentConfig()
+    values = {
+        f.name: SCHEMES[1] if f.name == "scheme" else getattr(default, f.name) + 2
+        for f in fields(ExperimentConfig)
+    }
+    argv = [verb, "--out", "x"]
+    for name, value in values.items():
+        assert value != getattr(default, name)
+        argv += [f"--{name.replace('_', '-')}", str(value)]
+    assert cli._config_from(cli.build_parser().parse_args(argv)) == ExperimentConfig(**values)

@@ -137,9 +137,8 @@ def test_missing_strand_leaves_gap_not_crash(small_image):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_missing_strands_fail_segments(scheme, small_image):
-    # a lost strand reads as zero trits; a segment that runs out of bits
-    # inside them fails (one whose zero bytes still decode stays clean).
-    # The last stream is the AC stream, or Raw-DNA's only one.
+    # a lost strand reads as zero trits, and every segment with a trit on
+    # it fails. The last stream is the AC stream, or Raw-DNA's only one.
     enc = encode_image(small_image, ExperimentConfig(scheme=scheme))
     sm = enc.mapping.streams[-1]
     lost = range(sm.first_uid, sm.first_uid + sm.strand_count, 8)
@@ -147,6 +146,27 @@ def test_missing_strands_fail_segments(scheme, small_image):
     dec = decode_pool(pool, enc.mapping, enc.metadata)
     assert dec.missing_strands == len(lost)
     assert 0 < dec.segments_failed <= len(sm.segments)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_lost_strand_fails_every_segment_it_meets(scheme, small_image):
+    # zero trits can decode as clean junk, so a segment fails whenever any
+    # of its trits lies on the lost strand, and only then on a clean channel
+    enc = encode_image(small_image, ExperimentConfig(scheme=scheme))
+    capacity = enc.geometry().capacity
+    for sm in enc.mapping.streams:
+        _, per = _strand_trit_layout(sm, capacity)
+        for k in sorted({0, sm.strand_count // 2, sm.strand_count - 1}):
+            lo, hi = k * per, min((k + 1) * per, sm.total_trits)
+            want, start = 0, 0
+            for seg in sm.segments:
+                want += start < hi and lo < start + seg.trit_count
+                start += seg.trit_count
+            pool = [[s] for s in enc.strands]
+            pool[sm.first_uid + k] = []
+            dec = decode_pool(pool, enc.mapping, enc.metadata)
+            assert dec.missing_strands == 1
+            assert dec.segments_failed == want, (sm.stream_id, k)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -147,3 +147,22 @@ def test_2d_decode_equals_row_by_row(seed, rows, cols, start):
     assert got.shape == grid.shape and got.dtype == np.uint8
     for row, want in zip(got, grid):
         assert row.tolist() == rotate_decode(want, seed=start).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 6),
+    st.integers(0, 300),
+    st.integers(0, 3),
+)
+@example(0, 0, 5, 0)
+@example(0, 3, 0, 1)
+def test_2d_encode_equals_row_by_row(seed, rows, cols, start):
+    # rows of 300 trits wrap the uint8 cumulative sum
+    grid = np.random.default_rng(seed).integers(0, 3, size=(rows, cols))
+    got = rotate_encode(grid, seed=start)
+    assert got.shape == grid.shape and got.dtype == np.uint8
+    for row, trits in zip(got, grid):
+        want = [(start + s) % 4 for s in np.cumsum(trits + 1).tolist()]
+        assert row.tolist() == rotate_encode(trits, seed=start).tolist() == want
