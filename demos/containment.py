@@ -3,7 +3,9 @@
 A substitution inside a partition flips a couple of trits and stops at the
 next 'AA' barrier. An insertion or deletion shifts the rotating code's frame,
 which would normally garble everything downstream; the barrier re-anchors the
-decoder so the damage stays inside one or two partitions.
+decoder so the damage stays inside one or two partitions. The decoder flags
+the partitions whose length came out wrong, so it sees an indel's damage but
+not a substitution's.
 
 Run:  python demos/containment.py
 """
@@ -11,7 +13,7 @@ Run:  python demos/containment.py
 import numpy as np
 
 from imgdna import ExperimentConfig, corpus_image, encode_image, run_containment
-from imgdna.barriers import BarrierConfig, resync_decode, stream_payloads
+from imgdna.barriers import BarrierConfig, partition_errors, resync_reads, stream_payloads
 from imgdna.rotation import seq_to_string
 
 # --- micro view: one partitioned sequence, one error of each kind ----------
@@ -27,10 +29,12 @@ for label, mutate in (
     ("deletion    ", lambda nts: np.delete(nts, 31)),
     ("insertion   ", lambda nts: np.insert(nts, 31, 2)),
 ):
-    result = resync_decode(mutate(nts.copy()), cfg, trits.size)
-    wrong = int(np.count_nonzero(result.trits != trits))
-    parts = sorted({int(i) // cfg.partition_len for i in np.flatnonzero(result.trits != trits)})
-    print(f"{label} at nt 31: {wrong:2d} trits wrong, partitions touched {parts}")
+    got, flags = resync_reads([mutate(nts.copy())], cfg, trits.size)
+    wrong = int(np.count_nonzero(got != trits))
+    touched = np.flatnonzero(partition_errors(got, trits[None], cfg)[0]).tolist()
+    flagged = np.flatnonzero(flags[0]).tolist()
+    print(f"{label} at nt 31: {wrong:2d} trits wrong, "
+          f"partitions touched {touched}, flagged {flagged}")
 
 # --- macro view: thousands of uniform single errors through real strands ---
 print("\n10,000 single errors into a full IMG-DNA pool (uniform position and type):")

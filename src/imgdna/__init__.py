@@ -5,7 +5,7 @@ strands, injects synthesis/sequencing errors, decodes the damaged pool, and
 measures robustness (SSIM) against storage cost (bits per nucleotide).
 """
 
-from .barriers import BarrierConfig, ResyncResult, resync_decode
+from .barriers import BarrierConfig
 from .channel import (
     ChannelConfig,
     load_channel_config,
@@ -81,7 +81,6 @@ __all__ = [
     "PgmError",
     "PipelineError",
     "QualityReport",
-    "ResyncResult",
     "SCHEME_IMG_DNA",
     "SCHEME_NO_BARRIER",
     "SCHEME_RAW_DNA",
@@ -109,7 +108,6 @@ __all__ = [
     "read_pgm",
     "read_pool",
     "reference_image",
-    "resync_decode",
     "rotate_decode",
     "rotate_encode",
     "run_coefficient_isolation",

@@ -15,17 +15,19 @@ The decoder knows the expected trit count, searches a +/- window around each
 expected marker position, and when a marker was destroyed it merges the two
 neighbouring partitions and carries on at the following one.
 
-resync_reads decodes a batch of reads of one layout. Its intact reads,
-most reads at the error rates studied, decode together: one (reads,
-length) array, one intact test, one rotation decode along the rows and one
-gather of the payload columns. Every other read goes through
-resync_decode, the marker search, with the same result either way.
+resync_reads decodes a batch of reads of one layout into trits and a
+(reads, partitions) damage matrix. Its intact reads, most reads at the
+error rates studied, decode together: one (reads, length) array, one
+intact test, one rotation decode along the rows and one gather of the
+payload columns. Every other read goes through the marker search, with the
+same result either way. partition_errors gives the same matrix against
+pristine trits. _read_layout alone says where partitions start.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -39,31 +41,23 @@ BARRIER = np.array([A, A], dtype=np.uint8)
 class BarrierConfig:
     """Partition length in trits and marker search window in nucleotides.
 
-    partition_len None disables barriers entirely (one unbounded partition,
-    no marker).
+    The window is the full width searched: (window - 2) / 2 nt either side
+    of the expected marker position. partition_len None disables barriers
+    entirely (one unbounded partition, no marker).
     """
 
     partition_len: int | None = 50
     window: int = 12
 
     def __post_init__(self):
-        if self.window < 2 or self.window % 2:
-            raise ValueError("window must be an even number >= 2")
+        # at 2 the search sees only the expected column: an indel goes unflagged
+        if self.window < 4 or self.window % 2:
+            raise ValueError("window must be an even number >= 4")
         if self.partition_len is not None:
             if self.partition_len < 2:
                 raise ValueError("partition_len must be >= 2")
             if self.window >= 2 * self.partition_len:
                 raise ValueError("window must be smaller than two partitions")
-
-
-def _partition_lengths(trit_count: int, cfg: BarrierConfig) -> list[int]:
-    if trit_count == 0:
-        return []
-    pl = cfg.partition_len
-    if pl is None:
-        return [trit_count]
-    full, rest = divmod(trit_count, pl)
-    return [pl] * full + ([rest] if rest else [])
 
 
 def stream_payloads(trits, cfg: BarrierConfig, per_strand: int) -> list[np.ndarray]:
@@ -95,18 +89,6 @@ def stream_payloads(trits, cfg: BarrierConfig, per_strand: int) -> list[np.ndarr
     span = per_strand // pl * (pl + 2)
     cut = 0 if cfg.partition_len is not None else BARRIER.size
     return [nts[s : min(s + span, nts.size) - cut] for s in range(0, nts.size, span)]
-
-
-@dataclass
-class ResyncResult:
-    """Decoded trits plus per-partition damage verdicts."""
-
-    trits: np.ndarray
-    damaged: list[bool] = field(default_factory=list)
-
-    @property
-    def damaged_count(self) -> int:
-        return sum(self.damaged)
 
 
 def _find_marker(nts, expected: int, low: int, half: int) -> int | None:
@@ -155,7 +137,9 @@ class _ReadLayout:
 
 @lru_cache(maxsize=1024)
 def _read_layout(expected_trits: int, cfg: BarrierConfig) -> _ReadLayout:
-    lengths = tuple(_partition_lengths(expected_trits, cfg))
+    pl = cfg.partition_len or expected_trits or 1  # None: one unbounded partition
+    full, rest = divmod(expected_trits, pl)
+    lengths = (pl,) * full + ((rest,) if rest else ())
     offsets = (0, *itertools.accumulate(lengths))
     markers = len(lengths) if cfg.partition_len is not None else 0
     size = expected_trits + 2 * markers
@@ -177,10 +161,12 @@ def _intact(nts: np.ndarray, layout: _ReadLayout):
     return ((nts.take(layout.checked, axis=-1) == A) == layout.holds_a).all(axis=-1)
 
 
-def resync_decode(nts, cfg: BarrierConfig, expected_trits: int) -> ResyncResult:
+def _resync_decode(nts, cfg: BarrierConfig, expected_trits: int) -> tuple[np.ndarray, np.ndarray]:
     """Decode a barriered sequence back to expected_trits trits by marker
-    search. Damaged partitions are padded with trit 0 or truncated so every
-    partition lands at its original offset in the output stream.
+    search, and flag the partitions of every chunk that is not exactly its
+    span long or that merged a missed marker. Damaged partitions are padded
+    with trit 0 or truncated so every partition lands at its original
+    offset in the output stream.
     """
     nts = np.asarray(nts, dtype=np.uint8)
     layout = _read_layout(expected_trits, cfg)
@@ -191,7 +177,7 @@ def resync_decode(nts, cfg: BarrierConfig, expected_trits: int) -> ResyncResult:
     decoded = rotate_decode(nts, seed=A)
     half = (cfg.window - 2) // 2
     out = np.zeros(expected_trits, dtype=np.uint8)
-    damaged = [False] * n
+    flags = np.zeros(n, dtype=bool)
 
     pos = 0  # cursor into nts
     chunk_first = 0  # first partition of the open chunk
@@ -201,13 +187,12 @@ def resync_decode(nts, cfg: BarrierConfig, expected_trits: int) -> ResyncResult:
         """Decode nts[pos:end] into partitions chunk_first..last_part."""
         span = offsets[last_part + 1] - offsets[chunk_first]
         chunk = decoded[pos:end]
-        clean = merged == 0 and chunk.size == span
         at = 0
         for j in range(chunk_first, last_part + 1):
             take = min(lengths[j], max(chunk.size - at, 0))
             out[offsets[j] : offsets[j] + take] = chunk[at : at + take]
             at += lengths[j]
-            damaged[j] = not clean  # each partition closes once
+        flags[chunk_first : last_part + 1] = merged > 0 or chunk.size != span
 
     codes = nts.tolist()
     for i in range(layout.markers):  # marker i follows partition i
@@ -224,26 +209,28 @@ def resync_decode(nts, cfg: BarrierConfig, expected_trits: int) -> ResyncResult:
     if chunk_first < n:
         close_chunk(n - 1, nts.size)
 
-    return ResyncResult(out, damaged)
+    return out, flags
 
 
 def resync_reads(reads, cfg: BarrierConfig, expected_trits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(len(reads), expected_trits) uint8 trits and damaged partitions per
-    read; None stands for a missing read, which decodes as an empty one.
+    """(len(reads), expected_trits) uint8 trits and a (len(reads),
+    partitions) bool matrix of the partitions flagged as damaged; None
+    stands for a missing read, which decodes as an empty one: zeros, every
+    partition flagged.
 
     Intact reads (the layout's length, A in every marker column and in no
     column right after a marker) are stacked, rotation-decoded and gathered
-    at once, with no partition damaged. The marker search gives them the
+    at once, with no partition flagged. The marker search gives them the
     same: at each marker the true 'AA' is a candidate at distance 0 from
     the expected position, and the non-A after it stops the run-snapping,
     so _find_marker returns the expected column every time and every chunk
     is exactly its span long. Intact is not error-free: a substitution
     inside a partition reads as clean on both paths. Every other read goes
-    through resync_decode.
+    through the marker search.
     """
-    out = np.zeros((len(reads), expected_trits), dtype=np.uint8)
-    damaged = np.zeros(len(reads), dtype=np.int64)
     layout = _read_layout(expected_trits, cfg)
+    out = np.zeros((len(reads), expected_trits), dtype=np.uint8)
+    damaged = np.zeros((len(reads), len(layout.lengths)), dtype=bool)
     whole = [k for k, read in enumerate(reads) if read is not None and read.size == layout.size]
     intact = np.zeros(len(reads), dtype=bool)
     if whole:
@@ -253,7 +240,13 @@ def resync_reads(reads, cfg: BarrierConfig, expected_trits: int) -> tuple[np.nda
         out[intact] = rotate_decode(rows[ok], seed=A)[:, layout.payload]
     empty = np.zeros(0, dtype=np.uint8)
     for k in np.flatnonzero(~intact).tolist():
-        r = resync_decode(empty if reads[k] is None else reads[k], cfg, expected_trits)
-        out[k] = r.trits
-        damaged[k] = r.damaged_count
+        read = empty if reads[k] is None else reads[k]
+        out[k], damaged[k] = _resync_decode(read, cfg, expected_trits)
     return out, damaged
+
+
+def partition_errors(got: np.ndarray, want: np.ndarray, cfg: BarrierConfig) -> np.ndarray:
+    """(rows, partitions) bool: the partitions in which each row of got
+    differs from the same row of want, the pristine trits of one layout."""
+    starts = _read_layout(want.shape[1], cfg).offsets[:-1]
+    return np.logical_or.reduceat(got != want, starts, axis=1)

@@ -25,12 +25,13 @@ noisy channel did to individual strands.
 
 Every strand slot goes through the barrier resync decode, resync_reads,
 which decode_pool calls for a stream's full strands and for its final one
-and run_containment for each barrier layout. It treats a stream without
-barriers as one unbounded partition per strand; such a strand counts as
-one damaged partition when its decoded length is wrong. A missing or
-quarantined strand decodes as an empty read: zero trits, with every one
-of its partitions counted as damaged and every segment with a trit on it
-counted as failed.
+and run_containment for each barrier layout. Its damage matrix, one row
+per strand and one column per partition, flags a stream without barriers
+(one unbounded partition per strand) when its decoded length is wrong. A
+missing or quarantined strand decodes as an empty read: zero trits, every
+partition flagged and every segment with a trit on it counted as failed.
+run_containment scores trials with barriers.partition_errors, the same
+matrix against the pristine trits.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .barriers import BarrierConfig, resync_reads, stream_payloads
+from .barriers import BarrierConfig, partition_errors, resync_reads, stream_payloads
 from .channel import ChannelConfig, apply_edits, edit_value, perturb_pool
 from .formats import FormatError, MappingTable, SegmentRecord, StreamMap
 from .jpeg import ZIGZAG, ImageMetadata, forward_transform, inverse_transform
@@ -647,13 +648,6 @@ class ContainmentStats:
 CONTAINMENT_BATCH = 4096
 
 
-def _damage_per_row(got: np.ndarray, want: np.ndarray, pl: int | None) -> np.ndarray:
-    """Partitions of pl trits in which each row of got differs from the
-    same row of want; the last partition may be short."""
-    starts = np.arange(0, want.shape[1], pl or want.shape[1])  # None: one unbounded partition
-    return np.logical_or.reduceat(got != want, starts, axis=1).sum(axis=1)
-
-
 def run_containment(
     image: np.ndarray,
     cfg: ExperimentConfig | None = None,
@@ -667,7 +661,8 @@ def run_containment(
     up to CONTAINMENT_BATCH trials decode together as decode_pool would,
     and each trial counts damaged partitions against the pristine trit
     stream. A quarantined read loses the whole strand but stays confined;
-    routing to any other address counts as unconfined.
+    a read routed to any other address loses the strand too and counts as
+    unconfined.
     """
     if trials < 0:
         raise PipelineError("trials must be >= 0")
@@ -708,7 +703,7 @@ def run_containment(
         for (bc, size), items in groups.items():
             trial_ids, payloads, wants = zip(*items)
             got, _ = resync_reads(payloads, bc, size)
-            damage[list(trial_ids)] = _damage_per_row(got, np.stack(wants), bc.partition_len)
+            damage[list(trial_ids)] = partition_errors(got, np.stack(wants), bc).sum(axis=1)
         for d in damage.tolist():
             stats.within_two_partitions += d <= 2
             stats.damage_histogram[d] = stats.damage_histogram.get(d, 0) + 1

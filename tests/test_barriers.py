@@ -7,8 +7,9 @@ from imgdna.barriers import (
     BARRIER,
     BarrierConfig,
     _find_marker,
-    _partition_lengths,
-    resync_decode,
+    _read_layout,
+    _resync_decode,
+    partition_errors,
     resync_reads,
     stream_payloads,
 )
@@ -22,6 +23,12 @@ def one_strand(trits, cfg):
     """The payload of one strand holding all of trits, laid out by stream_payloads."""
     payloads = stream_payloads(trits, cfg, (cfg.partition_len or 1) * max(len(trits), 1))
     return payloads[0] if payloads else np.zeros(0, dtype=np.uint8)
+
+
+def resync_one(nts, cfg, expected_trits):
+    """The trits and partition flags resync_reads gives one read."""
+    trits, damaged = resync_reads([nts], cfg, expected_trits)
+    return trits[0], damaged[0].tolist()
 
 
 def _damaged_partitions(orig, got, pl):
@@ -40,6 +47,9 @@ def test_config_validation():
         BarrierConfig(partition_len=5, window=10)  # window must stay < 2*PL
     with pytest.raises(ValueError):
         BarrierConfig(partition_len=1, window=2)
+    with pytest.raises(ValueError, match="even number >= 4"):
+        BarrierConfig(partition_len=50, window=2)
+    BarrierConfig(partition_len=3, window=4)  # the smallest layout
     BarrierConfig(partition_len=None, window=12)  # barriers disabled
 
 
@@ -48,7 +58,7 @@ def test_trailing_marker_adds_two_nt():
     cfg = BarrierConfig(partition_len=5, window=8)
     nts = one_strand(np.zeros(10, dtype=np.uint8), cfg)
     assert nts.size == 14
-    assert len(_partition_lengths(10, cfg)) == 2
+    assert len(_read_layout(10, cfg).lengths) == 2
     # one marker sits exactly between the two 5-nt partitions
     assert seq_to_string(nts[5:7]) == "AA"
     assert seq_to_string(nts[-2:]) == "AA"
@@ -59,7 +69,7 @@ def test_five_thousand_trits_partition_fifty():
     trits = rng.integers(0, 3, size=5000).astype(np.uint8)
     cfg = BarrierConfig(partition_len=50, window=12)
     nts = one_strand(trits, cfg)
-    assert len(_partition_lengths(trits.size, cfg)) == 100
+    assert len(_read_layout(trits.size, cfg).lengths) == 100
     assert nts.size - trits.size == 200
     assert nts.size == 5200
     overhead = (nts.size - trits.size) / nts.size
@@ -72,7 +82,7 @@ def test_no_barrier_mode_emits_payload_only():
     cfg = BarrierConfig(partition_len=None)
     nts = one_strand(trits, cfg)
     assert nts.size == 777
-    assert len(_partition_lengths(trits.size, cfg)) == 1
+    assert len(_read_layout(trits.size, cfg).lengths) == 1
     assert np.array_equal(nts, rotate_encode(trits, seed=A))  # no marker
 
 
@@ -90,17 +100,18 @@ def test_clean_round_trip():
     rng = np.random.default_rng(14)
     cfg = BarrierConfig(partition_len=10, window=12)
     trits = rng.integers(0, 3, size=95).astype(np.uint8)
-    res = resync_decode(one_strand(trits, cfg), cfg, trits.size)
-    assert np.array_equal(res.trits, trits)
-    assert res.damaged_count == 0
+    got, flags = resync_one(one_strand(trits, cfg), cfg, trits.size)
+    assert np.array_equal(got, trits)
+    assert not any(flags)
 
 
 def test_clean_round_trip_without_barriers():
     rng = np.random.default_rng(15)
     trits = rng.integers(0, 3, size=321).astype(np.uint8)
     cfg = BarrierConfig(partition_len=None)
-    res = resync_decode(one_strand(trits, cfg), cfg, trits.size)
-    assert np.array_equal(res.trits, trits)
+    got, flags = resync_one(one_strand(trits, cfg), cfg, trits.size)
+    assert np.array_equal(got, trits)
+    assert flags == [False]
 
 
 def test_single_deletion_is_contained():
@@ -108,9 +119,9 @@ def test_single_deletion_is_contained():
     cfg = BarrierConfig(partition_len=10, window=12)
     trits = rng.integers(0, 3, size=30).astype(np.uint8)
     hit = np.delete(one_strand(trits, cfg), 3)  # inside partition 0
-    res = resync_decode(hit, cfg, trits.size)
-    assert np.array_equal(res.trits[10:], trits[10:])
-    assert res.damaged == [True, False, False]
+    got, flags = resync_one(hit, cfg, trits.size)
+    assert np.array_equal(got[10:], trits[10:])
+    assert flags == [True, False, False]
 
 
 def test_single_insertion_is_contained():
@@ -118,10 +129,10 @@ def test_single_insertion_is_contained():
     cfg = BarrierConfig(partition_len=10, window=12)
     trits = rng.integers(0, 3, size=30).astype(np.uint8)
     hit = np.insert(one_strand(trits, cfg), 16, 2)  # inside partition 1 (nt 12..21)
-    res = resync_decode(hit, cfg, trits.size)
-    assert np.array_equal(res.trits[:10], trits[:10])
-    assert np.array_equal(res.trits[20:], trits[20:])
-    assert res.damaged == [False, True, False]
+    got, flags = resync_one(hit, cfg, trits.size)
+    assert np.array_equal(got[:10], trits[:10])
+    assert np.array_equal(got[20:], trits[20:])
+    assert flags == [False, True, False]
 
 
 def test_destroyed_marker_merges_two_partitions():
@@ -132,12 +143,11 @@ def test_destroyed_marker_merges_two_partitions():
     assert seq_to_string(nts[10:12]) == "AA"
     hit = nts.copy()
     hit[10] = 1  # C: first marker no longer reads 'AA'
-    res = resync_decode(hit, cfg, trits.size)
+    got, flags = resync_one(hit, cfg, trits.size)
     # damage stays inside the merged pair; partition 2 survives exactly
-    assert np.array_equal(res.trits[:10], trits[:10])
-    assert np.array_equal(res.trits[20:], trits[20:])
-    assert res.damaged[2] is False
-    assert res.damaged[0] and res.damaged[1]
+    assert np.array_equal(got[:10], trits[:10])
+    assert np.array_equal(got[20:], trits[20:])
+    assert flags == [True, True, False]
 
 
 def test_substitution_in_body_is_silent_but_local():
@@ -146,11 +156,11 @@ def test_substitution_in_body_is_silent_but_local():
     trits = rng.integers(0, 3, size=30).astype(np.uint8)
     hit = one_strand(trits, cfg).copy()
     hit[14] = (hit[14] + 1) % 4  # inside partition 1
-    res = resync_decode(hit, cfg, trits.size)
-    bad = _damaged_partitions(trits, res.trits, 10)
+    got, flags = resync_one(hit, cfg, trits.size)
+    bad = _damaged_partitions(trits, got, 10)
     assert bad == [1]
     # length-preserving damage cannot be flagged without checksums
-    assert res.damaged == [False, False, False]
+    assert flags == [False, False, False]
 
 
 def test_true_marker_beats_nearby_spurious_match():
@@ -163,8 +173,8 @@ def test_true_marker_beats_nearby_spurious_match():
         hit = one_strand(trits, cfg).copy()
         hit[8] = A
         hit[9] = A  # spurious marker at distance 2 from the real one
-        res = resync_decode(hit, cfg, trits.size)
-        assert np.array_equal(res.trits[10:], trits[10:])
+        got, _ = resync_one(hit, cfg, trits.size)
+        assert np.array_equal(got[10:], trits[10:])
 
 
 @settings(max_examples=300, deadline=None)
@@ -186,18 +196,58 @@ def test_any_single_error_damages_at_most_two_adjacent_partitions(seed, ntrits, 
         hit = np.insert(nts, pos, int(rng.integers(0, 4)))
     else:
         hit = np.delete(nts, pos)
-    res = resync_decode(hit, cfg, trits.size)
-    assert res.trits.size == trits.size
-    bad = _damaged_partitions(trits, res.trits, 10)
+    got, _ = resync_one(hit, cfg, trits.size)
+    assert got.size == trits.size
+    bad = _damaged_partitions(trits, got, 10)
     assert len(bad) <= 2
     if len(bad) == 2:
         assert bad[1] == bad[0] + 1
 
 
+def test_window_below_four_is_rejected_as_blind_to_a_shifted_marker():
+    # at window 2 the search checked only the expected position: this
+    # insertion left 2 trits wrong and the partition flagged clean
+    trits = np.random.default_rng(0).integers(0, 3, 24).astype(np.uint8)
+    with pytest.raises(ValueError, match="even number >= 4"):
+        BarrierConfig(50, 2)
+    cfg = BarrierConfig(50, 4)
+    (nts,) = stream_payloads(trits, cfg, 50)
+    got, flags = resync_one(np.insert(nts, 22, 1), cfg, trits.size)
+    assert np.count_nonzero(got != trits) == 2
+    assert flags == [True]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(
+        [(3, 4), (4, 6), (5, 8), (7, 4), (10, 12), (20, 4), (20, 12), (50, 6), (50, 12), (None, 12)]
+    ),
+    st.integers(1, 4),
+    st.sampled_from(["ins", "del"]),
+)
+def test_one_indel_flags_every_partition_it_damages(seed, layout, parts, kind):
+    # the flags are all a decode knows of its damage, so an indel's damage
+    # must never read as clean; a substitution's may (see above)
+    rng = np.random.default_rng(seed)
+    cfg = BarrierConfig(partition_len=layout[0], window=layout[1])
+    per_strand = parts * (layout[0] or int(rng.integers(1, 60)))
+    ntrits = int(rng.integers(1, per_strand + 1))
+    trits = rng.integers(0, 3, size=ntrits).astype(np.uint8)
+    (nts,) = stream_payloads(trits, cfg, per_strand)
+    if kind == "ins":
+        hit = np.insert(nts, int(rng.integers(0, nts.size + 1)), int(rng.integers(0, 4)))
+    else:
+        hit = np.delete(nts, int(rng.integers(0, nts.size)))
+    got, flags = resync_reads([hit], cfg, ntrits)
+    wrong = partition_errors(got, trits[None], cfg)
+    assert not (wrong & ~flags).any()
+
+
 def resync_by_chunks(nts, cfg, expected_trits):
-    """resync_decode with a fresh rotation decode of every chunk between
+    """_resync_decode with a fresh rotation decode of every chunk between
     the markers found, each seeded from A, and every marker searched for."""
-    lengths = _partition_lengths(expected_trits, cfg)
+    lengths = _read_layout(expected_trits, cfg).lengths
     n = len(lengths)
     out = np.zeros(expected_trits, dtype=np.uint8)
     damaged = [False] * n
@@ -236,7 +286,7 @@ def random_edits(nts, rng, cfg, ntrits, edits):
     indels and substitutions, substitutions on marker columns, an A right
     after a marker, indel pairs inside one partition, destroyed markers and
     new ones."""
-    lengths = _partition_lengths(ntrits, cfg)
+    lengths = _read_layout(ntrits, cfg).lengths
     starts = [sum(lengths[:j]) + 2 * j for j in range(len(lengths))]
     markers = [s + n for s, n in zip(starts, lengths)] if cfg.partition_len else []
     for _ in range(edits):
@@ -282,7 +332,7 @@ def random_edits(nts, rng, cfg, ntrits, edits):
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(0, 200),
-    st.sampled_from([(2, 2), (5, 8), (10, 12), (20, 12), (50, 12), (None, 12)]),
+    st.sampled_from([(3, 4), (5, 8), (10, 12), (20, 12), (50, 12), (None, 12)]),
     st.integers(0, 8),
 )
 @example(0, 47, (10, 12), 0)  # no edits, short final partition
@@ -292,27 +342,25 @@ def test_resync_equals_per_chunk_rotation_decode(seed, ntrits, layout, edits):
     trits = rng.integers(0, 3, size=ntrits).astype(np.uint8)
     nts = random_edits(one_strand(trits, cfg), rng, cfg, ntrits, edits)
     want_trits, want_damaged = resync_by_chunks(nts, cfg, ntrits)
-    got = resync_decode(nts, cfg, ntrits)
-    assert np.array_equal(got.trits, want_trits)
-    assert got.damaged == want_damaged
+    got, flags = _resync_decode(nts, cfg, ntrits)
+    assert np.array_equal(got, want_trits)
+    assert flags.tolist() == want_damaged
 
 
 def resync_read_by_read(reads, cfg, expected_trits):
     """resync_reads by one marker search per read, a missing one empty."""
-    results = [
-        resync_decode(np.zeros(0, dtype=np.uint8) if read is None else read, cfg, expected_trits)
-        for read in reads
-    ]
     trits = np.zeros((len(reads), expected_trits), dtype=np.uint8)
-    for k, r in enumerate(results):
-        trits[k] = r.trits
-    return trits, [r.damaged_count for r in results]
+    damaged = np.zeros((len(reads), len(_read_layout(expected_trits, cfg).lengths)), dtype=bool)
+    empty = np.zeros(0, dtype=np.uint8)
+    for k, read in enumerate(reads):
+        trits[k], damaged[k] = _resync_decode(empty if read is None else read, cfg, expected_trits)
+    return trits, damaged
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
-    st.sampled_from([(2, 2), (10, 12), (20, 12), (50, 12), (None, 12)]),
+    st.sampled_from([(3, 4), (10, 12), (20, 12), (50, 12), (None, 12)]),
     st.integers(1, 4),
     st.sampled_from(["exact", "short"]),
     st.sampled_from(["strands", "copies"]),
@@ -356,16 +404,39 @@ def test_resync_reads_equals_per_read_marker_search(seed, layout, parts, fill, s
     assert got.dtype == np.uint8
     assert got.shape == (len(reads), expected)
     assert np.array_equal(got, want)
-    assert damaged.tolist() == want_damaged
+    assert damaged.dtype == bool
+    assert np.array_equal(damaged, want_damaged)
 
 
 def test_resync_reads_of_missing_reads_are_zeros_with_every_partition_damaged():
     cfg = BarrierConfig(partition_len=20)
     got, damaged = resync_reads([None] * 3, cfg, 45)
     assert np.array_equal(got, np.zeros((3, 45), dtype=np.uint8))
-    assert damaged.tolist() == [3, 3, 3]
+    assert damaged.tolist() == [[True] * 3] * 3
     got, damaged = resync_reads([], cfg, 45)
-    assert got.shape == (0, 45) and damaged.size == 0
+    assert got.shape == (0, 45) and damaged.shape == (0, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 5),
+    st.integers(1, 300),
+    st.sampled_from([None, 3, 7, 50, 400]),
+    st.integers(0, 4),
+)
+def test_partition_damage_equals_per_partition_loop(seed, rows, size, pl, hits):
+    rng = np.random.default_rng(seed)
+    want = rng.integers(0, 3, size=(rows, size)).astype(np.uint8)
+    got = want.copy()
+    for row in got:
+        row[rng.integers(0, size, size=hits)] = rng.integers(0, 3, size=hits)
+    diff = got != want
+    step = pl or size  # None: one unbounded partition; the last may be short
+    loop = [[d[j : j + step].any() for j in range(0, size, step)] for d in diff]
+    damage = partition_errors(got, want, BarrierConfig(partition_len=pl, window=4))
+    assert damage.shape == (rows, -(-size // step))
+    assert damage.tolist() == loop
 
 
 # -- stream layout against a per-partition reference -------------------------
@@ -392,7 +463,7 @@ def layout_by_partitions(trits, cfg, per_strand):
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
-    st.sampled_from([(None, 12), (2, 2), (20, 12), (50, 12)]),
+    st.sampled_from([(None, 12), (3, 4), (20, 12), (50, 12)]),
     st.integers(1, 4),
     st.sampled_from(["empty", "exact", "short"]),
 )

@@ -137,8 +137,9 @@ def test_mapping_rejects_barrier_parameters_the_decoder_cannot_use(tmp_path):
     path = tmp_path / "img.map"
     for pl, window, message in (
         (20, 3, "even number"),
+        (20, 2, "even number"),
         (None, 0, "even number"),
-        (1, 2, "partition_len must be >= 2"),
+        (1, 4, "partition_len must be >= 2"),
         (5, 10, "smaller than two partitions"),
     ):
         sm = StreamMap(0, pl, window, total_trits=40, strand_count=1, first_uid=0)
