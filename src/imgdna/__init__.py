@@ -40,7 +40,6 @@ from .pipeline import (
     EncodedImage,
     ExperimentConfig,
     PipelineError,
-    QualityReport,
     decode_pool,
     encode_image,
     reference_image,
@@ -80,7 +79,6 @@ __all__ = [
     "MAX_STRAND_LEN",
     "PgmError",
     "PipelineError",
-    "QualityReport",
     "SCHEME_IMG_DNA",
     "SCHEME_NO_BARRIER",
     "SCHEME_RAW_DNA",

@@ -144,7 +144,9 @@ def _cmd_perturb(args) -> int:
     channel = _channel_from(args)
     pool = read_pool(args.pool)
     mapping = read_mapping(args.mapping)
-    strands = [pool[uid][0] for uid in sorted(pool)]
+    if sorted(pool) != list(range(len(pool))) or any(len(reads) != 1 for reads in pool.values()):
+        raise ValueError("perturb needs one read per strand, with ids s0..s{n-1}")
+    strands = [pool[uid][0] for uid in range(len(pool))]
     protect = (len(mapping.fwd_primer), len(mapping.rev_primer))
     noisy = perturb_pool(strands, channel, args.channel_seed, protect=protect)
     write_pool(args.out, noisy)
@@ -161,7 +163,7 @@ def _cmd_decode(args) -> int:
     meta = read_metadata(args.metadata)
     result = decode_pool(pool, mapping, meta)
     write_pgm(args.out, result.image)
-    print(f"decoded {meta.width}x{meta.height} image from {len(pool)} strand records")
+    print(f"decoded {meta.width}x{meta.height} image from {sum(map(len, pool.values()))} reads")
     print(
         f"missing strands {result.missing_strands}  quarantined {result.quarantined}  "
         f"duplicates {result.duplicates}  damaged partitions {result.damaged_partitions}  "

@@ -14,7 +14,10 @@ differ only in stream layout:
 
 Byte segments are block-aligned so a damaged segment tail corrupts a known
 block range: every AC segment covers one block, DC segments a few blocks,
-and Raw-DNA deliberately uses a single whole-image segment. One segment
+and Raw-DNA deliberately uses a single whole-image segment. A stream's
+segments cover the image's blocks in order, so the decoded rows of its
+segments stack into one row per block; decode_pool rejects a mapping
+whose segments overlap, leave a gap or name an unknown scheme. One segment
 codec serves every stream; the scheme and stream only decide which code
 tables it gets (DC, AC or both), in _segment_tables. An AC stream of
 one-block segments goes to the lockstep decoder, decode_ac_blocks, which
@@ -55,7 +58,6 @@ from .strands import (
     disassemble_pool,
     index_width_for,
     route_read,
-    validate_constraints,
 )
 from .streams import (
     HuffmanTable,
@@ -340,14 +342,18 @@ def _strand_trit_layout(sm: StreamMap, capacity: int) -> tuple[BarrierConfig, in
 
 
 def _check_mapping(mapping: MappingTable, meta: ImageMetadata, capacity: int) -> None:
-    """FormatError unless each stream's strand count fits its trits and each
-    segment's blocks lie inside the image."""
+    """FormatError unless the scheme is known, each stream's strand count
+    fits its trits and its segments cover the image's blocks in order."""
+    if mapping.scheme not in SCHEMES:
+        raise FormatError(f"unknown scheme {mapping.scheme!r}")
     for sm in mapping.streams:
         if sm.strand_count != _strand_count(sm.total_trits, _strand_trit_layout(sm, capacity)[1]):
             raise FormatError(f"stream {sm.stream_id}: strand count does not fit its trits")
-        for seg in sm.segments:
-            if not 0 <= seg.block_start <= seg.block_start + seg.block_count <= meta.block_count:
-                raise FormatError(f"stream {sm.stream_id}: segment blocks outside the image")
+        starts = [seg.block_start for seg in sm.segments]
+        ends = [seg.block_start + seg.block_count for seg in sm.segments]
+        # from block 0 to the last, each segment starts where the one before ended
+        if [0] + ends != starts + [meta.block_count] or ends != sorted(ends):
+            raise FormatError(f"stream {sm.stream_id}: segments do not cover the blocks in order")
 
 
 def decode_pool(pool, mapping: MappingTable, meta: ImageMetadata) -> DecodeResult:
@@ -389,14 +395,15 @@ def decode_pool(pool, mapping: MappingTable, meta: ImageMetadata) -> DecodeResul
         # leaves the class it does not carry at 0
         if tables[0] is None and all(seg.block_count == 1 for seg in sm.segments):
             vals, clean = decode_ac_blocks(datas, ac_table, quant_zig)
-            # fancy += adds once per index; no block has two segments
-            flat[[seg.block_start for seg in sm.segments]] += vals
-            result.segments_failed += int((meets | ~clean).sum())
-            continue
-        for seg, data, lost_trits in zip(sm.segments, datas, meets.tolist()):
-            vals, clean = decode_segment(data, *tables, seg.block_count, quant_zig)
-            flat[seg.block_start : seg.block_start + seg.block_count] += vals
-            result.segments_failed += lost_trits or not clean
+        else:
+            decoded = [
+                decode_segment(data, *tables, seg.block_count, quant_zig)
+                for seg, data in zip(sm.segments, datas)
+            ]
+            vals = np.concatenate([v for v, _ in decoded])
+            clean = np.array([c for _, c in decoded], dtype=bool)
+        flat += vals  # the segments cover the blocks in order
+        result.segments_failed += int((meets | ~clean).sum())
 
     result.image = inverse_transform(zigzag_unflatten(flat), meta)
     return result
@@ -408,72 +415,20 @@ def reference_image(image: np.ndarray, quality: int = 75) -> np.ndarray:
     return inverse_transform(blocks, meta)
 
 
-# ------------------------------------------------------------------- reports
-
-
-@dataclass
-class QualityReport:
-    scheme: str
-    error_rate: float
-    ssim: float
-    payload_density: float
-    strand_density: float
-    barrier_overhead_dc: float
-    barrier_overhead_ac: float
-    gc_fraction: float
-    max_homopolymer: int
-    quarantined: int = 0
-    missing_strands: int = 0
-    damaged_partitions: int = 0
-
-    def summary(self) -> str:
-        lines = [
-            f"scheme               {self.scheme}",
-            f"error rate           {self.error_rate:.4%}",
-            f"ssim                 {self.ssim:.4f}",
-            f"payload density      {self.payload_density:.4f} bits/nt",
-            f"whole-strand density {self.strand_density:.4f} bits/nt",
-            f"barrier overhead DC  {self.barrier_overhead_dc:.4%} of image bytes",
-            f"barrier overhead AC  {self.barrier_overhead_ac:.4%} of image bytes",
-            f"pool GC fraction     {self.gc_fraction:.4f}",
-            f"max homopolymer      {self.max_homopolymer}",
-            f"strands missing      {self.missing_strands} (+{self.quarantined} quarantined)",
-            f"partitions damaged   {self.damaged_partitions}",
-        ]
-        return "\n".join(lines)
-
-
 def run_pipeline(
     image: np.ndarray,
     cfg: ExperimentConfig,
     channel: ChannelConfig,
     channel_seed: int = 0,
     enc: EncodedImage | None = None,
-) -> tuple[QualityReport, np.ndarray]:
-    """Full encode → channel → decode cycle; returns (report, decoded image)."""
+) -> tuple[float, DecodeResult]:
+    """Full encode → channel → decode cycle; returns (SSIM against the clean
+    reconstruction, decode result). Encoder figures stay on `enc`."""
     if enc is None:
         enc = encode_image(image, cfg)
-    noisy = perturb_pool(
-        enc.strands, channel, channel_seed, protect=_primer_bounds(enc)
-    )
+    noisy = perturb_pool(enc.strands, channel, channel_seed, protect=_primer_bounds(enc))
     dec = decode_pool(noisy, enc.mapping, enc.metadata)
-    reference = reference_image(image, cfg.quality)
-    constraints = validate_constraints(enc.strands)
-    report = QualityReport(
-        scheme=cfg.scheme,
-        error_rate=channel.rate,
-        ssim=ssim(reference, dec.image),
-        payload_density=enc.payload_density,
-        strand_density=enc.strand_density,
-        barrier_overhead_dc=enc.barrier_overhead_for(STREAM_DC),
-        barrier_overhead_ac=enc.barrier_overhead_for(STREAM_AC),
-        gc_fraction=constraints.gc_mean,
-        max_homopolymer=constraints.max_homopolymer,
-        quarantined=dec.quarantined,
-        missing_strands=dec.missing_strands,
-        damaged_partitions=dec.damaged_partitions,
-    )
-    return report, dec.image
+    return ssim(reference_image(image, cfg.quality), dec.image), dec
 
 
 def _primer_bounds(enc: EncodedImage) -> tuple[int, int]:

@@ -87,8 +87,8 @@ def test_clean_channel_identity(corpus, scheme_cfgs, all_encodes, verdict, tmp_p
     exact = 0
     pool_path = tmp_path / "pool.fa"
     for (scheme, i), enc in all_encodes.items():
-        report, _ = run_pipeline(corpus[i], scheme_cfgs[scheme], zero, enc=enc)
-        assert report.ssim == 1.0, f"{scheme} image {i}: ssim {report.ssim!r}"
+        score, _ = run_pipeline(corpus[i], scheme_cfgs[scheme], zero, enc=enc)
+        assert score == 1.0, f"{scheme} image {i}: ssim {score!r}"
         write_pool(pool_path, enc.strands)
         back = read_pool(pool_path)
         assert len(back) == len(enc.strands)
@@ -103,9 +103,9 @@ def test_clean_channel_identity(corpus, scheme_cfgs, all_encodes, verdict, tmp_p
         best = np.inf
         for _ in range(2):
             t0 = time.perf_counter()
-            report, _ = run_pipeline(big, scheme_cfgs[scheme], zero)
+            score, _ = run_pipeline(big, scheme_cfgs[scheme], zero)
             best = min(best, time.perf_counter() - t0)
-            assert report.ssim == 1.0
+            assert score == 1.0
         worst = max(worst, best)
 
     ok = exact == 60 and worst < 1.0

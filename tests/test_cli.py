@@ -7,8 +7,10 @@ import pytest
 from imgdna import cli
 from imgdna.cli import main
 from imgdna.corpus import corpus_image
+from imgdna.formats import read_pool, write_pool
 from imgdna.pgm import read_pgm, write_pgm
 from imgdna.pipeline import SCHEMES, ExperimentConfig, reference_image
+from imgdna.rotation import seq_to_string
 
 
 def run(argv):
@@ -101,6 +103,40 @@ def test_perturb_rejects_non_finite_weights(encoded, tmp_path, capsys, flag):
     assert err["error"] == "ValueError"
     assert "finite" in err["message"]
     assert not (tmp_path / "x.fa").exists()
+
+
+def _reshaped_pool(encoded, tmp_path, shape):
+    """The encoded pool with two reads per strand, or without strand s1."""
+    pool = read_pool(f"{encoded}.pool.fa")
+    path = tmp_path / f"{shape}.fa"
+    if shape == "copies":
+        write_pool(path, [pool[uid] * 2 for uid in sorted(pool)])
+    else:
+        path.write_text("".join(
+            f">s{uid} copy=0\n{seq_to_string(reads[0])}\n" for uid, reads in pool.items() if uid != 1
+        ))
+    return path
+
+
+@pytest.mark.parametrize("shape", ["copies", "gap"])
+def test_perturb_needs_one_read_per_strand(encoded, tmp_path, capsys, shape):
+    out = tmp_path / "x.fa"
+    code = run(["perturb", "--pool", _reshaped_pool(encoded, tmp_path, shape),
+                "--mapping", f"{encoded}.map", "--rate", 0.01, "--out", out])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "one read per strand" in err["message"]
+    assert not out.exists()
+
+
+def test_decode_counts_reads(encoded, tmp_path, capsys):
+    strands = len(read_pool(f"{encoded}.pool.fa"))
+    code = run(["decode", "--pool", _reshaped_pool(encoded, tmp_path, "copies"),
+                "--mapping", f"{encoded}.map", "--metadata", f"{encoded}.meta",
+                "--out", tmp_path / "back.pgm"])
+    assert code == 0
+    assert f"from {2 * strands} reads" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("verb", ["validate", "sweep", "isolate"])

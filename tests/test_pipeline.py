@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -33,7 +34,7 @@ from imgdna.pipeline import (
     _strand_trit_layout,
     _target_positions,
 )
-from imgdna.strands import STREAM_AC, STREAM_DC, route_read
+from imgdna.strands import STREAM_AC, STREAM_DC, route_read, validate_constraints
 
 
 @pytest.fixture(scope="module")
@@ -110,12 +111,13 @@ def test_encode_deterministic(small_image):
 def test_run_pipeline_seed_controls_noise(small_image):
     cfg = ExperimentConfig()
     ch = ChannelConfig(rate=0.01)
-    r1, img1 = run_pipeline(small_image, cfg, ch, channel_seed=5)
-    r2, img2 = run_pipeline(small_image, cfg, ch, channel_seed=5)
-    r3, _ = run_pipeline(small_image, cfg, ch, channel_seed=6)
-    assert r1.ssim == r2.ssim
-    assert np.array_equal(img1, img2)
-    assert r1.ssim != r3.ssim
+    enc = encode_image(small_image, cfg)
+    s1, dec1 = run_pipeline(small_image, cfg, ch, channel_seed=5, enc=enc)
+    s2, dec2 = run_pipeline(small_image, cfg, ch, channel_seed=5, enc=enc)
+    s3, _ = run_pipeline(small_image, cfg, ch, channel_seed=6, enc=enc)
+    assert s1 == s2
+    assert np.array_equal(dec1.image, dec2.image)
+    assert s1 != s3
 
 
 def test_missing_strand_leaves_gap_not_crash(small_image):
@@ -249,14 +251,29 @@ def _long_last_dc_segment(m):
     return m.streams[0]
 
 
+def _overlapping_segment(m):
+    # a second, empty segment over the last segment's blocks
+    m.streams[-1].segments.append(replace(m.streams[-1].segments[-1], byte_count=0, trit_count=0))
+    return m.streams[-1]
+
+
+def _unknown_scheme(m):
+    m.scheme = "bogus"
+    return None
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.parametrize("edit", [_bump_strand_count, _far_block_start, _long_last_dc_segment])
+@pytest.mark.parametrize(
+    "edit",
+    [_bump_strand_count, _far_block_start, _long_last_dc_segment, _overlapping_segment, _unknown_scheme],
+)
 def test_mapping_that_disagrees_with_the_image_is_a_format_error(scheme, edit):
     enc = _crop_encoding(scheme)
     decode_pool(enc.strands, enc.mapping, enc.metadata)  # the encoded mapping is accepted
     mapping = copy.deepcopy(enc.mapping)
-    sid = edit(mapping).stream_id
-    with pytest.raises(FormatError, match=f"stream {sid}:"):
+    stream = edit(mapping)
+    match = f"stream {stream.stream_id}:" if stream is not None else "unknown scheme 'bogus'"
+    with pytest.raises(FormatError, match=match):
         decode_pool(enc.strands, mapping, enc.metadata)
 
 
@@ -426,17 +443,22 @@ def test_single_strand_streams_route_without_misrouting(scheme):
 
 def test_report_fields_populated(small_image):
     cfg = ExperimentConfig()
-    report, decoded = run_pipeline(small_image, cfg, ChannelConfig(rate=0.0))
-    assert report.ssim == 1.0
-    assert report.scheme == SCHEME_IMG_DNA
-    assert 0 < report.payload_density < 2.0
-    assert 0 < report.strand_density < report.payload_density
-    assert report.barrier_overhead_dc > 0
-    assert report.barrier_overhead_ac > report.barrier_overhead_dc
-    assert 0.3 < report.gc_fraction < 0.7
-    assert report.max_homopolymer <= 3
-    assert "ssim" in report.summary()
-    assert decoded.dtype == np.uint8
+    enc = encode_image(small_image, cfg)
+    score, dec = run_pipeline(small_image, cfg, ChannelConfig(rate=0.0), enc=enc)
+    assert score == 1.0
+    assert enc.mapping.scheme == SCHEME_IMG_DNA
+    assert 0 < enc.payload_density < 2.0
+    assert 0 < enc.strand_density < enc.payload_density
+    assert enc.barrier_overhead_for(STREAM_DC) > 0
+    assert enc.barrier_overhead_for(STREAM_AC) > enc.barrier_overhead_for(STREAM_DC)
+    constraints = validate_constraints(enc.strands)
+    assert 0.3 < constraints.gc_mean < 0.7
+    assert constraints.max_homopolymer <= 3
+    assert (
+        dec.missing_strands, dec.quarantined, dec.duplicates,
+        dec.damaged_partitions, dec.segments_failed,
+    ) == (0, 0, 0, 0, 0)
+    assert dec.image.dtype == np.uint8
 
 
 def test_no_barrier_scheme_has_zero_overhead(small_image):
