@@ -15,13 +15,13 @@ The decoder knows the expected trit count, searches a +/- window around each
 expected marker position, and when a marker was destroyed it merges the two
 neighbouring partitions and carries on at the following one.
 
-resync_reads decodes a batch of reads of one layout into trits and a
-(reads, partitions) damage matrix. Its intact reads, most reads at the
-error rates studied, decode together: one (reads, length) array, one
-intact test, one rotation decode along the rows and one gather of the
-payload columns. Every other read goes through the marker search, with the
-same result either way. partition_errors gives the same matrix against
-pristine trits. _read_layout alone says where partitions start.
+resync_reads decodes a batch of reads of one layout into trits and a (reads,
+partitions) damage matrix. Its intact reads, most reads at the error rates
+studied, decode together: one (reads, length) array, one intact test, one
+rotation decode along the rows and one gather of the payload columns. Every
+other read goes through the marker search, with the same result either way.
+partition_errors gives the same matrix against pristine trits. _read_layout
+alone says where partitions start, and no other module knows the marker width.
 """
 
 from __future__ import annotations
@@ -58,6 +58,20 @@ class BarrierConfig:
                 raise ValueError("partition_len must be >= 2")
             if self.window >= 2 * self.partition_len:
                 raise ValueError("window must be smaller than two partitions")
+
+
+def strand_trits(cfg: BarrierConfig, capacity: int) -> int:
+    """Trits one strand of capacity payload nt holds: as many whole
+    partitions as fit with their markers, or capacity without barriers."""
+    if cfg.partition_len is None:
+        return capacity
+    per = capacity // (cfg.partition_len + BARRIER.size)
+    if per < 1:
+        raise ValueError(
+            f"strand capacity {capacity} nt cannot hold one {cfg.partition_len}-trit "
+            "partition plus its marker"
+        )
+    return per * cfg.partition_len
 
 
 def stream_payloads(trits, cfg: BarrierConfig, per_strand: int) -> list[np.ndarray]:

@@ -21,6 +21,7 @@ import numpy as np
 from .barriers import BarrierConfig
 from .jpeg import ImageMetadata
 from .rotation import seq_to_string, string_to_seq
+from .streams import HuffmanTable
 
 MAPPING_MAGIC = b"IDNM"
 METADATA_MAGIC = b"IDNI"
@@ -278,11 +279,17 @@ def read_metadata(path) -> ImageMetadata:
     dc = lengths()
     ac = lengths()
     cur.done()
-    return ImageMetadata(
-        width=width,
-        height=height,
-        quant_table=quant,
-        block_count=block_count,
-        dc_code_lengths=dc,
-        ac_code_lengths=ac,
-    )
+    try:
+        # fail here, not at decode: every table decode_pool builds must build
+        HuffmanTable(dc)
+        HuffmanTable(ac)
+        return ImageMetadata(
+            width=width,
+            height=height,
+            quant_table=quant,
+            block_count=block_count,
+            dc_code_lengths=dc,
+            ac_code_lengths=ac,
+        )
+    except ValueError as exc:
+        raise FormatError(f"image metadata: {exc}") from None

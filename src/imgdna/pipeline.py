@@ -17,14 +17,14 @@ block range: every AC segment covers one block, DC segments a few blocks,
 and Raw-DNA deliberately uses a single whole-image segment. A stream's
 segments cover the image's blocks in order, so the decoded rows of its
 segments stack into one row per block; decode_pool rejects a mapping
-whose segments overlap, leave a gap or name an unknown scheme. One segment
-codec serves every stream; the scheme and stream only decide which code
-tables it gets (DC, AC or both), in _segment_tables. An AC stream of
-one-block segments goes to the lockstep decoder, decode_ac_blocks, which
-gives the same blocks and clean flags all at once. Segment extents
-live in the mapping sidecar (the error-free side channel), so the decoder
-can carve the repaired trit stream back into segments no matter what the
-noisy channel did to individual strands.
+whose segments overlap or leave a gap, or whose scheme or stream ids
+stream_classes does not give. That table says which streams a scheme has
+and which coefficient classes each carries; barrier layouts, segment
+plans, code tables, decoders and targeted injection all read it. An
+AC-only stream of one-block segments goes to the lockstep decoder,
+decode_ac_blocks. Segment extents live in the mapping sidecar (the
+error-free side channel), so the decoder can carve the repaired trit
+stream back into segments whatever the noisy channel did to its strands.
 
 Every strand slot goes through the barrier resync decode, resync_reads,
 which decode_pool calls for a stream's full strands and for its final one
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .barriers import BarrierConfig, partition_errors, resync_reads, stream_payloads
+from .barriers import BarrierConfig, partition_errors, resync_reads, strand_trits, stream_payloads
 from .channel import ChannelConfig, apply_edits, edit_value, perturb_pool
 from .formats import FormatError, MappingTable, SegmentRecord, StreamMap
 from .jpeg import ZIGZAG, ImageMetadata, forward_transform, inverse_transform
@@ -82,6 +82,13 @@ class PipelineError(ValueError):
     pass
 
 
+def stream_classes(scheme: str) -> dict[int, tuple[bool, bool]]:
+    """{stream id: (carries DC, carries AC)} for each of a scheme's streams."""
+    if scheme == SCHEME_RAW_DNA:
+        return {STREAM_DC: (True, True)}
+    return {STREAM_DC: (True, False), STREAM_AC: (False, True)}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     scheme: str = SCHEME_IMG_DNA
@@ -107,15 +114,14 @@ class ExperimentConfig:
         self.stream_configs()  # fail fast on bad barrier parameters
 
     def stream_configs(self) -> dict[int, BarrierConfig]:
-        """Barrier layout per stream id under this scheme."""
-        none = BarrierConfig(partition_len=None, window=self.barrier_window)
-        if self.scheme == SCHEME_RAW_DNA:
-            return {STREAM_DC: none}
-        if self.scheme == SCHEME_NO_BARRIER:
-            return {STREAM_DC: none, STREAM_AC: none}
+        """Barrier layout per stream id; only IMG-DNA has barriers."""
+        barriers = self.scheme == SCHEME_IMG_DNA
         return {
-            STREAM_DC: BarrierConfig(self.dc_partition_len, self.barrier_window),
-            STREAM_AC: BarrierConfig(self.ac_partition_len, self.barrier_window),
+            sid: BarrierConfig(
+                (self.dc_partition_len if dc else self.ac_partition_len) if barriers else None,
+                self.barrier_window,
+            )
+            for sid, (dc, _) in stream_classes(self.scheme).items()
         }
 
 
@@ -129,7 +135,7 @@ class EncodedImage:
     stream_trits: dict[int, np.ndarray]
     stream_payload_bits: dict[int, int]
     stream_barrier_nt: dict[int, int]
-    dc_trit_ranges: list[tuple[int, int]] | None = None  # Raw-DNA only
+    dc_trit_ranges: list[tuple[int, int]] | None = None  # set when one stream interleaves DC and AC
 
     @property
     def payload_nt(self) -> int:
@@ -174,25 +180,11 @@ def _geometry_from_mapping(mapping: MappingTable) -> StrandGeometry:
     )
 
 
-def _per_strand_trits(bc: BarrierConfig, capacity: int) -> int:
-    if bc.partition_len is None:
-        return capacity
-    per = capacity // (bc.partition_len + 2)
-    if per < 1:
-        raise PipelineError(
-            f"strand capacity {capacity} nt cannot hold one {bc.partition_len}-trit "
-            "partition plus its marker"
-        )
-    return per * bc.partition_len
-
-
 def _strand_count(total_trits: int, per_strand: int) -> int:
     return -(-total_trits // per_strand) if total_trits else 0
 
 
-def _resolve_geometry(
-    cfg: ExperimentConfig, totals: dict[int, int]
-) -> tuple[StrandGeometry, dict[int, int]]:
+def _resolve_geometry(cfg: ExperimentConfig, totals: dict[int, int]) -> StrandGeometry:
     """Fixed-point search for the smallest self-consistent index width."""
     fwd, rev = default_primer_pair(seed=cfg.seed)
     stream_cfgs = cfg.stream_configs()
@@ -202,37 +194,13 @@ def _resolve_geometry(
             strand_len=cfg.strand_len, fwd_primer=fwd, rev_primer=rev, index_width=width
         )
         counts = {
-            sid: _strand_count(totals[sid], _per_strand_trits(stream_cfgs[sid], geom.capacity))
+            sid: _strand_count(totals[sid], strand_trits(stream_cfgs[sid], geom.capacity))
             for sid in totals
         }
         need = index_width_for(max(max(counts.values()), 1))
         if need <= width:
-            return geom, counts
+            return geom
         width = need
-
-
-def _segment_plan(block_count: int, cfg: ExperimentConfig) -> dict[int, list[tuple[int, int]]]:
-    def chunks(step: int) -> list[tuple[int, int]]:
-        return [(b, min(b + step, block_count)) for b in range(0, block_count, step)]
-
-    if cfg.scheme == SCHEME_RAW_DNA:
-        # one stream, one segment: the whole entropy-coded image as a unit,
-        # exactly like storing the compressed file as an opaque byte string
-        return {STREAM_DC: [(0, block_count)]}
-    return {
-        STREAM_DC: chunks(cfg.dc_segment_blocks),
-        STREAM_AC: chunks(1),
-    }
-
-
-def _segment_tables(
-    scheme: str, stream_id: int, dc_table: HuffmanTable, ac_table: HuffmanTable
-) -> tuple[HuffmanTable | None, HuffmanTable | None]:
-    """The (DC, AC) code tables of one stream's segments; None leaves out a
-    coefficient class. Raw-DNA's single stream carries both."""
-    if scheme == SCHEME_RAW_DNA:
-        return dc_table, ac_table
-    return (dc_table, None) if stream_id == STREAM_DC else (None, ac_table)
 
 
 def encode_image(image: np.ndarray, cfg: ExperimentConfig) -> EncodedImage:
@@ -242,17 +210,21 @@ def encode_image(image: np.ndarray, cfg: ExperimentConfig) -> EncodedImage:
     meta.dc_code_lengths = dict(dc_table.lengths)
     meta.ac_code_lengths = dict(ac_table.lengths)
 
-    plan = _segment_plan(meta.block_count, cfg)
     stream_cfgs = cfg.stream_configs()
+    n = meta.block_count
 
     stream_trits: dict[int, np.ndarray] = {}
     stream_bits: dict[int, int] = {}
     segments: dict[int, list[SegmentRecord]] = {}
     dc_trit_ranges: list[tuple[int, int]] | None = None
 
-    for sid in sorted(plan):
-        tables = _segment_tables(cfg.scheme, sid, dc_table, ac_table)
-        data, sizes, dc_spans = encode_segments(flat, plan[sid], *tables)
+    for sid, (dc, ac) in stream_classes(cfg.scheme).items():
+        step = cfg.dc_segment_blocks if dc else 1
+        # a stream of both classes is one segment: the whole coded image as
+        # a unit, exactly like storing the compressed file as opaque bytes
+        plan = [(0, n)] if dc and ac else [(b, min(b + step, n)) for b in range(0, n, step)]
+        tables = (dc_table if dc else None, ac_table if ac else None)
+        data, sizes, dc_spans = encode_segments(flat, plan, *tables)
         stream_trits[sid] = bytes_to_trits(data)
         stream_bits[sid] = 8 * len(data)
         # trits before each byte of the stream
@@ -262,23 +234,20 @@ def encode_image(image: np.ndarray, cfg: ExperimentConfig) -> EncodedImage:
         trit_counts = np.diff(ends, prepend=0)
         segments[sid] = [
             SegmentRecord(b0, b1 - b0, nbytes, ntrits)
-            for (b0, b1), nbytes, ntrits in zip(plan[sid], sizes.tolist(), trit_counts.tolist())
+            for (b0, b1), nbytes, ntrits in zip(plan, sizes.tolist(), trit_counts.tolist())
         ]
-        if cfg.scheme == SCHEME_RAW_DNA:
-            # nucleotide extents of the DC terms, for targeted injection
-            dc_trit_ranges = list(
-                zip(cum[dc_spans[:, 0] // 8].tolist(), cum[(dc_spans[:, 1] + 7) // 8].tolist())
-            )
+        if dc and ac:  # nucleotide extents of the DC terms, for targeted injection
+            lo, hi = cum[dc_spans[:, 0] // 8], cum[(dc_spans[:, 1] + 7) // 8]
+            dc_trit_ranges = list(zip(lo.tolist(), hi.tolist()))
 
-    geom, counts = _resolve_geometry(cfg, {s: t.size for s, t in stream_trits.items()})
+    geom = _resolve_geometry(cfg, {s: t.size for s, t in stream_trits.items()})
 
     strands: list[np.ndarray] = []
     stream_maps: list[StreamMap] = []
     barrier_nt: dict[int, int] = {}
-    for sid in sorted(stream_trits):
+    for sid, trits in stream_trits.items():
         bc = stream_cfgs[sid]
-        trits = stream_trits[sid]
-        payloads = stream_payloads(trits, bc, _per_strand_trits(bc, geom.capacity))
+        payloads = stream_payloads(trits, bc, strand_trits(bc, geom.capacity))
         first_uid = len(strands)
         strands += assemble_strands(geom, range(sid, 2 * len(payloads), 2), payloads)
         barrier_nt[sid] = sum(p.size for p in payloads) - trits.size
@@ -288,7 +257,7 @@ def encode_image(image: np.ndarray, cfg: ExperimentConfig) -> EncodedImage:
                 partition_len=bc.partition_len,
                 window=bc.window,
                 total_trits=trits.size,
-                strand_count=counts[sid],
+                strand_count=len(payloads),
                 first_uid=first_uid,
                 segments=segments[sid],
             )
@@ -338,14 +307,19 @@ def _normalize_pool(pool) -> list[list[np.ndarray]]:
 
 def _strand_trit_layout(sm: StreamMap, capacity: int) -> tuple[BarrierConfig, int]:
     bc = BarrierConfig(partition_len=sm.partition_len, window=sm.window)
-    return bc, _per_strand_trits(bc, capacity)
+    return bc, strand_trits(bc, capacity)
 
 
 def _check_mapping(mapping: MappingTable, meta: ImageMetadata, capacity: int) -> None:
-    """FormatError unless the scheme is known, each stream's strand count
-    fits its trits and its segments cover the image's blocks in order."""
+    """FormatError unless the scheme is known, the stream ids are the
+    scheme's, each stream's strand count fits its trits and its segments
+    cover the image's blocks in order."""
     if mapping.scheme not in SCHEMES:
         raise FormatError(f"unknown scheme {mapping.scheme!r}")
+    ids = sorted(sm.stream_id for sm in mapping.streams)
+    want = sorted(stream_classes(mapping.scheme))
+    if ids != want:
+        raise FormatError(f"stream ids {ids} do not match {mapping.scheme}'s {want}")
     for sm in mapping.streams:
         if sm.strand_count != _strand_count(sm.total_trits, _strand_trit_layout(sm, capacity)[1]):
             raise FormatError(f"stream {sm.stream_id}: strand count does not fit its trits")
@@ -370,9 +344,11 @@ def decode_pool(pool, mapping: MappingTable, meta: ImageMetadata) -> DecodeResul
     flat = np.zeros((meta.block_count, 64), dtype=np.int32)
     result = DecodeResult(image=None, quarantined=dis.quarantined, duplicates=dis.duplicates)
 
+    classes = stream_classes(mapping.scheme)
     for sm in mapping.streams:
         bc, per = _strand_trit_layout(sm, geom.capacity)
-        tables = _segment_tables(mapping.scheme, sm.stream_id, dc_table, ac_table)
+        dc, ac = classes[sm.stream_id]
+        tables = (dc_table if dc else None, ac_table if ac else None)
         slots = dis.streams[sm.stream_id]
         # a missing strand decodes as an empty read: zeros, all partitions damaged
         lost = np.cumsum([0] + [read is None for read in slots])  # lost slots before each
@@ -393,7 +369,7 @@ def decode_pool(pool, mapping: MappingTable, meta: ImageMetadata) -> DecodeResul
         meets = lost[stop] > lost[first]
         # each coefficient class comes from one stream, and a segment
         # leaves the class it does not carry at 0
-        if tables[0] is None and all(seg.block_count == 1 for seg in sm.segments):
+        if not dc and all(seg.block_count == 1 for seg in sm.segments):
             vals, clean = decode_ac_blocks(datas, ac_table, quant_zig)
         else:
             decoded = [
@@ -492,25 +468,27 @@ def run_sweep(
 
 
 def _target_positions(enc: EncodedImage, target: int) -> np.ndarray:
-    """(uid, absolute position) choices for errors aimed at one stream, as
-    an (N, 2) int array ordered by uid, then position."""
+    """(uid, absolute position) choices for errors aimed at one coefficient
+    class, STREAM_DC or STREAM_AC, as an (N, 2) int array ordered by uid,
+    then position."""
     geom = enc.geometry()
     body = geom.fwd_len + geom.index_len
-    if enc.mapping.scheme != SCHEME_RAW_DNA:
-        sm = next(sm for sm in enc.mapping.streams if sm.stream_id == target)
+    classes = stream_classes(enc.mapping.scheme)
+    k = 1 if target == STREAM_AC else 0  # index into (carries DC, carries AC)
+    sm = next(sm for sm in enc.mapping.streams if classes[sm.stream_id][k])
+    if not all(classes[sm.stream_id]):  # the stream carries the target class alone
         uids = np.arange(sm.first_uid, sm.first_uid + sm.strand_count)
         sizes = np.array([enc.strands[uid].size for uid in uids.tolist()], dtype=np.int64)
         spans = sizes - body - geom.rev_len  # payload nucleotides per strand
         firsts = np.repeat(np.cumsum(spans) - spans, spans)
         return np.column_stack([np.repeat(uids, spans), body + np.arange(spans.sum()) - firsts])
-    # interleaved payloads: map global trit positions through the DC extents
-    sm = enc.mapping.streams[0]
+    # interleaved payloads: map stream trit positions through the DC extents
     _, per = _strand_trit_layout(sm, geom.capacity)
     mask = np.zeros(sm.total_trits, dtype=bool)
     for lo, hi in enc.dc_trit_ranges:
         mask[lo:hi] = True
     t = np.flatnonzero(mask if target == STREAM_DC else ~mask)
-    return np.column_stack([t // per, body + t % per])
+    return np.column_stack([sm.first_uid + t // per, body + t % per])
 
 
 def _inject(strands: list[np.ndarray], hits, rng) -> list[list[np.ndarray]]:
@@ -545,6 +523,8 @@ def run_coefficient_isolation(
     The budget for both targets is rate x total payload nucleotides, so the
     comparison isolates which coefficient class the errors land in.
     """
+    if not all(0 <= rate <= 1 for rate in rates):  # NaN fails too
+        raise PipelineError(f"rates must be in [0, 1], got {list(rates)}")
     base = cfg or ExperimentConfig()
     rows = []
     for si, scheme in enumerate(schemes):

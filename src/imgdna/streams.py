@@ -36,10 +36,10 @@ An AC stream cut into one-block segments (IMG-DNA's and
 NoBarrier-Separated's) is decoded in lockstep by decode_ac_blocks. Its
 segments are read from the words of their concatenation, and every
 segment keeps its own bit cursor and coefficient index: each step reads
-one codeword of every block still open with numpy gathers, under the
-same rules as the per-segment decoder. That decoder stays the reference,
-and it decodes DC segments and Raw-DNA's single interleaved segment,
-where lockstep has few or no segments to run side by side.
+one codeword of every block still open with numpy gathers; both decoders
+read one table of AC symbol rules. The per-segment decoder stays the
+reference, and it decodes DC segments and Raw-DNA's single interleaved
+segment, where lockstep has few or no segments to run side by side.
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ class HuffmanTable:
             raise ValueError("empty code table")
         if min(self.lengths) < 0 or max(self.lengths) > 0xFF:
             raise ValueError("symbol outside 0..255")
-        if max(self.lengths.values()) > MAX_CODE_LENGTH:
-            raise ValueError("code length above 16")
+        if not 1 <= min(self.lengths.values()) <= max(self.lengths.values()) <= MAX_CODE_LENGTH:
+            raise ValueError("code length outside 1..16")
         if sum(2 ** (MAX_CODE_LENGTH - ln) for ln in self.lengths.values()) > (
             1 << MAX_CODE_LENGTH
         ):
@@ -236,38 +236,49 @@ def _dc_diff(words: list[int], pos: int, nbits: int, syms: bytes, lens: bytes):
     return (bits if bits >> (top - 1) else bits - (1 << top) + 1), pos + size
 
 
+def _ac_symbol_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per AC symbol: its amplitude size, how far it moves the coefficient
+    index k, and the highest k that move may reach without failing the
+    block. A term moves k past itself and may reach 63; ZRL moves k by 16
+    and EOB by 63, and either may end the block; any other size-0 symbol
+    fails."""
+    sym = np.arange(256)
+    size = sym & 0xF
+    advance = np.where(size > 0, (sym >> 4) + 1, 16)
+    advance[EOB] = 63
+    limit = np.where(size > 0, 63, -1)
+    limit[[EOB, ZRL]] = 127
+    return size, advance, limit
+
+
+_AC_SIZE, _AC_ADVANCE, _AC_LIMIT = _ac_symbol_rules()
+_AC_RULE_LISTS = _AC_SIZE.tolist(), _AC_ADVANCE.tolist(), _AC_LIMIT.tolist()
+
+
 def _ac_block(
     words: list[int], pos: int, nbits: int, syms: bytes, lens: bytes, row: list
 ) -> int:
     """Decode one block's AC terms from bit pos into row[1:] (64 zeros).
 
     Returns the bit position after the block, or -1 when it is damaged: no
-    codeword, a code or amplitude past nbits, a size-0 symbol other than
-    EOB and ZRL, or a term past the 63rd. Terms decoded before that stay.
+    codeword, a code or amplitude past nbits, or a symbol that moves k
+    past its limit in _ac_symbol_rules. Terms decoded before that stay.
     """
+    size_of, advance, limit = _AC_RULE_LISTS
     k = 0
     while k < 63:
         window = (words[pos >> 3] >> (8 - (pos & 7))) & 0xFFFF
         ln = lens[window]
         sym = syms[window]
-        size = sym & 0xF
+        size = size_of[sym]
         pos += ln
-        if ln == 0 or pos + size > nbits:
+        k += advance[sym]
+        if ln == 0 or pos + size > nbits or k > limit[sym]:
             return -1
-        if size:
-            k += sym >> 4
-            if k >= 63:
-                return -1
+        if size:  # a term: its column is the new k
             bits = (words[pos >> 3] >> (24 - (pos & 7) - size)) & ((1 << size) - 1)
-            row[k + 1] = bits if bits >> (size - 1) else bits - (1 << size) + 1
+            row[k] = bits if bits >> (size - 1) else bits - (1 << size) + 1
             pos += size
-            k += 1
-        elif sym == ZRL:
-            k += 16
-        elif sym == EOB:
-            return pos
-        else:
-            return -1
     return pos
 
 
@@ -435,24 +446,6 @@ def decode_segment(
         out[:, 0] = prev
         out[: len(dc), 0] = dc
     return out, pos >= 0
-
-
-def _ac_symbol_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per AC symbol: its amplitude size, how far it moves the coefficient
-    index k, and the highest k that move may reach without failing the
-    block. A term moves k past itself and may reach 63; ZRL moves k by 16
-    and EOB by 63, and either may end the block; any other size-0 symbol
-    fails."""
-    sym = np.arange(256)
-    size = sym & 0xF
-    advance = np.where(size > 0, (sym >> 4) + 1, 16)
-    advance[EOB] = 63
-    limit = np.where(size > 0, 63, -1)
-    limit[[EOB, ZRL]] = 127
-    return size, advance, limit
-
-
-_AC_SIZE, _AC_ADVANCE, _AC_LIMIT = _ac_symbol_rules()
 
 
 def decode_ac_blocks(

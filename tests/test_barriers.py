@@ -11,10 +11,11 @@ from imgdna.barriers import (
     _resync_decode,
     partition_errors,
     resync_reads,
+    strand_trits,
     stream_payloads,
 )
 from imgdna.corpus import corpus_image
-from imgdna.pipeline import SCHEMES, ExperimentConfig, _per_strand_trits, encode_image
+from imgdna.pipeline import SCHEMES, ExperimentConfig, encode_image
 from imgdna.rotation import A, rotate_encode, seq_to_string
 from test_rotation import rotate_decode_arithmetic
 
@@ -504,7 +505,7 @@ def test_encoded_strands_and_barrier_count_match_per_partition_layout(scheme):
         for sid, bc in cfg.stream_configs().items():
             trits = enc.stream_trits[sid]
             payloads, barrier_nt = layout_by_partitions(
-                trits, bc, _per_strand_trits(bc, geom.capacity)
+                trits, bc, strand_trits(bc, geom.capacity)
             )
             for payload in payloads:
                 assert np.array_equal(next(strands)[body][: -geom.rev_len], payload)

@@ -152,6 +152,15 @@ def test_bad_trial_counts_exit_1(encoded, tmp_path, capsys, verb):
     assert "trials" in err["message"]
 
 
+def test_isolate_rejects_a_rate_outside_unit_interval(tmp_path, capsys):
+    out = tmp_path / "i.csv"
+    assert run(["isolate", "--builtin-corpus", 1, "--rates", -0.5, "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PipelineError"
+    assert "rates must be in [0, 1]" in err["message"]
+    assert not out.exists()
+
+
 def test_machine_readable_error_on_missing_file(tmp_path, capsys):
     code = run(["decode", "--pool", tmp_path / "nope.fa", "--mapping", tmp_path / "m",
                 "--metadata", tmp_path / "t", "--out", tmp_path / "o.pgm"])

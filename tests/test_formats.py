@@ -180,6 +180,35 @@ def test_metadata_round_trip(tmp_path):
     assert back.ac_code_lengths == meta.ac_code_lengths
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m.dc_code_lengths.update({0: 17}), "code length"),
+        (lambda m: m.ac_code_lengths.update({0x23: 0}), "code length"),
+        (lambda m: setattr(m, "ac_code_lengths", {0: 0}), "code length"),
+        (lambda m: m.ac_code_lengths.update({300: 9}), "symbol"),
+        (lambda m: m.dc_code_lengths.clear(), "empty"),
+        (lambda m: m.quant_table.__setitem__((3, 4), 0), "quant"),
+        (lambda m: setattr(m, "block_count", 305), "block_count"),
+    ],
+    ids=["length-17", "length-0", "lone-length-0", "symbol-300", "empty", "quant-0", "blocks"],
+)
+def test_bad_metadata_is_a_format_error_when_read(tmp_path, edit, message):
+    meta = ImageMetadata(
+        width=130,
+        height=140,
+        quant_table=quality_scaled_table(75),
+        block_count=306,
+        dc_code_lengths={0: 2, 1: 2, 5: 3, 15: 9},
+        ac_code_lengths={0x00: 1, 0xF0: 4, 0x23: 5},
+    )
+    edit(meta)  # after the checks ImageMetadata makes itself
+    path = tmp_path / "img.meta"
+    write_metadata(path, meta)
+    with pytest.raises(FormatError, match=f"image metadata: .*{message}"):
+        read_metadata(path)
+
+
 def test_metadata_requires_code_lengths(tmp_path):
     meta = ImageMetadata(
         width=16, height=16, quant_table=np.ones((8, 8)), block_count=4

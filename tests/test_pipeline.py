@@ -235,45 +235,67 @@ def test_empty_read_group_counts_as_missing(scheme):
     assert without.missing_strands == 1
 
 
-# each edit breaks one stream of a mapping and returns that stream
+# each edit breaks a mapping and returns the start of the error it raises
 def _bump_strand_count(m):
     m.streams[-1].strand_count += 1
-    return m.streams[-1]
+    return f"stream {m.streams[-1].stream_id}:"
 
 
 def _far_block_start(m):
     m.streams[-1].segments[0].block_start = 10**6
-    return m.streams[-1]
+    return f"stream {m.streams[-1].stream_id}:"
 
 
 def _long_last_dc_segment(m):
     m.streams[0].segments[-1].block_count += 5
-    return m.streams[0]
+    return f"stream {m.streams[0].stream_id}:"
 
 
 def _overlapping_segment(m):
     # a second, empty segment over the last segment's blocks
     m.streams[-1].segments.append(replace(m.streams[-1].segments[-1], byte_count=0, trit_count=0))
-    return m.streams[-1]
+    return f"stream {m.streams[-1].stream_id}:"
 
 
 def _unknown_scheme(m):
     m.scheme = "bogus"
-    return None
+    return "unknown scheme 'bogus'"
+
+
+def _relabelled_stream(m):
+    m.streams[-1].stream_id += 1  # IMG-DNA's AC stream as 2, Raw-DNA's one stream as 1
+    return "stream ids"
+
+
+def _duplicate_stream(m):
+    m.streams.append(copy.deepcopy(m.streams[-1]))
+    return "stream ids"
+
+
+def _dropped_stream(m):
+    m.streams.pop()
+    return "stream ids"
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize(
     "edit",
-    [_bump_strand_count, _far_block_start, _long_last_dc_segment, _overlapping_segment, _unknown_scheme],
+    [
+        _bump_strand_count,
+        _far_block_start,
+        _long_last_dc_segment,
+        _overlapping_segment,
+        _unknown_scheme,
+        _relabelled_stream,
+        _duplicate_stream,
+        _dropped_stream,
+    ],
 )
 def test_mapping_that_disagrees_with_the_image_is_a_format_error(scheme, edit):
     enc = _crop_encoding(scheme)
     decode_pool(enc.strands, enc.mapping, enc.metadata)  # the encoded mapping is accepted
     mapping = copy.deepcopy(enc.mapping)
-    stream = edit(mapping)
-    match = f"stream {stream.stream_id}:" if stream is not None else "unknown scheme 'bogus'"
-    with pytest.raises(FormatError, match=match):
+    with pytest.raises(FormatError, match=edit(mapping)):
         decode_pool(enc.strands, mapping, enc.metadata)
 
 
@@ -526,6 +548,13 @@ def test_isolation_rows_cover_targets(small_image):
     assert [(r[0], r[1]) for r in rows] == [(SCHEME_IMG_DNA, "dc"), (SCHEME_IMG_DNA, "ac")]
     for row in rows:
         assert 0.0 <= row[3] <= 1.0
+
+
+@pytest.mark.parametrize("rate", [-0.5, 3.0, float("nan"), float("inf")])
+def test_isolation_rates_must_be_in_unit_interval(rate):
+    image = corpus_image(0)[:32, :32]
+    with pytest.raises(PipelineError, match="rates must be in"):
+        run_coefficient_isolation([image], rates=(0.01, rate), trials=1)
 
 
 def test_config_validation():
