@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -225,18 +225,19 @@ def _cmd_validate(args) -> int:
         "gc_max": round(report.gc_max, 6),
         "violations": report.violations,
     }
+    stats = run_containment(corpus_image(0), trials=args.containment) if args.containment else None
     if args.json:
+        if stats is not None:
+            payload["containment"] = asdict(stats)
         print(json.dumps(payload))
     else:
         for key, val in payload.items():
             print(f"{key:16s} {val}")
-    if args.containment:
-        stats = run_containment(corpus_image(0), trials=args.containment)
-        line = (
-            f"containment: {stats.within_two_fraction:.4f} of single errors within 2 partitions, "
-            f"{stats.confined_fraction:.4f} confined to the afflicted strand"
-        )
-        print(json.dumps({"containment": line}) if args.json else line)
+        if stats is not None:
+            print(
+                f"containment: {stats.within_two_fraction:.4f} of single errors within 2 partitions, "
+                f"{stats.confined_fraction:.4f} confined to the afflicted strand"
+            )
     return 1 if report.violations else 0
 
 

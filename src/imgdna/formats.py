@@ -7,7 +7,9 @@ Three artifacts travel together:
 
 The sidecars model the error-free side channel; the pool file is the part
 exposed to the noisy channel. All binary fields are little-endian and
-length-prefixed so the files stay self-describing.
+length-prefixed so the files stay self-describing. A sidecar stores each
+fact once and nothing the decoder derives: trit totals, block starts,
+strand counts and ids, and the image's block count.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .streams import HuffmanTable
 
 MAPPING_MAGIC = b"IDNM"
 METADATA_MAGIC = b"IDNI"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class FormatError(ValueError):
@@ -96,11 +98,10 @@ def read_pool(path) -> dict[int, list[np.ndarray]]:
 
 @dataclass
 class SegmentRecord:
-    """One independently decodable byte segment inside a stream."""
+    """One independently decodable byte segment inside a stream. It covers
+    the next block_count blocks after the segment before it."""
 
-    block_start: int
     block_count: int
-    byte_count: int
     trit_count: int
 
 
@@ -109,10 +110,11 @@ class StreamMap:
     stream_id: int  # 0 = DC (or the single interleaved stream), 1 = AC
     partition_len: int | None  # None: no barriers, and no markers
     window: int
-    total_trits: int
-    strand_count: int
-    first_uid: int
     segments: list[SegmentRecord] = field(default_factory=list)
+
+    @property
+    def total_trits(self) -> int:
+        return sum(seg.trit_count for seg in self.segments)
 
 
 @dataclass
@@ -123,7 +125,6 @@ class MappingTable:
     index_width: int
     fwd_primer: str
     rev_primer: str
-    pool_seed: int
     streams: list[StreamMap] = field(default_factory=list)
 
 
@@ -171,24 +172,13 @@ def write_mapping(path, table: MappingTable) -> None:
     )
     out += _pack_str(table.fwd_primer)
     out += _pack_str(table.rev_primer)
-    out += struct.pack("<Q", table.pool_seed)
     out += struct.pack("<B", len(table.streams))
     for sm in table.streams:
         out += struct.pack(
-            "<BIIBQII",
-            sm.stream_id,
-            sm.partition_len or 0,
-            sm.window,
-            1 if sm.partition_len is not None else 0,  # ends with a marker
-            sm.total_trits,
-            sm.strand_count,
-            sm.first_uid,
+            "<BIII", sm.stream_id, sm.partition_len or 0, sm.window, len(sm.segments)
         )
-        out += struct.pack("<I", len(sm.segments))
         for seg in sm.segments:
-            out += struct.pack(
-                "<IIII", seg.block_start, seg.block_count, seg.byte_count, seg.trit_count
-            )
+            out += struct.pack("<II", seg.block_count, seg.trit_count)
     with open(path, "wb") as fh:
         fh.write(out)
 
@@ -206,31 +196,15 @@ def read_mapping(path) -> MappingTable:
     quality, strand_len, index_width = cur.take("<HIH")
     fwd = cur.take_str()
     rev = cur.take_str()
-    pool_seed = cur.take("<Q")
-    table = MappingTable(scheme, quality, strand_len, index_width, fwd, rev, pool_seed)
+    table = MappingTable(scheme, quality, strand_len, index_width, fwd, rev)
     for _ in range(cur.take("<B")):
-        sid, pl, window, marked, total_trits, strand_count, first_uid = cur.take(
-            "<BIIBQII"
-        )
-        if marked != (1 if pl else 0):
-            raise FormatError(
-                f"stream {sid}: marker flag {marked} disagrees with partition length {pl}"
-            )
+        sid, pl, window, n_segments = cur.take("<BIII")
         try:
             BarrierConfig(partition_len=pl or None, window=window)
         except ValueError as exc:
             raise FormatError(f"stream {sid}: {exc}") from None
-        sm = StreamMap(
-            stream_id=sid,
-            partition_len=pl or None,
-            window=window,
-            total_trits=total_trits,
-            strand_count=strand_count,
-            first_uid=first_uid,
-        )
-        for _ in range(cur.take("<I")):
-            sm.segments.append(SegmentRecord(*cur.take("<IIII")))
-        table.streams.append(sm)
+        segments = [SegmentRecord(*cur.take("<II")) for _ in range(n_segments)]
+        table.streams.append(StreamMap(sid, pl or None, window, segments))
     cur.done()
     return table
 
@@ -253,7 +227,6 @@ def write_metadata(path, meta: ImageMetadata) -> None:
     out += struct.pack("<H", FORMAT_VERSION)
     out += struct.pack("<II", meta.width, meta.height)
     out += struct.pack("<64H", *meta.quant_table.ravel().tolist())
-    out += struct.pack("<I", meta.block_count)
     out += _pack_lengths(meta.dc_code_lengths)
     out += _pack_lengths(meta.ac_code_lengths)
     with open(path, "wb") as fh:
@@ -271,7 +244,6 @@ def read_metadata(path) -> ImageMetadata:
         raise FormatError(f"unsupported metadata version {version}")
     width, height = cur.take("<II")
     quant = np.array(cur.take("<64H"), dtype=np.int64).reshape(8, 8)
-    block_count = cur.take("<I")
 
     def lengths() -> dict[int, int]:
         return dict(cur.take("<HB") for _ in range(cur.take("<H")))
@@ -283,13 +255,6 @@ def read_metadata(path) -> ImageMetadata:
         # fail here, not at decode: every table decode_pool builds must build
         HuffmanTable(dc)
         HuffmanTable(ac)
-        return ImageMetadata(
-            width=width,
-            height=height,
-            quant_table=quant,
-            block_count=block_count,
-            dc_code_lengths=dc,
-            ac_code_lengths=ac,
-        )
+        return ImageMetadata(width, height, quant, dc, ac)
     except ValueError as exc:
         raise FormatError(f"image metadata: {exc}") from None

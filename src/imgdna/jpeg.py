@@ -54,7 +54,6 @@ class ImageMetadata:
     width: int
     height: int
     quant_table: np.ndarray  # (8, 8) int64, every entry >= 1
-    block_count: int
     dc_code_lengths: Optional[dict[int, int]] = None
     ac_code_lengths: Optional[dict[int, int]] = None
 
@@ -64,12 +63,10 @@ class ImageMetadata:
             raise ValueError(f"quant table must be 8x8, got {self.quant_table.shape}")
         if (self.quant_table < 1).any():
             raise ValueError("quant table entries must be >= 1")
-        expected = blocks_per_image(self.width, self.height)
-        if self.block_count != expected:
-            raise ValueError(
-                f"block_count {self.block_count} != {expected} for "
-                f"{self.width}x{self.height}"
-            )
+
+    @property
+    def block_count(self) -> int:
+        return blocks_per_image(self.width, self.height)
 
 
 def quality_scaled_table(quality: int) -> np.ndarray:
@@ -134,13 +131,7 @@ def forward_transform(image: np.ndarray, quality: int = 75) -> tuple[np.ndarray,
     shifted = to_blocks(image) - 128.0
     coefficients = dct2(shifted)
     quantized = round_half_away(coefficients / table).astype(np.int32)
-    meta = ImageMetadata(
-        width=width,
-        height=height,
-        quant_table=table,
-        block_count=quantized.shape[0],
-    )
-    return quantized, meta
+    return quantized, ImageMetadata(width=width, height=height, quant_table=table)
 
 
 # Valid quantized-coefficient bounds: samples live in [-128, 127] after the

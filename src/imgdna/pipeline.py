@@ -16,8 +16,12 @@ Byte segments are block-aligned so a damaged segment tail corrupts a known
 block range: every AC segment covers one block, DC segments a few blocks,
 and Raw-DNA deliberately uses a single whole-image segment. A stream's
 segments cover the image's blocks in order, so the decoded rows of its
-segments stack into one row per block; decode_pool rejects a mapping
-whose segments overlap or leave a gap, or whose scheme or stream ids
+segments stack into one row per block. A segment stores its block and
+trit counts alone: its first block and trit are the sums of the counts
+before it, and a stream's strands, ceil(trits / trits per strand) of them,
+follow the previous stream's in mapping order (_stream_layouts). decode_pool
+rejects a mapping with a negative block count, block counts that do not sum
+to the image's, a barrier layout it cannot use, or a scheme or stream ids
 stream_classes does not give. That table says which streams a scheme has
 and which coefficient classes each carries; barrier layouts, segment
 plans, code tables, decoders and targeted injection all read it. An
@@ -233,8 +237,7 @@ def encode_image(image: np.ndarray, cfg: ExperimentConfig) -> EncodedImage:
         ends = cum[np.cumsum(sizes)]
         trit_counts = np.diff(ends, prepend=0)
         segments[sid] = [
-            SegmentRecord(b0, b1 - b0, nbytes, ntrits)
-            for (b0, b1), nbytes, ntrits in zip(plan, sizes.tolist(), trit_counts.tolist())
+            SegmentRecord(b1 - b0, ntrits) for (b0, b1), ntrits in zip(plan, trit_counts.tolist())
         ]
         if dc and ac:  # nucleotide extents of the DC terms, for targeted injection
             lo, hi = cum[dc_spans[:, 0] // 8], cum[(dc_spans[:, 1] + 7) // 8]
@@ -248,20 +251,9 @@ def encode_image(image: np.ndarray, cfg: ExperimentConfig) -> EncodedImage:
     for sid, trits in stream_trits.items():
         bc = stream_cfgs[sid]
         payloads = stream_payloads(trits, bc, strand_trits(bc, geom.capacity))
-        first_uid = len(strands)
         strands += assemble_strands(geom, range(sid, 2 * len(payloads), 2), payloads)
         barrier_nt[sid] = sum(p.size for p in payloads) - trits.size
-        stream_maps.append(
-            StreamMap(
-                stream_id=sid,
-                partition_len=bc.partition_len,
-                window=bc.window,
-                total_trits=trits.size,
-                strand_count=len(payloads),
-                first_uid=first_uid,
-                segments=segments[sid],
-            )
-        )
+        stream_maps.append(StreamMap(sid, bc.partition_len, bc.window, segments[sid]))
 
     mapping = MappingTable(
         scheme=cfg.scheme,
@@ -270,7 +262,6 @@ def encode_image(image: np.ndarray, cfg: ExperimentConfig) -> EncodedImage:
         index_width=geom.index_width,
         fwd_primer=seq_to_string(geom.fwd_primer),
         rev_primer=seq_to_string(geom.rev_primer),
-        pool_seed=cfg.seed,
         streams=stream_maps,
     )
     return EncodedImage(
@@ -305,15 +296,29 @@ def _normalize_pool(pool) -> list[list[np.ndarray]]:
     return list(pool)
 
 
-def _strand_trit_layout(sm: StreamMap, capacity: int) -> tuple[BarrierConfig, int]:
-    bc = BarrierConfig(partition_len=sm.partition_len, window=sm.window)
-    return bc, strand_trits(bc, capacity)
+def _stream_layouts(
+    mapping: MappingTable, capacity: int
+) -> dict[int, tuple[BarrierConfig, int, range]]:
+    """{stream id: (barrier layout, trits per strand, pool uids)}: each
+    stream's strands follow the previous stream's in mapping order, as
+    encode_image appends them. FormatError for a barrier layout the
+    decoder cannot use."""
+    layouts, first = {}, 0
+    for sm in mapping.streams:
+        try:
+            bc = BarrierConfig(partition_len=sm.partition_len, window=sm.window)
+            per = strand_trits(bc, capacity)
+        except ValueError as exc:
+            raise FormatError(f"stream {sm.stream_id}: {exc}") from None
+        count = _strand_count(sm.total_trits, per)
+        layouts[sm.stream_id] = (bc, per, range(first, first + count))
+        first += count
+    return layouts
 
 
-def _check_mapping(mapping: MappingTable, meta: ImageMetadata, capacity: int) -> None:
+def _check_mapping(mapping: MappingTable, meta: ImageMetadata) -> None:
     """FormatError unless the scheme is known, the stream ids are the
-    scheme's, each stream's strand count fits its trits and its segments
-    cover the image's blocks in order."""
+    scheme's and each stream's segments cover the image's blocks."""
     if mapping.scheme not in SCHEMES:
         raise FormatError(f"unknown scheme {mapping.scheme!r}")
     ids = sorted(sm.stream_id for sm in mapping.streams)
@@ -321,21 +326,21 @@ def _check_mapping(mapping: MappingTable, meta: ImageMetadata, capacity: int) ->
     if ids != want:
         raise FormatError(f"stream ids {ids} do not match {mapping.scheme}'s {want}")
     for sm in mapping.streams:
-        if sm.strand_count != _strand_count(sm.total_trits, _strand_trit_layout(sm, capacity)[1]):
-            raise FormatError(f"stream {sm.stream_id}: strand count does not fit its trits")
-        starts = [seg.block_start for seg in sm.segments]
-        ends = [seg.block_start + seg.block_count for seg in sm.segments]
-        # from block 0 to the last, each segment starts where the one before ended
-        if [0] + ends != starts + [meta.block_count] or ends != sorted(ends):
-            raise FormatError(f"stream {sm.stream_id}: segments do not cover the blocks in order")
+        # each segment starts where the one before ended, so block counts
+        # that are never negative and sum to the image's tile its blocks
+        blocks = [seg.block_count for seg in sm.segments]
+        if min(blocks, default=0) < 0 or sum(blocks) != meta.block_count:
+            raise FormatError(f"stream {sm.stream_id}: segments do not cover the image's blocks")
 
 
 def decode_pool(pool, mapping: MappingTable, meta: ImageMetadata) -> DecodeResult:
     """Reassemble an image from a (possibly noisy) strand pool."""
     geom = _geometry_from_mapping(mapping)
-    _check_mapping(mapping, meta, geom.capacity)
-    counts = {sm.stream_id: sm.strand_count for sm in mapping.streams}
-    dis = disassemble_pool(_normalize_pool(pool), geom, counts)
+    _check_mapping(mapping, meta)
+    layouts = _stream_layouts(mapping, geom.capacity)
+    dis = disassemble_pool(
+        _normalize_pool(pool), geom, {sid: len(uids) for sid, (_, _, uids) in layouts.items()}
+    )
 
     dc_table = HuffmanTable(meta.dc_code_lengths)
     ac_table = HuffmanTable(meta.ac_code_lengths)
@@ -346,24 +351,25 @@ def decode_pool(pool, mapping: MappingTable, meta: ImageMetadata) -> DecodeResul
 
     classes = stream_classes(mapping.scheme)
     for sm in mapping.streams:
-        bc, per = _strand_trit_layout(sm, geom.capacity)
+        bc, per, _ = layouts[sm.stream_id]
         dc, ac = classes[sm.stream_id]
         tables = (dc_table if dc else None, ac_table if ac else None)
         slots = dis.streams[sm.stream_id]
+        counts = [seg.trit_count for seg in sm.segments]
+        edges = np.cumsum([0] + counts)
+        total = int(edges[-1])
         # a missing strand decodes as an empty read: zeros, all partitions damaged
         lost = np.cumsum([0] + [read is None for read in slots])  # lost slots before each
         result.missing_strands += int(lost[-1])
-        full = sm.total_trits // per  # the final strand may be short
+        full = total // per  # the final strand may be short
         head, head_damaged = resync_reads(slots[:full], bc, per)
-        tail, tail_damaged = resync_reads(slots[full:], bc, sm.total_trits - full * per)
+        tail, tail_damaged = resync_reads(slots[full:], bc, total - full * per)
         trits = np.append(head, tail)
         result.damaged_partitions += int(head_damaged.sum() + tail_damaged.sum())
 
-        counts = [seg.trit_count for seg in sm.segments]
         datas = trits_to_segments(trits, counts)
         # a segment with a trit on a lost slot fails, even where its zero
         # trits decode cleanly
-        edges = np.cumsum([0] + counts)
         first = np.minimum(edges[:-1] // per, len(slots))
         stop = np.minimum(-(-edges[1:] // per), len(slots))
         meets = lost[stop] > lost[first]
@@ -476,19 +482,19 @@ def _target_positions(enc: EncodedImage, target: int) -> np.ndarray:
     classes = stream_classes(enc.mapping.scheme)
     k = 1 if target == STREAM_AC else 0  # index into (carries DC, carries AC)
     sm = next(sm for sm in enc.mapping.streams if classes[sm.stream_id][k])
+    _, per, uids = _stream_layouts(enc.mapping, geom.capacity)[sm.stream_id]
     if not all(classes[sm.stream_id]):  # the stream carries the target class alone
-        uids = np.arange(sm.first_uid, sm.first_uid + sm.strand_count)
+        uids = np.arange(uids.start, uids.stop)
         sizes = np.array([enc.strands[uid].size for uid in uids.tolist()], dtype=np.int64)
         spans = sizes - body - geom.rev_len  # payload nucleotides per strand
         firsts = np.repeat(np.cumsum(spans) - spans, spans)
         return np.column_stack([np.repeat(uids, spans), body + np.arange(spans.sum()) - firsts])
     # interleaved payloads: map stream trit positions through the DC extents
-    _, per = _strand_trit_layout(sm, geom.capacity)
-    mask = np.zeros(sm.total_trits, dtype=bool)
+    mask = np.zeros(enc.stream_trits[sm.stream_id].size, dtype=bool)
     for lo, hi in enc.dc_trit_ranges:
         mask[lo:hi] = True
     t = np.flatnonzero(mask if target == STREAM_DC else ~mask)
-    return np.column_stack([sm.first_uid + t // per, body + t % per])
+    return np.column_stack([uids.start + t // per, body + t % per])
 
 
 def _inject(strands: list[np.ndarray], hits, rng) -> list[list[np.ndarray]]:
@@ -604,14 +610,13 @@ def run_containment(
     cfg = cfg or ExperimentConfig()
     enc = encode_image(image, cfg)
     geom = enc.geometry()
-    limit = 2 * max(sm.strand_count for sm in enc.mapping.streams)
+    layouts = _stream_layouts(enc.mapping, geom.capacity)
+    limit = 2 * max(len(uids) for _, _, uids in layouts.values())
     # uid -> (stream, offset, barrier layout, pristine trits)
     targets: dict[int, tuple[int, int, BarrierConfig, np.ndarray]] = {}
-    for sm in enc.mapping.streams:
-        bc, per = _strand_trit_layout(sm, geom.capacity)
-        for k in range(sm.strand_count):
-            want = enc.stream_trits[sm.stream_id][k * per : (k + 1) * per]
-            targets[sm.first_uid + k] = (sm.stream_id, k, bc, want)
+    for sid, (bc, per, uids) in layouts.items():
+        for k, uid in enumerate(uids):
+            targets[uid] = (sid, k, bc, enc.stream_trits[sid][k * per : (k + 1) * per])
 
     cum = np.concatenate([[0], np.cumsum([s.size for s in enc.strands], dtype=np.int64)])
     rng = np.random.default_rng(seed)

@@ -205,6 +205,19 @@ def test_validate_json(encoded, capsys):
     assert 0.4 <= payload["gc_mean"] <= 0.6
 
 
+def test_validate_json_with_containment_is_one_document(encoded, capsys):
+    argv = ["validate", "--pool", f"{encoded}.pool.fa", "--containment", 40]
+    assert run(argv + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["violations"] == []
+    stats = payload["containment"]
+    assert set(stats) == {"trials", "within_two_partitions", "confined_to_strand", "damage_histogram"}
+    assert stats["trials"] == sum(stats["damage_histogram"].values()) == 40
+    assert stats["confined_to_strand"] == 40
+    assert run(argv) == 0  # the text report keeps its one containment line
+    assert capsys.readouterr().out.splitlines()[-1].startswith("containment: ")
+
+
 def test_corpus_directory_input(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

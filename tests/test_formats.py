@@ -75,31 +75,20 @@ def test_mapping_round_trip(tmp_path):
         index_width=6,
         fwd_primer="ACGTACGTACGTACGTACGT",
         rev_primer="TGCATGCATGCATGCATGCA",
-        pool_seed=0x5EED,
         streams=[
             StreamMap(
                 stream_id=0,
                 partition_len=20,
                 window=12,
-                total_trits=1357,
-                strand_count=9,
-                first_uid=0,
-                segments=[SegmentRecord(0, 4, 6, 31), SegmentRecord(4, 4, 5, 26)],
+                segments=[SegmentRecord(4, 31), SegmentRecord(4, 26)],
             ),
-            StreamMap(
-                stream_id=1,
-                partition_len=None,
-                window=12,
-                total_trits=45776,
-                strand_count=300,
-                first_uid=9,
-                segments=[SegmentRecord(0, 1, 33, 168)],
-            ),
+            StreamMap(stream_id=1, partition_len=None, window=12, segments=[SegmentRecord(1, 168)]),
         ],
     )
     path = tmp_path / "img.map"
     write_mapping(path, table)
     assert table == read_mapping(path)
+    assert [sm.total_trits for sm in read_mapping(path).streams] == [57, 168]
 
 
 def test_mapping_rejects_wrong_magic(tmp_path):
@@ -112,28 +101,9 @@ def test_mapping_rejects_wrong_magic(tmp_path):
         read_mapping(path)
 
 
-def test_mapping_rejects_marker_flag_that_disagrees_with_partition_length(tmp_path):
-    # the flag byte says whether partitions end in 'AA'; the decoder takes
-    # that from the partition length, so a disagreeing byte is corrupt
-    head = MappingTable("IMG-DNA", 75, 250, 6, "A" * 20, "C" * 20, 7)
-    path = tmp_path / "img.map"
-    write_mapping(path, head)
-    flag_at = len(path.read_bytes()) + 9  # after stream id, partition length, window
-    for pl in (20, None):
-        sm = StreamMap(0, pl, 12, total_trits=40, strand_count=1, first_uid=0)
-        write_mapping(path, replace(head, streams=[sm]))
-        data = bytearray(path.read_bytes())
-        assert data[flag_at] == (pl is not None)
-        assert read_mapping(path).streams == [sm]
-        data[flag_at] ^= 1
-        path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match="marker flag"):
-            read_mapping(path)
-
-
 def test_mapping_rejects_barrier_parameters_the_decoder_cannot_use(tmp_path):
     # a sidecar that BarrierConfig rejects fails on read, not later in decode
-    head = MappingTable("IMG-DNA", 75, 250, 6, "A" * 20, "C" * 20, 7)
+    head = MappingTable("IMG-DNA", 75, 250, 6, "A" * 20, "C" * 20)
     path = tmp_path / "img.map"
     for pl, window, message in (
         (20, 3, "even number"),
@@ -142,14 +112,14 @@ def test_mapping_rejects_barrier_parameters_the_decoder_cannot_use(tmp_path):
         (1, 4, "partition_len must be >= 2"),
         (5, 10, "smaller than two partitions"),
     ):
-        sm = StreamMap(0, pl, window, total_trits=40, strand_count=1, first_uid=0)
+        sm = StreamMap(0, pl, window, [SegmentRecord(1, 40)])
         write_mapping(path, replace(head, streams=[sm]))
         with pytest.raises(FormatError, match=f"stream 0: .*{message}"):
             read_mapping(path)
 
 
 def test_mapping_rejects_truncation(tmp_path):
-    table = MappingTable("Raw-DNA", 75, 250, 6, "A" * 20, "C" * 20, 7)
+    table = MappingTable("Raw-DNA", 75, 250, 6, "A" * 20, "C" * 20)
     path = tmp_path / "img.map"
     write_mapping(path, table)
     data = path.read_bytes()
@@ -166,7 +136,6 @@ def test_metadata_round_trip(tmp_path):
         width=130,
         height=140,
         quant_table=quality_scaled_table(75),
-        block_count=306,
         dc_code_lengths={0: 2, 1: 2, 5: 3, 15: 9},
         ac_code_lengths={0x00: 1, 0xF0: 4, 0x23: 5},
     )
@@ -189,16 +158,14 @@ def test_metadata_round_trip(tmp_path):
         (lambda m: m.ac_code_lengths.update({300: 9}), "symbol"),
         (lambda m: m.dc_code_lengths.clear(), "empty"),
         (lambda m: m.quant_table.__setitem__((3, 4), 0), "quant"),
-        (lambda m: setattr(m, "block_count", 305), "block_count"),
     ],
-    ids=["length-17", "length-0", "lone-length-0", "symbol-300", "empty", "quant-0", "blocks"],
+    ids=["length-17", "length-0", "lone-length-0", "symbol-300", "empty", "quant-0"],
 )
 def test_bad_metadata_is_a_format_error_when_read(tmp_path, edit, message):
     meta = ImageMetadata(
         width=130,
         height=140,
         quant_table=quality_scaled_table(75),
-        block_count=306,
         dc_code_lengths={0: 2, 1: 2, 5: 3, 15: 9},
         ac_code_lengths={0x00: 1, 0xF0: 4, 0x23: 5},
     )
@@ -210,8 +177,25 @@ def test_bad_metadata_is_a_format_error_when_read(tmp_path, edit, message):
 
 
 def test_metadata_requires_code_lengths(tmp_path):
-    meta = ImageMetadata(
-        width=16, height=16, quant_table=np.ones((8, 8)), block_count=4
-    )
+    meta = ImageMetadata(width=16, height=16, quant_table=np.ones((8, 8)))
     with pytest.raises(FormatError):
         write_metadata(tmp_path / "img.meta", meta)
+
+
+def test_sidecars_of_format_version_1_are_rejected(tmp_path):
+    # a version 1 file lays its fields out differently: it is refused, not
+    # misread, and must be re-encoded
+    table = MappingTable("Raw-DNA", 75, 250, 6, "A" * 20, "C" * 20)
+    meta = ImageMetadata(16, 16, np.ones((8, 8)), {0: 1, 1: 1}, {0: 1, 1: 1})
+    for write, read, value, label in (
+        (write_mapping, read_mapping, table, "mapping"),
+        (write_metadata, read_metadata, meta, "metadata"),
+    ):
+        path = tmp_path / label
+        write(path, value)
+        data = bytearray(path.read_bytes())
+        assert data[4:6] == b"\x02\x00"
+        data[4:6] = b"\x01\x00"
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"unsupported {label} version 1"):
+            read(path)

@@ -140,8 +140,6 @@ def test_blocks_are_row_major():
 
 def test_metadata_rejects_bad_tables():
     with pytest.raises(ValueError):
-        jpeg.ImageMetadata(8, 8, np.zeros((8, 8)), 1)
+        jpeg.ImageMetadata(8, 8, np.zeros((8, 8)))
     with pytest.raises(ValueError):
-        jpeg.ImageMetadata(8, 8, np.ones((4, 4)), 1)
-    with pytest.raises(ValueError):
-        jpeg.ImageMetadata(16, 16, np.ones((8, 8)), 3)
+        jpeg.ImageMetadata(8, 8, np.ones((4, 4)))

@@ -14,7 +14,7 @@ from imgdna import pipeline
 from imgdna.barriers import _resync_decode
 from imgdna.channel import ChannelConfig, apply_edits, edit_value, perturb_pool
 from imgdna.corpus import corpus_image
-from imgdna.formats import FormatError, read_mapping, read_metadata, read_pool, write_mapping, write_metadata, write_pool
+from imgdna.formats import FormatError, SegmentRecord, read_mapping, read_metadata, read_pool, write_mapping, write_metadata, write_pool
 from imgdna.pipeline import (
     DEFAULT_RATES,
     SCHEME_IMG_DNA,
@@ -31,7 +31,7 @@ from imgdna.pipeline import (
     run_pipeline,
     run_sweep,
     _primer_bounds,
-    _strand_trit_layout,
+    _stream_layouts,
     _target_positions,
 )
 from imgdna.strands import STREAM_AC, STREAM_DC, route_read, validate_constraints
@@ -72,23 +72,24 @@ def test_clean_round_trip_odd_size(scheme, odd_image):
 def test_strand_layout_and_uid_order(small_image):
     cfg = ExperimentConfig()
     enc = encode_image(small_image, cfg)
-    by_id = {sm.stream_id: sm for sm in enc.mapping.streams}
-    assert set(by_id) == {STREAM_DC, STREAM_AC}
-    assert by_id[STREAM_DC].first_uid == 0
-    assert by_id[STREAM_AC].first_uid == by_id[STREAM_DC].strand_count
-    assert len(enc.strands) == sum(sm.strand_count for sm in enc.mapping.streams)
     geom = enc.geometry()
+    uids = {sid: uids for sid, (_, _, uids) in _stream_layouts(enc.mapping, geom.capacity).items()}
+    assert set(uids) == {STREAM_DC, STREAM_AC}
+    assert uids[STREAM_DC].start == 0
+    assert uids[STREAM_AC].start == len(uids[STREAM_DC])
+    assert len(enc.strands) == sum(len(r) for r in uids.values())
     for s in enc.strands:
         assert s.size <= cfg.strand_len
         assert s.size > geom.fwd_len + geom.rev_len + geom.index_len
     # every segment's trit extent must tile the stream exactly
     for sm in enc.mapping.streams:
-        assert sum(seg.trit_count for seg in sm.segments) == sm.total_trits
+        assert sum(seg.trit_count for seg in sm.segments) == enc.stream_trits[sm.stream_id].size
         assert sum(seg.block_count for seg in sm.segments) == enc.metadata.block_count
 
 
-def test_sidecar_file_round_trip(tmp_path, small_image):
-    cfg = ExperimentConfig()
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_sidecar_file_round_trip(tmp_path, small_image, scheme):
+    cfg = ExperimentConfig(scheme=scheme)
     enc = encode_image(small_image, cfg)
     write_pool(tmp_path / "pool.fasta", enc.strands)
     write_mapping(tmp_path / "img.map", enc.mapping)
@@ -97,6 +98,13 @@ def test_sidecar_file_round_trip(tmp_path, small_image):
     pool = read_pool(tmp_path / "pool.fasta")
     mapping = read_mapping(tmp_path / "img.map")
     meta = read_metadata(tmp_path / "img.meta")
+    assert mapping == enc.mapping
+    assert (meta.width, meta.height, meta.block_count) == (
+        enc.metadata.width, enc.metadata.height, enc.metadata.block_count,
+    )
+    assert np.array_equal(meta.quant_table, enc.metadata.quant_table)
+    assert meta.dc_code_lengths == enc.metadata.dc_code_lengths
+    assert meta.ac_code_lengths == enc.metadata.ac_code_lengths
     dec = decode_pool(pool, mapping, meta)
     assert np.array_equal(dec.image, reference_image(small_image, cfg.quality))
 
@@ -132,8 +140,8 @@ def test_missing_strand_leaves_gap_not_crash(small_image):
     assert not np.array_equal(dec.image, ref)
     # every partition of the lost strand counts as damaged
     sm = enc.mapping.streams[-1]
-    _, per = _strand_trit_layout(sm, enc.geometry().capacity)
-    last = sm.total_trits - (sm.strand_count - 1) * per
+    _, per, uids = _stream_layouts(enc.mapping, enc.geometry().capacity)[sm.stream_id]
+    last = sm.total_trits - (len(uids) - 1) * per
     assert dec.damaged_partitions == -(-last // sm.partition_len)
 
 
@@ -143,7 +151,7 @@ def test_missing_strands_fail_segments(scheme, small_image):
     # it fails. The last stream is the AC stream, or Raw-DNA's only one.
     enc = encode_image(small_image, ExperimentConfig(scheme=scheme))
     sm = enc.mapping.streams[-1]
-    lost = range(sm.first_uid, sm.first_uid + sm.strand_count, 8)
+    lost = _stream_layouts(enc.mapping, enc.geometry().capacity)[sm.stream_id][2][::8]
     pool = {uid: [s] for uid, s in enumerate(enc.strands) if uid not in lost}
     dec = decode_pool(pool, enc.mapping, enc.metadata)
     assert dec.missing_strands == len(lost)
@@ -155,17 +163,17 @@ def test_lost_strand_fails_every_segment_it_meets(scheme, small_image):
     # zero trits can decode as clean junk, so a segment fails whenever any
     # of its trits lies on the lost strand, and only then on a clean channel
     enc = encode_image(small_image, ExperimentConfig(scheme=scheme))
-    capacity = enc.geometry().capacity
+    layouts = _stream_layouts(enc.mapping, enc.geometry().capacity)
     for sm in enc.mapping.streams:
-        _, per = _strand_trit_layout(sm, capacity)
-        for k in sorted({0, sm.strand_count // 2, sm.strand_count - 1}):
+        _, per, uids = layouts[sm.stream_id]
+        for k in sorted({0, len(uids) // 2, len(uids) - 1}):
             lo, hi = k * per, min((k + 1) * per, sm.total_trits)
             want, start = 0, 0
             for seg in sm.segments:
                 want += start < hi and lo < start + seg.trit_count
                 start += seg.trit_count
             pool = [[s] for s in enc.strands]
-            pool[sm.first_uid + k] = []
+            pool[uids[k]] = []
             dec = decode_pool(pool, enc.mapping, enc.metadata)
             assert dec.missing_strands == 1
             assert dec.segments_failed == want, (sm.stream_id, k)
@@ -236,16 +244,6 @@ def test_empty_read_group_counts_as_missing(scheme):
 
 
 # each edit breaks a mapping and returns the start of the error it raises
-def _bump_strand_count(m):
-    m.streams[-1].strand_count += 1
-    return f"stream {m.streams[-1].stream_id}:"
-
-
-def _far_block_start(m):
-    m.streams[-1].segments[0].block_start = 10**6
-    return f"stream {m.streams[-1].stream_id}:"
-
-
 def _long_last_dc_segment(m):
     m.streams[0].segments[-1].block_count += 5
     return f"stream {m.streams[0].stream_id}:"
@@ -253,8 +251,25 @@ def _long_last_dc_segment(m):
 
 def _overlapping_segment(m):
     # a second, empty segment over the last segment's blocks
-    m.streams[-1].segments.append(replace(m.streams[-1].segments[-1], byte_count=0, trit_count=0))
+    m.streams[-1].segments.append(replace(m.streams[-1].segments[-1], trit_count=0))
     return f"stream {m.streams[-1].stream_id}:"
+
+
+def _negative_block_count(m):
+    # the block counts still sum to the image's
+    m.streams[-1].segments[-1].block_count += 1
+    m.streams[-1].segments.append(SegmentRecord(block_count=-1, trit_count=0))
+    return f"stream {m.streams[-1].stream_id}:"
+
+
+def _huge_partition(m):
+    m.streams[-1].partition_len = 10**6  # no strand holds one partition
+    return f"stream {m.streams[-1].stream_id}: strand capacity"
+
+
+def _odd_window(m):
+    m.streams[-1].window = 3
+    return f"stream {m.streams[-1].stream_id}: window must be an even number"
 
 
 def _unknown_scheme(m):
@@ -281,10 +296,11 @@ def _dropped_stream(m):
 @pytest.mark.parametrize(
     "edit",
     [
-        _bump_strand_count,
-        _far_block_start,
         _long_last_dc_segment,
         _overlapping_segment,
+        _negative_block_count,
+        _huge_partition,
+        _odd_window,
         _unknown_scheme,
         _relabelled_stream,
         _duplicate_stream,
@@ -332,13 +348,13 @@ def containment_by_trial(image, cfg, trials, seed):
     per-partition damage count per trial, each in turn."""
     enc = encode_image(image, cfg)
     geom = enc.geometry()
-    limit = 2 * max(sm.strand_count for sm in enc.mapping.streams)
+    layouts = _stream_layouts(enc.mapping, geom.capacity)
+    limit = 2 * max(len(uids) for _, _, uids in layouts.values())
     targets = {}
-    for sm in enc.mapping.streams:
-        bc, per = _strand_trit_layout(sm, geom.capacity)
-        for k in range(sm.strand_count):
-            want = enc.stream_trits[sm.stream_id][k * per : (k + 1) * per]
-            targets[sm.first_uid + k] = (sm.stream_id, k, bc, want)
+    for sid, (bc, per, uids) in layouts.items():
+        for k, uid in enumerate(uids):
+            want = enc.stream_trits[sid][k * per : (k + 1) * per]
+            targets[uid] = (sid, k, bc, want)
     cum = np.concatenate([[0], np.cumsum([s.size for s in enc.strands])])
     rng = np.random.default_rng(seed)
     within = confined_count = 0
@@ -427,10 +443,9 @@ def test_misrouted_reads_are_unconfined_lost_strands(small_image, every, monkeyp
         enc = encode_image(small_image, cfg)
         geom = enc.geometry()
         lost = {}
-        for sm in enc.mapping.streams:
-            bc, per = _strand_trit_layout(sm, geom.capacity)
+        for stream, (bc, per, _) in _stream_layouts(enc.mapping, geom.capacity).items():
             for sid, offset in chosen:
-                if sid == sm.stream_id:
+                if sid == stream:
                     want = enc.stream_trits[sid][offset * per : (offset + 1) * per]
                     step = bc.partition_len or want.size
                     d = sum(want[j : j + step].any() for j in range(0, want.size, step))
@@ -532,13 +547,13 @@ def test_target_positions_run_strand_by_strand(small_image):
     enc = encode_image(small_image, ExperimentConfig())
     geom = enc.geometry()
     body = geom.fwd_len + geom.index_len
-    for sm in enc.mapping.streams:
+    for sid, (_, _, uids) in _stream_layouts(enc.mapping, geom.capacity).items():
         want = [
             [uid, body + p]
-            for uid in range(sm.first_uid, sm.first_uid + sm.strand_count)
+            for uid in uids
             for p in range(enc.strands[uid].size - body - geom.rev_len)
         ]
-        assert _target_positions(enc, sm.stream_id).tolist() == want
+        assert _target_positions(enc, sid).tolist() == want
 
 
 def test_isolation_rows_cover_targets(small_image):
