@@ -35,7 +35,7 @@ enc = encode_image(image, cfg)
 print(f"\nencoded in {time.perf_counter() - t0:.3f}s -> {len(enc.strands)} strands")
 
 # anatomy of the first strand: primer | index | payload (with 'AA' barriers)
-geom = enc.geometry()
+geom = enc.mapping.geometry
 s0 = seq_to_string(enc.strands[0])
 fwd = geom.fwd_len
 idx = geom.index_len + 1  # index trits plus its seed base

@@ -79,14 +79,7 @@ def _channel_from(args) -> ChannelConfig:
         raise ValueError("either --rate or --channel-config is required")
     else:
         base = ChannelConfig(rate=args.rate)
-    overrides = {
-        "rate": args.rate,
-        "sub_weight": args.sub_weight,
-        "ins_weight": args.ins_weight,
-        "del_weight": args.del_weight,
-        "copies": args.copies,
-        "corrupt_primers": args.corrupt_primers,
-    }
+    overrides = {f.name: getattr(args, f.name) for f in fields(ChannelConfig)}
     return replace(base, **{key: val for key, val in overrides.items() if val is not None})
 
 
@@ -217,13 +210,8 @@ def _cmd_validate(args) -> int:
     strands = [seq for group in pool.values() for seq in group]
     report = validate_constraints(strands)
     payload = {
-        "strand_count": report.strand_count,
-        "max_homopolymer": report.max_homopolymer,
-        "max_length": report.max_length,
-        "gc_mean": round(report.gc_mean, 6),
-        "gc_min": round(report.gc_min, 6),
-        "gc_max": round(report.gc_max, 6),
-        "violations": report.violations,
+        key: round(val, 6) if isinstance(val, float) else val
+        for key, val in asdict(report).items()
     }
     stats = run_containment(corpus_image(0), trials=args.containment) if args.containment else None
     if args.json:

@@ -10,6 +10,10 @@ exposed to the noisy channel. All binary fields are little-endian and
 length-prefixed so the files stay self-describing. A sidecar stores each
 fact once and nothing the decoder derives: trit totals, block starts,
 strand counts and ids, and the image's block count.
+
+The mapping owns the strand layout: encode_image and every reader take the
+geometry and each stream's strands from MappingTable.layouts(), which
+read_mapping also runs, so a file no strand layout fits is a FormatError.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barriers import BarrierConfig
+from .barriers import BarrierConfig, strand_trits
 from .jpeg import ImageMetadata
 from .rotation import seq_to_string, string_to_seq
+from .strands import StrandGeometry
 from .streams import HuffmanTable
 
 MAPPING_MAGIC = b"IDNM"
@@ -127,6 +132,33 @@ class MappingTable:
     rev_primer: str
     streams: list[StreamMap] = field(default_factory=list)
 
+    @property
+    def geometry(self) -> StrandGeometry:
+        """FormatError for primers, a length or an index width no strand can use."""
+        try:
+            fwd, rev = string_to_seq(self.fwd_primer), string_to_seq(self.rev_primer)
+            return StrandGeometry(self.strand_len, fwd, rev, self.index_width)
+        except ValueError as exc:
+            raise FormatError(f"strand geometry: {exc}") from None
+
+    def layouts(self) -> tuple[StrandGeometry, dict[int, tuple[BarrierConfig, int, range]]]:
+        """(geometry, {stream id: (barrier layout, trits per strand, pool
+        uids)}). Each stream's strands, ceil(trits / trits per strand) of
+        them, follow the previous stream's in mapping order. FormatError for
+        a barrier layout or a partition no strand can hold."""
+        geom = self.geometry
+        layouts, first = {}, 0
+        for sm in self.streams:
+            try:
+                bc = BarrierConfig(partition_len=sm.partition_len, window=sm.window)
+                per = strand_trits(bc, geom.capacity)
+            except ValueError as exc:
+                raise FormatError(f"stream {sm.stream_id}: {exc}") from None
+            count = -(-sm.total_trits // per)
+            layouts[sm.stream_id] = (bc, per, range(first, first + count))
+            first += count
+        return geom, layouts
+
 
 def _pack_str(value: str) -> bytes:
     raw = value.encode("ascii")
@@ -155,7 +187,10 @@ class _Cursor:
             raise FormatError(f"{self.label}: truncated string")
         raw = self.data[self.pos : self.pos + n]
         self.pos += n
-        return raw.decode("ascii")
+        try:
+            return raw.decode("ascii")
+        except UnicodeDecodeError:
+            raise FormatError(f"{self.label}: string field is not ASCII") from None
 
     def done(self):
         if self.pos != len(self.data):
@@ -199,13 +234,10 @@ def read_mapping(path) -> MappingTable:
     table = MappingTable(scheme, quality, strand_len, index_width, fwd, rev)
     for _ in range(cur.take("<B")):
         sid, pl, window, n_segments = cur.take("<BIII")
-        try:
-            BarrierConfig(partition_len=pl or None, window=window)
-        except ValueError as exc:
-            raise FormatError(f"stream {sid}: {exc}") from None
         segments = [SegmentRecord(*cur.take("<II")) for _ in range(n_segments)]
         table.streams.append(StreamMap(sid, pl or None, window, segments))
     cur.done()
+    table.layouts()  # fail here, not at decode
     return table
 
 

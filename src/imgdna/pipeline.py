@@ -18,15 +18,15 @@ and Raw-DNA deliberately uses a single whole-image segment. A stream's
 segments cover the image's blocks in order, so the decoded rows of its
 segments stack into one row per block. A segment stores its block and
 trit counts alone: its first block and trit are the sums of the counts
-before it, and a stream's strands, ceil(trits / trits per strand) of them,
-follow the previous stream's in mapping order (_stream_layouts). decode_pool
-rejects a mapping with a negative block count, block counts that do not sum
-to the image's, a barrier layout it cannot use, or a scheme or stream ids
-stream_classes does not give. That table says which streams a scheme has
-and which coefficient classes each carries; barrier layouts, segment
-plans, code tables, decoders and targeted injection all read it. An
-AC-only stream of one-block segments goes to the lockstep decoder,
-decode_ac_blocks. Segment extents live in the mapping sidecar (the
+before it. encode_image lays the pool out with MappingTable.layouts(), the
+call decode_pool, run_containment and _target_positions read it with.
+decode_pool rejects a mapping with a negative block or trit count, block
+counts that do not sum to the image's, a strand layout no strand can hold,
+or a scheme or stream ids stream_classes does not give. That table says
+which streams a scheme has and which coefficient classes each carries;
+barrier layouts, segment plans, code tables, decoders and targeted
+injection all read it. An AC-only stream of one-block segments goes to the
+lockstep decoder, decode_ac_blocks. Segment extents live in the mapping sidecar (the
 error-free side channel), so the decoder can carve the repaired trit
 stream back into segments whatever the noisy channel did to its strands.
 
@@ -47,16 +47,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .barriers import BarrierConfig, partition_errors, resync_reads, strand_trits, stream_payloads
+from .barriers import BarrierConfig, partition_errors, resync_reads, stream_payloads
 from .channel import ChannelConfig, apply_edits, edit_value, perturb_pool
 from .formats import FormatError, MappingTable, SegmentRecord, StreamMap
 from .jpeg import ZIGZAG, ImageMetadata, forward_transform, inverse_transform
 from .metrics import barrier_overhead, ci90_half_width, encoding_density, ssim, write_csv
-from .rotation import seq_to_string, string_to_seq
+from .rotation import seq_to_string
 from .strands import (
     STREAM_AC,
     STREAM_DC,
-    StrandGeometry,
     assemble_strands,
     default_primer_pair,
     disassemble_pool,
@@ -171,41 +170,6 @@ class EncodedImage:
             raw_bytes,
         )
 
-    def geometry(self) -> StrandGeometry:
-        return _geometry_from_mapping(self.mapping)
-
-
-def _geometry_from_mapping(mapping: MappingTable) -> StrandGeometry:
-    return StrandGeometry(
-        strand_len=mapping.strand_len,
-        fwd_primer=string_to_seq(mapping.fwd_primer),
-        rev_primer=string_to_seq(mapping.rev_primer),
-        index_width=mapping.index_width,
-    )
-
-
-def _strand_count(total_trits: int, per_strand: int) -> int:
-    return -(-total_trits // per_strand) if total_trits else 0
-
-
-def _resolve_geometry(cfg: ExperimentConfig, totals: dict[int, int]) -> StrandGeometry:
-    """Fixed-point search for the smallest self-consistent index width."""
-    fwd, rev = default_primer_pair(seed=cfg.seed)
-    stream_cfgs = cfg.stream_configs()
-    width = 2  # width-1 values sit 2 edits apart: one error can pass as the other
-    while True:
-        geom = StrandGeometry(
-            strand_len=cfg.strand_len, fwd_primer=fwd, rev_primer=rev, index_width=width
-        )
-        counts = {
-            sid: _strand_count(totals[sid], strand_trits(stream_cfgs[sid], geom.capacity))
-            for sid in totals
-        }
-        need = index_width_for(max(max(counts.values()), 1))
-        if need <= width:
-            return geom
-        width = need
-
 
 def encode_image(image: np.ndarray, cfg: ExperimentConfig) -> EncodedImage:
     blocks, meta = forward_transform(image, cfg.quality)
@@ -219,7 +183,7 @@ def encode_image(image: np.ndarray, cfg: ExperimentConfig) -> EncodedImage:
 
     stream_trits: dict[int, np.ndarray] = {}
     stream_bits: dict[int, int] = {}
-    segments: dict[int, list[SegmentRecord]] = {}
+    stream_maps: list[StreamMap] = []
     dc_trit_ranges: list[tuple[int, int]] | None = None
 
     for sid, (dc, ac) in stream_classes(cfg.scheme).items():
@@ -236,34 +200,33 @@ def encode_image(image: np.ndarray, cfg: ExperimentConfig) -> EncodedImage:
         np.cumsum(CODE_LENGTHS[np.frombuffer(data, dtype=np.uint8)], out=cum[1:])
         ends = cum[np.cumsum(sizes)]
         trit_counts = np.diff(ends, prepend=0)
-        segments[sid] = [
+        segments = [
             SegmentRecord(b1 - b0, ntrits) for (b0, b1), ntrits in zip(plan, trit_counts.tolist())
         ]
+        bc = stream_cfgs[sid]
+        stream_maps.append(StreamMap(sid, bc.partition_len, bc.window, segments))
         if dc and ac:  # nucleotide extents of the DC terms, for targeted injection
             lo, hi = cum[dc_spans[:, 0] // 8], cum[(dc_spans[:, 1] + 7) // 8]
             dc_trit_ranges = list(zip(lo.tolist(), hi.tolist()))
 
-    geom = _resolve_geometry(cfg, {s: t.size for s, t in stream_trits.items()})
+    fwd, rev = map(seq_to_string, default_primer_pair(seed=cfg.seed))
+    # the smallest index width that addresses the strands laid out at that
+    # width; width-1 values sit 2 edits apart, so one error can pass as the other
+    mapping = MappingTable(cfg.scheme, cfg.quality, cfg.strand_len, 2, fwd, rev, stream_maps)
+    while True:
+        geom, layouts = mapping.layouts()
+        need = index_width_for(max(len(uids) for _, _, uids in layouts.values()))
+        if need <= mapping.index_width:
+            break
+        mapping.index_width = need  # no width between fits: wider only adds strands
 
     strands: list[np.ndarray] = []
-    stream_maps: list[StreamMap] = []
     barrier_nt: dict[int, int] = {}
-    for sid, trits in stream_trits.items():
-        bc = stream_cfgs[sid]
-        payloads = stream_payloads(trits, bc, strand_trits(bc, geom.capacity))
-        strands += assemble_strands(geom, range(sid, 2 * len(payloads), 2), payloads)
+    for sid, (bc, per, uids) in layouts.items():
+        trits = stream_trits[sid]
+        payloads = stream_payloads(trits, bc, per)
+        strands += assemble_strands(geom, range(sid, 2 * len(uids), 2), payloads)
         barrier_nt[sid] = sum(p.size for p in payloads) - trits.size
-        stream_maps.append(StreamMap(sid, bc.partition_len, bc.window, segments[sid]))
-
-    mapping = MappingTable(
-        scheme=cfg.scheme,
-        quality=cfg.quality,
-        strand_len=cfg.strand_len,
-        index_width=geom.index_width,
-        fwd_primer=seq_to_string(geom.fwd_primer),
-        rev_primer=seq_to_string(geom.rev_primer),
-        streams=stream_maps,
-    )
     return EncodedImage(
         strands=strands,
         mapping=mapping,
@@ -296,29 +259,10 @@ def _normalize_pool(pool) -> list[list[np.ndarray]]:
     return list(pool)
 
 
-def _stream_layouts(
-    mapping: MappingTable, capacity: int
-) -> dict[int, tuple[BarrierConfig, int, range]]:
-    """{stream id: (barrier layout, trits per strand, pool uids)}: each
-    stream's strands follow the previous stream's in mapping order, as
-    encode_image appends them. FormatError for a barrier layout the
-    decoder cannot use."""
-    layouts, first = {}, 0
-    for sm in mapping.streams:
-        try:
-            bc = BarrierConfig(partition_len=sm.partition_len, window=sm.window)
-            per = strand_trits(bc, capacity)
-        except ValueError as exc:
-            raise FormatError(f"stream {sm.stream_id}: {exc}") from None
-        count = _strand_count(sm.total_trits, per)
-        layouts[sm.stream_id] = (bc, per, range(first, first + count))
-        first += count
-    return layouts
-
-
 def _check_mapping(mapping: MappingTable, meta: ImageMetadata) -> None:
     """FormatError unless the scheme is known, the stream ids are the
-    scheme's and each stream's segments cover the image's blocks."""
+    scheme's, no segment has a negative trit count and each stream's
+    segments cover the image's blocks."""
     if mapping.scheme not in SCHEMES:
         raise FormatError(f"unknown scheme {mapping.scheme!r}")
     ids = sorted(sm.stream_id for sm in mapping.streams)
@@ -326,6 +270,8 @@ def _check_mapping(mapping: MappingTable, meta: ImageMetadata) -> None:
     if ids != want:
         raise FormatError(f"stream ids {ids} do not match {mapping.scheme}'s {want}")
     for sm in mapping.streams:
+        if min((seg.trit_count for seg in sm.segments), default=0) < 0:
+            raise FormatError(f"stream {sm.stream_id}: segment trit counts must be >= 0")
         # each segment starts where the one before ended, so block counts
         # that are never negative and sum to the image's tile its blocks
         blocks = [seg.block_count for seg in sm.segments]
@@ -335,9 +281,8 @@ def _check_mapping(mapping: MappingTable, meta: ImageMetadata) -> None:
 
 def decode_pool(pool, mapping: MappingTable, meta: ImageMetadata) -> DecodeResult:
     """Reassemble an image from a (possibly noisy) strand pool."""
-    geom = _geometry_from_mapping(mapping)
     _check_mapping(mapping, meta)
-    layouts = _stream_layouts(mapping, geom.capacity)
+    geom, layouts = mapping.layouts()
     dis = disassemble_pool(
         _normalize_pool(pool), geom, {sid: len(uids) for sid, (_, _, uids) in layouts.items()}
     )
@@ -414,8 +359,7 @@ def run_pipeline(
 
 
 def _primer_bounds(enc: EncodedImage) -> tuple[int, int]:
-    geom = enc.geometry()
-    return geom.fwd_len, geom.rev_len
+    return len(enc.mapping.fwd_primer), len(enc.mapping.rev_primer)
 
 
 def _score_trials(encs, refs, trials: int, noisy_pool) -> tuple[float, float]:
@@ -477,12 +421,12 @@ def _target_positions(enc: EncodedImage, target: int) -> np.ndarray:
     """(uid, absolute position) choices for errors aimed at one coefficient
     class, STREAM_DC or STREAM_AC, as an (N, 2) int array ordered by uid,
     then position."""
-    geom = enc.geometry()
+    geom, layouts = enc.mapping.layouts()
     body = geom.fwd_len + geom.index_len
     classes = stream_classes(enc.mapping.scheme)
     k = 1 if target == STREAM_AC else 0  # index into (carries DC, carries AC)
     sm = next(sm for sm in enc.mapping.streams if classes[sm.stream_id][k])
-    _, per, uids = _stream_layouts(enc.mapping, geom.capacity)[sm.stream_id]
+    _, per, uids = layouts[sm.stream_id]
     if not all(classes[sm.stream_id]):  # the stream carries the target class alone
         uids = np.arange(uids.start, uids.stop)
         sizes = np.array([enc.strands[uid].size for uid in uids.tolist()], dtype=np.int64)
@@ -609,8 +553,7 @@ def run_containment(
         raise PipelineError("trials must be >= 0")
     cfg = cfg or ExperimentConfig()
     enc = encode_image(image, cfg)
-    geom = enc.geometry()
-    layouts = _stream_layouts(enc.mapping, geom.capacity)
+    geom, layouts = enc.mapping.layouts()
     limit = 2 * max(len(uids) for _, _, uids in layouts.values())
     # uid -> (stream, offset, barrier layout, pristine trits)
     targets: dict[int, tuple[int, int, BarrierConfig, np.ndarray]] = {}

@@ -499,7 +499,7 @@ def test_encoded_strands_and_barrier_count_match_per_partition_layout(scheme):
     cfg = ExperimentConfig(scheme=scheme)
     for image in (corpus_image(0)[:64, :72], corpus_image(7)):
         enc = encode_image(image, cfg)
-        geom = enc.geometry()
+        geom = enc.mapping.geometry
         body = slice(geom.fwd_len + geom.index_len, geom.strand_len)
         strands = iter(enc.strands)
         for sid, bc in cfg.stream_configs().items():

@@ -118,6 +118,33 @@ def test_mapping_rejects_barrier_parameters_the_decoder_cannot_use(tmp_path):
             read_mapping(path)
 
 
+def _scheme_byte(data: bytes) -> bytes:
+    # the scheme string follows the magic, the version and its length byte
+    return data[:7] + b"\xff" + data[8:]
+
+
+@pytest.mark.parametrize(
+    "edit, patch, message",
+    [
+        ({"fwd_primer": "X" * 20}, None, "strand geometry: invalid nucleotide 'X'"),
+        ({"strand_len": 40}, None, "strand geometry: strand too short"),
+        ({"index_width": 0}, None, "strand geometry: index width must be >= 1"),
+        ({}, _scheme_byte, "mapping table: string field is not ASCII"),
+    ],
+    ids=["primer", "strand_len", "index_width", "scheme"],
+)
+def test_mapping_the_decoder_cannot_use_is_a_format_error_when_read(tmp_path, edit, patch, message):
+    table = MappingTable(
+        "IMG-DNA", 75, 250, 6, "A" * 20, "C" * 20, [StreamMap(0, 20, 12, [SegmentRecord(1, 40)])]
+    )
+    path = tmp_path / "img.map"
+    write_mapping(path, replace(table, **edit))
+    if patch is not None:
+        path.write_bytes(patch(path.read_bytes()))
+    with pytest.raises(FormatError, match=message):
+        read_mapping(path)
+
+
 def test_mapping_rejects_truncation(tmp_path):
     table = MappingTable("Raw-DNA", 75, 250, 6, "A" * 20, "C" * 20)
     path = tmp_path / "img.map"

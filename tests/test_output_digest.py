@@ -79,7 +79,7 @@ def _encoded(image: int, scheme: str):
 
 def _decode_case(image: int, scheme: str, rate: float, copies: int) -> str:
     enc = _encoded(image, scheme)
-    geom = enc.geometry()
+    geom = enc.mapping.geometry
     channel = ChannelConfig(rate=rate, copies=copies)
     pool = perturb_pool(enc.strands, channel, CHANNEL_SEED, protect=(geom.fwd_len, geom.rev_len))
     dec = decode_pool(pool, enc.mapping, enc.metadata)

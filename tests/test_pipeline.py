@@ -30,8 +30,8 @@ from imgdna.pipeline import (
     run_containment,
     run_pipeline,
     run_sweep,
+    stream_classes,
     _primer_bounds,
-    _stream_layouts,
     _target_positions,
 )
 from imgdna.strands import STREAM_AC, STREAM_DC, route_read, validate_constraints
@@ -69,15 +69,24 @@ def test_clean_round_trip_odd_size(scheme, odd_image):
     assert dec.image.shape == odd_image.shape
 
 
-def test_strand_layout_and_uid_order(small_image):
-    cfg = ExperimentConfig()
-    enc = encode_image(small_image, cfg)
-    geom = enc.geometry()
-    uids = {sid: uids for sid, (_, _, uids) in _stream_layouts(enc.mapping, geom.capacity).items()}
-    assert set(uids) == {STREAM_DC, STREAM_AC}
+@pytest.mark.parametrize("image", ["small_image", "odd_image"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_strand_layout_and_uid_order(scheme, image, request):
+    cfg = ExperimentConfig(scheme=scheme)
+    enc = encode_image(request.getfixturevalue(image), cfg)
+    geom, layouts = enc.mapping.layouts()
+    uids = {sid: uids for sid, (_, _, uids) in layouts.items()}
+    assert list(uids) == list(stream_classes(scheme))
     assert uids[STREAM_DC].start == 0
-    assert uids[STREAM_AC].start == len(uids[STREAM_DC])
+    if STREAM_AC in uids:
+        assert uids[STREAM_AC].start == len(uids[STREAM_DC])
     assert len(enc.strands) == sum(len(r) for r in uids.values())
+    # the encoder wrote each strand's index from the layout the decoder
+    # reads, so every strand routes to the (stream, offset) of its uid
+    limit = 2 * max(len(r) for r in uids.values())
+    for sid, r in uids.items():
+        for offset, uid in enumerate(r):
+            assert route_read(enc.strands[uid], geom, limit)[:2] == (sid, offset)
     for s in enc.strands:
         assert s.size <= cfg.strand_len
         assert s.size > geom.fwd_len + geom.rev_len + geom.index_len
@@ -140,7 +149,7 @@ def test_missing_strand_leaves_gap_not_crash(small_image):
     assert not np.array_equal(dec.image, ref)
     # every partition of the lost strand counts as damaged
     sm = enc.mapping.streams[-1]
-    _, per, uids = _stream_layouts(enc.mapping, enc.geometry().capacity)[sm.stream_id]
+    _, per, uids = enc.mapping.layouts()[1][sm.stream_id]
     last = sm.total_trits - (len(uids) - 1) * per
     assert dec.damaged_partitions == -(-last // sm.partition_len)
 
@@ -151,7 +160,7 @@ def test_missing_strands_fail_segments(scheme, small_image):
     # it fails. The last stream is the AC stream, or Raw-DNA's only one.
     enc = encode_image(small_image, ExperimentConfig(scheme=scheme))
     sm = enc.mapping.streams[-1]
-    lost = _stream_layouts(enc.mapping, enc.geometry().capacity)[sm.stream_id][2][::8]
+    lost = enc.mapping.layouts()[1][sm.stream_id][2][::8]
     pool = {uid: [s] for uid, s in enumerate(enc.strands) if uid not in lost}
     dec = decode_pool(pool, enc.mapping, enc.metadata)
     assert dec.missing_strands == len(lost)
@@ -163,7 +172,7 @@ def test_lost_strand_fails_every_segment_it_meets(scheme, small_image):
     # zero trits can decode as clean junk, so a segment fails whenever any
     # of its trits lies on the lost strand, and only then on a clean channel
     enc = encode_image(small_image, ExperimentConfig(scheme=scheme))
-    layouts = _stream_layouts(enc.mapping, enc.geometry().capacity)
+    layouts = enc.mapping.layouts()[1]
     for sm in enc.mapping.streams:
         _, per, uids = layouts[sm.stream_id]
         for k in sorted({0, len(uids) // 2, len(uids) - 1}):
@@ -262,6 +271,21 @@ def _negative_block_count(m):
     return f"stream {m.streams[-1].stream_id}:"
 
 
+def _negative_trit_count(m):
+    m.streams[-1].segments[-1].trit_count = -5
+    return f"stream {m.streams[-1].stream_id}: segment trit counts"
+
+
+def _bad_primer(m):
+    m.fwd_primer = "X" + m.fwd_primer[1:]
+    return "strand geometry: invalid nucleotide 'X'"
+
+
+def _short_strand(m):
+    m.strand_len = 40  # no room for the primers and the index
+    return "strand geometry: strand too short"
+
+
 def _huge_partition(m):
     m.streams[-1].partition_len = 10**6  # no strand holds one partition
     return f"stream {m.streams[-1].stream_id}: strand capacity"
@@ -299,6 +323,9 @@ def _dropped_stream(m):
         _long_last_dc_segment,
         _overlapping_segment,
         _negative_block_count,
+        _negative_trit_count,
+        _bad_primer,
+        _short_strand,
         _huge_partition,
         _odd_window,
         _unknown_scheme,
@@ -313,6 +340,15 @@ def test_mapping_that_disagrees_with_the_image_is_a_format_error(scheme, edit):
     mapping = copy.deepcopy(enc.mapping)
     with pytest.raises(FormatError, match=edit(mapping)):
         decode_pool(enc.strands, mapping, enc.metadata)
+
+
+def test_config_whose_strands_hold_no_partition_fails_at_encode(small_image):
+    # the encoder lays its strands out with the decoder's layout, so it
+    # refuses what the decoder would
+    with pytest.raises(FormatError, match="stream 0: strand capacity 14 nt cannot hold one 20-trit"):
+        encode_image(small_image, ExperimentConfig(strand_len=60))
+    with pytest.raises(FormatError, match="strand geometry: strand too short"):
+        encode_image(small_image, ExperimentConfig(strand_len=40))
 
 
 def test_single_error_containment(small_image):
@@ -347,8 +383,7 @@ def containment_by_trial(image, cfg, trials, seed):
     """run_containment with one route_read, one marker search and one
     per-partition damage count per trial, each in turn."""
     enc = encode_image(image, cfg)
-    geom = enc.geometry()
-    layouts = _stream_layouts(enc.mapping, geom.capacity)
+    geom, layouts = enc.mapping.layouts()
     limit = 2 * max(len(uids) for _, _, uids in layouts.values())
     targets = {}
     for sid, (bc, per, uids) in layouts.items():
@@ -441,9 +476,8 @@ def test_misrouted_reads_are_unconfined_lost_strands(small_image, every, monkeyp
     assert moved.within_two_partitions == kept.within_two_partitions
     if every == 1:  # every trial lost its strand: the damage is all of its nonzero partitions
         enc = encode_image(small_image, cfg)
-        geom = enc.geometry()
         lost = {}
-        for stream, (bc, per, _) in _stream_layouts(enc.mapping, geom.capacity).items():
+        for stream, (bc, per, _) in enc.mapping.layouts()[1].items():
             for sid, offset in chosen:
                 if sid == stream:
                     want = enc.stream_trits[sid][offset * per : (offset + 1) * per]
@@ -504,7 +538,7 @@ def test_no_barrier_scheme_has_zero_overhead(small_image):
     assert enc.barrier_overhead_for(STREAM_DC) == 0.0
     assert enc.barrier_overhead_for(STREAM_AC) == 0.0
     # one payload deletion damages the strand's single unbounded partition
-    geom = enc.geometry()
+    geom = enc.mapping.geometry
     pool = [s.copy() for s in enc.strands]
     pool[0] = np.delete(pool[0], geom.fwd_len + geom.index_len + 10)
     dec = decode_pool(pool, enc.mapping, enc.metadata)
@@ -534,7 +568,7 @@ def test_target_positions_partition_payload(small_image):
     ac = set(map(tuple, _target_positions(enc, STREAM_AC).tolist()))
     assert dc and ac
     assert not dc & ac
-    geom = enc.geometry()
+    geom = enc.mapping.geometry
     body = geom.fwd_len + geom.index_len
     total = sum(s.size - body - geom.rev_len for s in enc.strands)
     assert len(dc) + len(ac) == total
@@ -545,9 +579,9 @@ def test_target_positions_partition_payload(small_image):
 def test_target_positions_run_strand_by_strand(small_image):
     # every payload position of the target stream's strands, uid-major
     enc = encode_image(small_image, ExperimentConfig())
-    geom = enc.geometry()
+    geom, layouts = enc.mapping.layouts()
     body = geom.fwd_len + geom.index_len
-    for sid, (_, _, uids) in _stream_layouts(enc.mapping, geom.capacity).items():
+    for sid, (_, _, uids) in layouts.items():
         want = [
             [uid, body + p]
             for uid in uids
