@@ -11,7 +11,8 @@ own generator, so a strand's noise never depends on pool size or on how
 many other strands were processed first. The generator is the one
 default_rng(SeedSequence([seed, uid, copy])) would give; its seed words
 are hashed for the whole pool at once (seed_words), and each read's PCG64
-starts from its row.
+starts from its row. perturb_pool returns a flat list of reads in (uid,
+copy) order; the decoder routes each read by its own index, not its place.
 """
 
 from __future__ import annotations
@@ -182,8 +183,9 @@ def perturb_pool(
     cfg: ChannelConfig,
     seed: int,
     protect: tuple[int, int] = (0, 0),
-) -> list[list[np.ndarray]]:
-    """Noisy copies of every strand: result[uid][copy].
+) -> list[np.ndarray]:
+    """cfg.copies noisy reads of every strand, flat in (uid, copy) order:
+    read uid * cfg.copies + copy.
 
     protect gives the (prefix, suffix) primer lengths spared by default.
     """
@@ -194,12 +196,10 @@ def perturb_pool(
         if not cfg.corrupt_primers:
             lo = min(protect[0], strand.size)
             hi = max(strand.size - protect[1], lo)
-        out.append(
-            [
-                perturb_strand(strand, cfg, np.random.Generator(PCG64(_StateWords(w))), lo, hi)
-                for w in rows
-            ]
-        )
+        out += [
+            perturb_strand(strand, cfg, np.random.Generator(PCG64(_StateWords(w))), lo, hi)
+            for w in rows
+        ]
     return out
 
 

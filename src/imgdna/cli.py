@@ -142,21 +142,26 @@ def _cmd_perturb(args) -> int:
     strands = [pool[uid][0] for uid in range(len(pool))]
     protect = (len(mapping.fwd_primer), len(mapping.rev_primer))
     noisy = perturb_pool(strands, channel, args.channel_seed, protect=protect)
-    write_pool(args.out, noisy)
+    write_pool(args.out, noisy, channel.copies)
     total_in = sum(s.size for s in strands)
-    total_out = sum(c.size for group in noisy for c in group)
+    total_out = sum(read.size for read in noisy)
     print(f"channel: {channel.describe()} seed={args.channel_seed}")
     print(f"perturbed {len(strands)} strands ({total_in} nt -> {total_out} nt), wrote {args.out}")
     return 0
 
 
+def _reads(path) -> list[np.ndarray]:
+    """Every read of a pool file; the decoder ignores labels and order."""
+    return [read for copies in read_pool(path).values() for read in copies]
+
+
 def _cmd_decode(args) -> int:
-    pool = read_pool(args.pool)
+    reads = _reads(args.pool)
     mapping = read_mapping(args.mapping)
     meta = read_metadata(args.metadata)
-    result = decode_pool(pool, mapping, meta)
+    result = decode_pool(reads, mapping, meta)
     write_pgm(args.out, result.image)
-    print(f"decoded {meta.width}x{meta.height} image from {sum(map(len, pool.values()))} reads")
+    print(f"decoded {meta.width}x{meta.height} image from {len(reads)} reads")
     print(
         f"missing strands {result.missing_strands}  quarantined {result.quarantined}  "
         f"duplicates {result.duplicates}  damaged partitions {result.damaged_partitions}  "
@@ -206,9 +211,7 @@ def _cmd_isolate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    pool = read_pool(args.pool)
-    strands = [seq for group in pool.values() for seq in group]
-    report = validate_constraints(strands)
+    report = validate_constraints(_reads(args.pool))
     payload = {
         key: round(val, 6) if isinstance(val, float) else val
         for key, val in asdict(report).items()

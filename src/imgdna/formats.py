@@ -1,7 +1,7 @@
 """Persistent file formats.
 
 Three artifacts travel together:
-  * pool file      - FASTA-like text, one record per strand read
+  * pool file      - FASTA-like text, one record per read
   * mapping table  - binary sidecar: geometry plus per-stream layout
   * image metadata - binary sidecar: dimensions, quant table, code lengths
 
@@ -44,24 +44,21 @@ class FormatError(ValueError):
 _HEADER_RE = re.compile(r"^>s(\d+)(?:\s+copy=(\d+))?\s*$")
 
 
-def write_pool(path, strands) -> None:
-    """Write strands as FASTA-like records.
-
-    Accepts either a list of sequences (one synthesis per strand id) or a
-    list of copy lists (a sequenced pool with several reads per strand).
-    """
+def write_pool(path, reads, copies: int = 1) -> None:
+    """Write reads as FASTA-like records, read i labelled
+    >s{i // copies} copy={i % copies}. The labels are provenance only: the
+    decoder routes every read by its own index."""
     with open(path, "w", encoding="ascii") as fh:
-        for uid, entry in enumerate(strands):
-            copies = entry if isinstance(entry, list) else [entry]
-            for copy_idx, seq in enumerate(copies):
-                fh.write(f">s{uid} copy={copy_idx}\n")
-                text = seq_to_string(seq)
-                for at in range(0, len(text), 80):
-                    fh.write(text[at : at + 80] + "\n")
+        for i, seq in enumerate(reads):
+            fh.write(f">s{i // copies} copy={i % copies}\n")
+            text = seq_to_string(seq)
+            for at in range(0, len(text), 80):
+                fh.write(text[at : at + 80] + "\n")
 
 
 def read_pool(path) -> dict[int, list[np.ndarray]]:
-    """Read a pool file back into {strand id: [copies in copy order]}."""
+    """Read a pool file back into {strand id: [copies in copy order]}; a
+    record with no sequence lines is a zero-length read."""
     groups: dict[int, dict[int, np.ndarray]] = {}
     uid = copy_idx = None
     chunks: list[str] = []
@@ -69,8 +66,6 @@ def read_pool(path) -> dict[int, list[np.ndarray]]:
     def flush():
         if uid is None:
             return
-        if not chunks:
-            raise FormatError(f"strand s{uid} has no sequence")
         seq = string_to_seq("".join(chunks))
         slot = groups.setdefault(uid, {})
         if copy_idx in slot:

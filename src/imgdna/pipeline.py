@@ -30,6 +30,10 @@ lockstep decoder, decode_ac_blocks. Segment extents live in the mapping sidecar 
 error-free side channel), so the decoder can carve the repaired trit
 stream back into segments whatever the noisy channel did to its strands.
 
+A pool is a flat sequence of reads, as perturb_pool and _inject return it;
+decode_pool routes each read by its own index and votes per slot among the
+reads routed there.
+
 Every strand slot goes through the barrier resync decode, resync_reads,
 which decode_pool calls for a stream's full strands and for its final one
 and run_containment for each barrier layout. Its damage matrix, one row
@@ -251,14 +255,6 @@ class DecodeResult:
     segments_failed: int = 0  # entropy segments whose decode hit damage or a lost strand
 
 
-def _normalize_pool(pool) -> list[list[np.ndarray]]:
-    if isinstance(pool, dict):
-        return [pool[uid] for uid in sorted(pool)]
-    if pool and isinstance(pool[0], np.ndarray):
-        return [[s] for s in pool]
-    return list(pool)
-
-
 def _check_mapping(mapping: MappingTable, meta: ImageMetadata) -> None:
     """FormatError unless the scheme is known, the stream ids are the
     scheme's, no segment has a negative trit count and each stream's
@@ -279,12 +275,13 @@ def _check_mapping(mapping: MappingTable, meta: ImageMetadata) -> None:
             raise FormatError(f"stream {sm.stream_id}: segments do not cover the image's blocks")
 
 
-def decode_pool(pool, mapping: MappingTable, meta: ImageMetadata) -> DecodeResult:
-    """Reassemble an image from a (possibly noisy) strand pool."""
+def decode_pool(reads, mapping: MappingTable, meta: ImageMetadata) -> DecodeResult:
+    """Reassemble an image from a (possibly noisy) pool: a sequence of
+    reads in any order, any number per strand."""
     _check_mapping(mapping, meta)
     geom, layouts = mapping.layouts()
     dis = disassemble_pool(
-        _normalize_pool(pool), geom, {sid: len(uids) for sid, (_, _, uids) in layouts.items()}
+        reads, geom, {sid: len(uids) for sid, (_, _, uids) in layouts.items()}
     )
 
     dc_table = HuffmanTable(meta.dc_code_lengths)
@@ -441,19 +438,20 @@ def _target_positions(enc: EncodedImage, target: int) -> np.ndarray:
     return np.column_stack([uids.start + t // per, body + t % per])
 
 
-def _inject(strands: list[np.ndarray], hits, rng) -> list[list[np.ndarray]]:
-    """Apply (uid, position, kind) point errors; kinds: 0 sub, 1 ins, 2 del.
+def _inject(strands: list[np.ndarray], hits, rng) -> list[np.ndarray]:
+    """One read per strand, with (uid, position, kind) point errors applied;
+    kinds: 0 sub, 1 ins, 2 del.
 
     Values are drawn per uid in first-hit order, highest position first.
     """
     by_uid: dict[int, list[tuple[int, int]]] = {}
     for uid, pos, kind in hits:
         by_uid.setdefault(uid, []).append((pos, kind))
-    pool = [[s] for s in strands]
+    reads = list(strands)
     for uid, edits in by_uid.items():
         drawn = [(pos, kind, edit_value(rng, kind)) for pos, kind in sorted(edits, reverse=True)]
-        pool[uid] = [apply_edits(strands[uid], drawn)]
-    return pool
+        reads[uid] = apply_edits(strands[uid], drawn)
+    return reads
 
 
 ISOLATION_HEADER = ["scheme", "target", "error_rate", "mean_ssim", "ci90_half_width"]

@@ -6,7 +6,9 @@ cannot orphan the whole strand; each copy is rotation-encoded from the
 last primer nucleotide. An intact index region is looked up in a memoised
 table of exact encodings. Any other region goes to a decoder that votes
 over the three copy windows plus one-shifted variants, so an indel inside
-the index region still recovers the value.
+the index region still recovers the value. A received pool is a flat
+sequence of reads, each routed by its own index; labels and order carry
+nothing.
 """
 
 from __future__ import annotations
@@ -269,17 +271,6 @@ class DisassemblyResult:
     duplicates: int = 0
 
 
-def _vote_copies(copies: list[np.ndarray]) -> np.ndarray:
-    if len(copies) == 1:
-        return copies[0]
-    tally: Counter = Counter(c.tobytes() for c in copies)
-    top = max(tally.values())
-    for c in copies:  # first-seen wins among equally common reads
-        if tally[c.tobytes()] == top:
-            return c
-    raise AssertionError("unreachable")
-
-
 def route_read(
     read: np.ndarray, geom: StrandGeometry, limit: int
 ) -> tuple[int, int, np.ndarray] | None:
@@ -299,25 +290,23 @@ def route_read(
 
 
 def disassemble_pool(
-    strand_groups: list[list[np.ndarray]],
-    geom: StrandGeometry,
-    stream_counts: dict[int, int],
+    reads, geom: StrandGeometry, stream_counts: dict[int, int]
 ) -> DisassemblyResult:
-    """Recover per-stream payload slots from received strands.
+    """Recover per-stream payload slots from received reads, in any order.
 
-    strand_groups holds the noisy copies of each synthesized strand. Each
-    voted read is routed by its index; unroutable reads and addresses with
-    no slot are quarantined, their slots stay None for the caller's gap fill.
-    An empty group routes nothing, so the slot it stood for stays None too.
+    Unroutable reads and addresses with no slot are quarantined. Each slot
+    keeps the most common exact payload among the reads routed to it, the
+    first seen winning ties; routed reads whose payload loses that vote
+    count as duplicates. A slot no read reaches stays None for the
+    caller's gap fill.
     """
     result = DisassemblyResult(
         streams={s: [None] * n for s, n in stream_counts.items()}
     )
     limit = 2 * max(stream_counts.values())
-    for copies in strand_groups:
-        if not copies:
-            continue
-        routed = route_read(_vote_copies(copies), geom, limit)
+    contested: dict[tuple[int, int], list[np.ndarray]] = {}  # slots with 2+ reads
+    for read in reads:
+        routed = route_read(read, geom, limit)
         if routed is None:
             result.quarantined += 1
             continue
@@ -326,10 +315,16 @@ def disassemble_pool(
         if slots is None or offset >= len(slots):
             result.quarantined += 1
             continue
-        if slots[offset] is not None:
-            result.duplicates += 1
-            continue
-        slots[offset] = payload
+        if slots[offset] is None:
+            slots[offset] = payload
+        else:
+            contested.setdefault((stream, offset), [slots[offset]]).append(payload)
+    for (stream, offset), payloads in contested.items():
+        tally = Counter(p.tobytes() for p in payloads)
+        top = max(tally.values())
+        # first-seen wins among equally common payloads
+        result.streams[stream][offset] = next(p for p in payloads if tally[p.tobytes()] == top)
+        result.duplicates += len(payloads) - top
     return result
 
 

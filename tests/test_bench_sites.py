@@ -4,13 +4,20 @@ bench/spans.py wraps imgdna functions by module attribute and reports each
 one it cannot find as absent, so a rename leaves a metric reading 0
 without any error. This list pins today's absent sites: renaming a traced
 function adds one and fails here, and repointing a site removes one.
+The routing hook reads disassemble_pool's result, so its shape is pinned
+too.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import imgdna.pipeline
+from imgdna.channel import ChannelConfig
+from imgdna.corpus import corpus_image
+from imgdna.pipeline import ExperimentConfig, encode_image, run_pipeline
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -32,11 +39,16 @@ ABSENT = [
 ]
 
 
-def test_absent_trace_sites_are_pinned(monkeypatch):
+@pytest.fixture()
+def spans(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_absent_trace_sites_are_pinned(spans):
     original = imgdna.pipeline.decode_pool
     tracer = spans.Tracer()
     try:
@@ -46,3 +58,17 @@ def test_absent_trace_sites_are_pinned(monkeypatch):
     finally:
         tracer.close()
     assert imgdna.pipeline.decode_pool is original
+
+
+def test_routing_hook_counts_a_clean_pool(spans):
+    image = corpus_image(0)[:32, :32]
+    enc = encode_image(image, ExperimentConfig())
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        run_pipeline(image, ExperimentConfig(), ChannelConfig(rate=0.0), enc=enc)
+    finally:
+        tracer.close()
+    counts = tracer.counts
+    assert counts["strands.reads_routed"] == len(enc.strands)
+    assert (counts["strands.quarantined"], counts["strands.duplicates"]) == (0, 0)

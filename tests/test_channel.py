@@ -17,16 +17,14 @@ def strand_rng(seed: int, uid: int, copy: int) -> np.random.Generator:
 
 
 def perturb_pool_reference(strands, cfg, seed, protect=(0, 0)):
-    """perturb_pool with one numpy-seeded generator per read."""
+    """perturb_pool with one numpy-seeded generator per read, in (uid, copy) order."""
     out = []
     for uid, strand in enumerate(strands):
         lo, hi = 0, strand.size
         if not cfg.corrupt_primers:
             lo = min(protect[0], strand.size)
             hi = max(strand.size - protect[1], lo)
-        out.append(
-            [perturb_strand(strand, cfg, strand_rng(seed, uid, c), lo, hi) for c in range(cfg.copies)]
-        )
+        out += [perturb_strand(strand, cfg, strand_rng(seed, uid, c), lo, hi) for c in range(cfg.copies)]
     return out
 
 
@@ -86,11 +84,9 @@ def test_perturb_pool_equals_per_read_reference(rate, copies, protect, corrupt_p
     for seed in (0, 2**32, 2**70 + 3):
         got = perturb_pool(strands, cfg, seed, protect=protect)
         want = perturb_pool_reference(strands, cfg, seed, protect=protect)
-        assert len(got) == len(want)
+        assert len(got) == len(want) == len(strands) * copies
         for g, w in zip(got, want):
-            assert len(g) == copies
-            for gc, wc in zip(g, w):
-                assert gc.dtype == np.uint8 and np.array_equal(gc, wc)
+            assert g.dtype == np.uint8 and np.array_equal(g, w)
 
 
 def test_pool_seed_must_be_a_nonnegative_integer():
@@ -100,9 +96,9 @@ def test_pool_seed_must_be_a_nonnegative_integer():
         perturb_pool(strands, cfg, seed=-1)
     with pytest.raises(TypeError):
         perturb_pool(strands, cfg, seed=3.0)
-    want = perturb_pool(strands, cfg, seed=7)[0][0]
+    want = perturb_pool(strands, cfg, seed=7)[0]
     for seed in (np.uint32(7), np.int64(7)):
-        assert np.array_equal(perturb_pool(strands, cfg, seed=seed)[0][0], want)
+        assert np.array_equal(perturb_pool(strands, cfg, seed=seed)[0], want)
     assert perturb_pool([], cfg, seed=7) == []
 
 
@@ -110,7 +106,8 @@ def test_zero_rate_is_identity():
     rng = np.random.default_rng(1)
     strand = rng.integers(0, 4, size=200).astype(np.uint8)
     out = perturb_pool([strand], ChannelConfig(rate=0.0, copies=3), seed=9)
-    for copy in out[0]:
+    assert len(out) == 3
+    for copy in out:
         assert np.array_equal(copy, strand)
 
 
@@ -118,7 +115,7 @@ def test_full_rate_substitutions_change_every_eligible_position():
     rng = np.random.default_rng(2)
     strand = rng.integers(0, 4, size=150).astype(np.uint8)
     cfg = ChannelConfig(rate=1.0, sub_weight=1, ins_weight=0, del_weight=0)
-    out = perturb_pool([strand], cfg, seed=5, protect=(20, 20))[0][0]
+    out = perturb_pool([strand], cfg, seed=5, protect=(20, 20))[0]
     assert out.size == strand.size
     assert np.array_equal(out[:20], strand[:20])  # primers spared
     assert np.array_equal(out[-20:], strand[-20:])
@@ -128,7 +125,7 @@ def test_full_rate_substitutions_change_every_eligible_position():
 def test_corrupt_primers_reaches_the_ends():
     strand = np.zeros(100, dtype=np.uint8)
     cfg = ChannelConfig(rate=1.0, sub_weight=1, ins_weight=0, del_weight=0, corrupt_primers=True)
-    out = perturb_pool([strand], cfg, seed=5, protect=(20, 20))[0][0]
+    out = perturb_pool([strand], cfg, seed=5, protect=(20, 20))[0]
     assert np.all(out != 0)
 
 
@@ -139,12 +136,10 @@ def test_determinism_and_seed_sensitivity():
     a = perturb_pool(strands, cfg, seed=11)
     b = perturb_pool(strands, cfg, seed=11)
     c = perturb_pool(strands, cfg, seed=12)
-    for ga, gb in zip(a, b):
-        for ca, cb in zip(ga, gb):
-            assert np.array_equal(ca, cb)
-    assert any(
-        not np.array_equal(ca, cc) for ga, gc in zip(a, c) for ca, cc in zip(ga, gc)
-    )
+    assert len(a) == len(b) == len(c) == 10
+    for ra, rb in zip(a, b):
+        assert np.array_equal(ra, rb)
+    assert any(not np.array_equal(ra, rc) for ra, rc in zip(a, c))
 
 
 def test_noise_is_per_strand_not_per_pool():
@@ -155,13 +150,13 @@ def test_noise_is_per_strand_not_per_pool():
     cfg = ChannelConfig(rate=0.05)
     small = perturb_pool([s0], cfg, seed=7)
     big = perturb_pool([s0, s1], cfg, seed=7)
-    assert np.array_equal(small[0][0], big[0][0])
+    assert np.array_equal(small[0], big[0])
 
 
 def test_copies_receive_independent_noise():
     rng = np.random.default_rng(5)
     strand = rng.integers(0, 4, size=250).astype(np.uint8)
-    out = perturb_pool([strand], ChannelConfig(rate=0.1, copies=3), seed=8)[0]
+    out = perturb_pool([strand], ChannelConfig(rate=0.1, copies=3), seed=8)
     assert not np.array_equal(out[0], out[1])
     assert not np.array_equal(out[1], out[2])
 

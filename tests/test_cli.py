@@ -9,7 +9,8 @@ from imgdna.cli import main
 from imgdna.corpus import corpus_image
 from imgdna.formats import read_pool, write_pool
 from imgdna.pgm import read_pgm, write_pgm
-from imgdna.pipeline import SCHEMES, ExperimentConfig, reference_image
+from imgdna.channel import ChannelConfig, perturb_pool
+from imgdna.pipeline import SCHEMES, ExperimentConfig, decode_pool, encode_image, reference_image
 from imgdna.rotation import seq_to_string
 
 
@@ -110,7 +111,7 @@ def _reshaped_pool(encoded, tmp_path, shape):
     pool = read_pool(f"{encoded}.pool.fa")
     path = tmp_path / f"{shape}.fa"
     if shape == "copies":
-        write_pool(path, [pool[uid] * 2 for uid in sorted(pool)])
+        write_pool(path, [read for uid in sorted(pool) for read in pool[uid] * 2], copies=2)
     else:
         path.write_text("".join(
             f">s{uid} copy=0\n{seq_to_string(reads[0])}\n" for uid, reads in pool.items() if uid != 1
@@ -137,6 +138,32 @@ def test_decode_counts_reads(encoded, tmp_path, capsys):
                 "--out", tmp_path / "back.pgm"])
     assert code == 0
     assert f"from {2 * strands} reads" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags, channel",
+    [
+        # every read loses every nucleotide, so every record is empty
+        (
+            ["--rate", 1, "--sub-weight", 0, "--ins-weight", 0, "--corrupt-primers"],
+            ChannelConfig(rate=1, sub_weight=0, ins_weight=0, corrupt_primers=True),
+        ),
+        (["--rate", 0.01, "--copies", 3], ChannelConfig(rate=0.01, copies=3)),
+    ],
+)
+def test_perturbed_pool_file_decodes_as_in_memory(encoded, tmp_path, capsys, flags, channel):
+    noisy, out = tmp_path / "noisy.fa", tmp_path / "back.pgm"
+    assert run(["perturb", "--pool", f"{encoded}.pool.fa", "--mapping", f"{encoded}.map",
+                "--out", noisy, *flags]) == 0
+    assert run(["decode", "--pool", noisy, "--mapping", f"{encoded}.map",
+                "--metadata", f"{encoded}.meta", "--out", out]) == 0
+    capsys.readouterr()
+    run(["validate", "--pool", noisy, "--json"])  # exits 1 on a homopolymer the noise made
+    enc = encode_image(corpus_image(1), ExperimentConfig())
+    reads = perturb_pool(enc.strands, channel, 0,
+                         protect=(len(enc.mapping.fwd_primer), len(enc.mapping.rev_primer)))
+    assert json.loads(capsys.readouterr().out)["strand_count"] == len(reads)
+    assert np.array_equal(read_pgm(out), decode_pool(reads, enc.mapping, enc.metadata).image)
 
 
 @pytest.mark.parametrize("verb", ["validate", "sweep", "isolate"])

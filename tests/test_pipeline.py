@@ -114,7 +114,7 @@ def test_sidecar_file_round_trip(tmp_path, small_image, scheme):
     assert np.array_equal(meta.quant_table, enc.metadata.quant_table)
     assert meta.dc_code_lengths == enc.metadata.dc_code_lengths
     assert meta.ac_code_lengths == enc.metadata.ac_code_lengths
-    dec = decode_pool(pool, mapping, meta)
+    dec = decode_pool([read for copies in pool.values() for read in copies], mapping, meta)
     assert np.array_equal(dec.image, reference_image(small_image, cfg.quality))
 
 
@@ -140,8 +140,7 @@ def test_run_pipeline_seed_controls_noise(small_image):
 def test_missing_strand_leaves_gap_not_crash(small_image):
     cfg = ExperimentConfig()
     enc = encode_image(small_image, cfg)
-    pool = {uid: [s] for uid, s in enumerate(enc.strands)}
-    del pool[len(enc.strands) - 1]  # drop the last AC strand entirely
+    pool = enc.strands[:-1]  # drop the last AC strand entirely
     dec = decode_pool(pool, enc.mapping, enc.metadata)
     ref = reference_image(small_image, cfg.quality)
     assert dec.missing_strands == 1
@@ -161,7 +160,7 @@ def test_missing_strands_fail_segments(scheme, small_image):
     enc = encode_image(small_image, ExperimentConfig(scheme=scheme))
     sm = enc.mapping.streams[-1]
     lost = enc.mapping.layouts()[1][sm.stream_id][2][::8]
-    pool = {uid: [s] for uid, s in enumerate(enc.strands) if uid not in lost}
+    pool = [s for uid, s in enumerate(enc.strands) if uid not in lost]
     dec = decode_pool(pool, enc.mapping, enc.metadata)
     assert dec.missing_strands == len(lost)
     assert 0 < dec.segments_failed <= len(sm.segments)
@@ -181,8 +180,7 @@ def test_lost_strand_fails_every_segment_it_meets(scheme, small_image):
             for seg in sm.segments:
                 want += start < hi and lo < start + seg.trit_count
                 start += seg.trit_count
-            pool = [[s] for s in enc.strands]
-            pool[uids[k]] = []
+            pool = [s for uid, s in enumerate(enc.strands) if uid != uids[k]]
             dec = decode_pool(pool, enc.mapping, enc.metadata)
             assert dec.missing_strands == 1
             assert dec.segments_failed == want, (sm.stream_id, k)
@@ -221,35 +219,47 @@ _READS = st.binary(max_size=300).map(lambda b: np.frombuffer(b, dtype=np.uint8) 
     st.integers(1, 3),
     st.booleans(),
     st.integers(0, 2**32 - 1),
-    st.lists(_READS, max_size=4),
+    st.lists(st.tuples(st.integers(0, 2**16), _READS), max_size=4),
     st.booleans(),
 )
 @example(SCHEME_IMG_DNA, 0.0, 1, False, 0, [], True)  # an empty pool
-@example(SCHEME_RAW_DNA, 0.0, 1, False, 0, [np.zeros(0, np.uint8)], True)
+@example(SCHEME_RAW_DNA, 0.0, 1, False, 0, [(0, np.zeros(0, np.uint8))], True)
+@example(SCHEME_IMG_DNA, 0.0, 2, False, 0, [(3, np.zeros(0, np.uint8))], False)
 def test_decode_pool_never_raises(scheme, rate, copies, corrupt_primers, seed, junk, empty):
-    # any pool the channel can produce, plus junk and empty reads, decodes
+    # any pool the channel can produce, with junk and empty reads anywhere in it, decodes
     enc = _crop_encoding(scheme)
     channel = ChannelConfig(rate=rate, copies=copies, corrupt_primers=corrupt_primers)
     pool = [] if empty else perturb_pool(enc.strands, channel, seed, protect=_primer_bounds(enc))
-    pool += [[read] for read in junk]
+    for at, read in junk:
+        pool.insert(at % (len(pool) + 1), read)
     dec = decode_pool(pool, enc.mapping, enc.metadata)
     assert dec.image.shape == (32, 32)
     assert dec.missing_strands <= len(enc.strands)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_empty_read_group_counts_as_missing(scheme):
-    # a group with no reads is a lost strand, not a crash or a quarantine
+def test_pool_without_a_strands_reads_counts_it_missing(scheme):
+    # a strand none of whose reads arrive is lost, not a crash or a quarantine;
+    # the other strands' agreeing copies are not duplicates
     enc = _crop_encoding(scheme)
-    groups = [[s] for s in enc.strands]
-    groups[0] = []
-    dec = decode_pool(groups, enc.mapping, enc.metadata)
+    reads = perturb_pool(enc.strands, ChannelConfig(rate=0.0, copies=2), 0)
+    dec = decode_pool(reads[2:], enc.mapping, enc.metadata)
     assert (dec.missing_strands, dec.quarantined, dec.duplicates) == (1, 0, 0)
-    as_dict = decode_pool(dict(enumerate(groups)), enc.mapping, enc.metadata)
-    without = decode_pool(groups[1:], enc.mapping, enc.metadata)
-    assert np.array_equal(as_dict.image, dec.image)
-    assert np.array_equal(without.image, dec.image)
-    assert without.missing_strands == 1
+    once = decode_pool(enc.strands[1:], enc.mapping, enc.metadata)
+    assert np.array_equal(once.image, dec.image)
+    assert once.missing_strands == 1
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_read_order_carries_nothing(scheme):
+    enc = _crop_encoding(scheme)
+    reads = perturb_pool(enc.strands, ChannelConfig(rate=0.01), 5, protect=_primer_bounds(enc))
+    shuffled = [reads[i] for i in np.random.default_rng(6).permutation(len(reads))]
+    ordered = decode_pool(reads, enc.mapping, enc.metadata)
+    dec = decode_pool(shuffled, enc.mapping, enc.metadata)
+    assert np.array_equal(dec.image, ordered.image)
+    assert replace(dec, image=None) == replace(ordered, image=None)
+    assert ordered.damaged_partitions > 0  # the pool is noisy
 
 
 # each edit breaks a mapping and returns the start of the error it raises

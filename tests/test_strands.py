@@ -310,7 +310,7 @@ def test_disassemble_clean_pool():
     geom = StrandGeometry(250, *default_primer_pair(), index_width=6)
     rng = np.random.default_rng(10)
     strands, payloads = _make_pool(geom, 7, 13, rng)
-    result = disassemble_pool([[s] for s in strands], geom, {STREAM_DC: 7, STREAM_AC: 13})
+    result = disassemble_pool(strands, geom, {STREAM_DC: 7, STREAM_AC: 13})
     assert result.quarantined == 0
     for stream, count in ((STREAM_DC, 7), (STREAM_AC, 13)):
         for off in range(count):
@@ -323,7 +323,7 @@ def test_disassemble_handles_missing_and_bogus_strands():
     strands, payloads = _make_pool(geom, 5, 5, rng)
     del strands[2]  # lost strand -> empty slot
     strands.append(rng.integers(0, 4, size=30).astype(np.uint8))  # junk read
-    result = disassemble_pool([[s] for s in strands], geom, {STREAM_DC: 5, STREAM_AC: 5})
+    result = disassemble_pool(strands, geom, {STREAM_DC: 5, STREAM_AC: 5})
     assert result.streams[STREAM_DC][2] is None
     assert result.quarantined == 1
     assert np.array_equal(result.streams[STREAM_DC][3], payloads[STREAM_DC][3])
@@ -333,14 +333,41 @@ def test_disassemble_votes_across_copies():
     geom = StrandGeometry(250, *default_primer_pair(), index_width=6)
     rng = np.random.default_rng(12)
     strands, payloads = _make_pool(geom, 3, 0, rng)
-    groups = []
+    reads = []
     for s in strands:
         bad = s.copy()
         bad[40] = (bad[40] + 1) % 4
-        groups.append([bad, s.copy(), s.copy()])  # majority is clean
-    result = disassemble_pool(groups, geom, {STREAM_DC: 3, STREAM_AC: 0})
+        reads += [bad, s.copy(), s.copy()]  # majority is clean
+    result = disassemble_pool(reads, geom, {STREAM_DC: 3, STREAM_AC: 0})
     for off in range(3):
         assert np.array_equal(result.streams[STREAM_DC][off], payloads[STREAM_DC][off])
+    assert (result.quarantined, result.duplicates) == (0, 3)
+
+
+def test_unroutable_copy_leaves_the_slot_to_the_next():
+    geom = StrandGeometry(250, *default_primer_pair(), index_width=6)
+    strands, payloads = _make_pool(geom, 2, 0, np.random.default_rng(14))
+    # too short for primers and index: unroutable, and first of its strand's reads
+    reads = [strands[0][:45], strands[0], strands[1]]
+    result = disassemble_pool(reads, geom, {STREAM_DC: 2, STREAM_AC: 0})
+    for off in range(2):
+        assert np.array_equal(result.streams[STREAM_DC][off], payloads[STREAM_DC][off])
+    assert (result.quarantined, result.duplicates) == (1, 0)
+
+
+def test_slot_vote_is_on_payloads_not_whole_reads():
+    # two reads with different index hits carry one payload and outvote a
+    # read with a payload error that arrives first
+    geom = StrandGeometry(250, *default_primer_pair(), index_width=6)
+    (strand,), payloads = _make_pool(geom, 1, 0, np.random.default_rng(15))
+    index_lo = geom.fwd_len
+    reads = [strand.copy() for _ in range(3)]
+    for read, pos in zip(reads, (index_lo + geom.index_len + 5, index_lo + 2, index_lo + 9)):
+        read[pos] = (read[pos] + 1) % 4
+    assert len({r.tobytes() for r in reads}) == 3
+    result = disassemble_pool(reads, geom, {STREAM_DC: 1, STREAM_AC: 0})
+    assert np.array_equal(result.streams[STREAM_DC][0], payloads[STREAM_DC][0])
+    assert (result.quarantined, result.duplicates) == (0, 1)
 
 
 def test_duplicate_claims_keep_first():
@@ -349,9 +376,7 @@ def test_duplicate_claims_keep_first():
     strands, payloads = _make_pool(geom, 2, 0, rng)
     clone = strands[0].copy()
     clone[50] = (clone[50] + 1) % 4
-    result = disassemble_pool(
-        [[strands[0]], [strands[1]], [clone]], geom, {STREAM_DC: 2, STREAM_AC: 0}
-    )
+    result = disassemble_pool([strands[0], strands[1], clone], geom, {STREAM_DC: 2, STREAM_AC: 0})
     assert result.duplicates == 1
     assert np.array_equal(result.streams[STREAM_DC][0], payloads[STREAM_DC][0])
 
