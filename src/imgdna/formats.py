@@ -41,56 +41,107 @@ class FormatError(ValueError):
 
 # ---------------------------------------------------------------- pool file
 
-_HEADER_RE = re.compile(r"^>s(\d+)(?:\s+copy=(\d+))?\s*$")
+_HEADER_RE = re.compile(r"s(\d+)(?:\s+copy=(\d+))?")  # a header line after its '>', stripped
+_NOT_NUCLEOTIDE = re.compile(r"[^ACGT]")
 
 
 def write_pool(path, reads, copies: int = 1) -> None:
-    """Write reads as FASTA-like records, read i labelled
-    >s{i // copies} copy={i % copies}. The labels are provenance only: the
-    decoder routes every read by its own index."""
-    with open(path, "w", encoding="ascii") as fh:
-        for i, seq in enumerate(reads):
-            fh.write(f">s{i // copies} copy={i % copies}\n")
-            text = seq_to_string(seq)
-            for at in range(0, len(text), 80):
-                fh.write(text[at : at + 80] + "\n")
+    """Write a sequence of reads as FASTA-like records, read i labelled
+    >s{i // copies} copy={i % copies}, its sequence wrapped at 80 columns
+    and a zero-length read written as its header line alone. The labels
+    are provenance only: the decoder routes every read by its own index.
+
+    The file is laid out in one buffer and written at once: the label bytes
+    and each line's newline go where the read lengths put them, and the
+    pool's nucleotides, converted to characters in one pass, fill the rest.
+    """
+    if copies < 1:
+        raise ValueError("copies must be >= 1")
+    labels = [f">s{i // copies} copy={i % copies}\n" for i in range(len(reads))]
+    label_len = np.fromiter(map(len, labels), dtype=np.int64, count=len(labels))
+    size = np.fromiter((read.size for read in reads), dtype=np.int64, count=len(reads))
+    lines = -(-size // 80)
+    record = label_len + size + lines
+    body = np.cumsum(record) - record + label_len  # where each read's first line starts
+    out = np.empty(int(record.sum()), dtype=np.uint8)
+    is_nt = np.ones(out.size, dtype=bool)
+    at = np.repeat(body - np.cumsum(label_len), label_len) + np.arange(label_len.sum())
+    out[at] = np.frombuffer("".join(labels).encode("ascii"), dtype=np.uint8)
+    is_nt[at] = False
+    # line k of a read ends after min(80 (k + 1), size) nucleotides and k newlines
+    k = np.arange(lines.sum()) - np.repeat(np.cumsum(lines) - lines, lines)
+    at = np.repeat(body, lines) + k + np.minimum(80 * (k + 1), np.repeat(size, lines))
+    out[at] = ord("\n")
+    is_nt[at] = False
+    if len(reads):
+        text = seq_to_string(np.concatenate(reads)).encode("ascii")
+        out[is_nt] = np.frombuffer(text, dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(out)
 
 
 def read_pool(path) -> dict[int, list[np.ndarray]]:
-    """Read a pool file back into {strand id: [copies in copy order]}; a
-    record with no sequence lines is a zero-length read."""
-    groups: dict[int, dict[int, np.ndarray]] = {}
-    uid = copy_idx = None
-    chunks: list[str] = []
+    """Read a pool file back into {strand id: [copies in copy order]}.
 
-    def flush():
-        if uid is None:
-            return
-        seq = string_to_seq("".join(chunks))
+    The grammar, line by line: '\\n', '\\r\\n' and '\\r' all end a line; blank
+    lines are skipped; a line starting with '>' is a header, >s{id} with an
+    optional copy={k} (0 when absent) and trailing whitespace; every other
+    line belongs to the header above it and, stripped of the whitespace
+    around it, must be ACGT only. A record with no sequence lines is a
+    zero-length read. A bad character or header, a non-blank line before
+    the first header, or a repeated (id, copy) is a FormatError, which
+    names the line of all but the last.
+
+    The lines are stripped and split into records by whole-text string
+    operations, and all records go through one string_to_seq; each read
+    is a view of its stretch of the result.
+    """
+    # a non-ASCII byte reads as U+FFFD, an invalid nucleotide like any other
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        raw = fh.read()
+    lines = raw.split("\n")
+    first = next((n for n, line in enumerate(lines) if line.startswith(">")), len(lines))
+    stray = next((n for n, line in enumerate(lines[:first]) if line), None)
+    if stray is not None:
+        raise FormatError(f"line {stray + 1}: sequence before any header")
+    if first == len(lines):
+        return {}
+    records = "\n".join(map(str.strip, lines[first:]))[1:].split("\n>")
+    heads, seqs = [], []
+    for record in records:
+        head, _, seq = record.partition("\n")
+        heads.append(_HEADER_RE.fullmatch(head))
+        seqs.append(seq.replace("\n", ""))
+    # a line that only stripping made a header, a bad header, a bad nucleotide
+    fault = len(records) != raw.count("\n>") + raw.startswith(">") or not all(heads)
+    try:
+        nts = string_to_seq("".join(seqs))
+    except ValueError:
+        fault = True
+    if fault:
+        raise _first_bad_line(lines, first)
+
+    groups: dict[int, dict[int, np.ndarray]] = {}
+    end = 0
+    for head, seq in zip(heads, seqs):
+        start, end = end, end + len(seq)
+        uid, copy_idx = int(head[1]), int(head[2] or 0)
         slot = groups.setdefault(uid, {})
         if copy_idx in slot:
             raise FormatError(f"duplicate record for s{uid} copy={copy_idx}")
-        slot[copy_idx] = seq
+        slot[copy_idx] = nts[start:end]
+    return {u: [copies[k] for k in sorted(copies)] for u, copies in groups.items()}
 
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith(">"):
-                flush()
-                m = _HEADER_RE.match(line)
-                if not m:
-                    raise FormatError(f"line {line_no}: bad record header {line!r}")
-                uid = int(m.group(1))
-                copy_idx = int(m.group(2) or 0)
-                chunks = []
-            else:
-                if uid is None:
-                    raise FormatError(f"line {line_no}: sequence before any header")
-                chunks.append(line.strip())
-    flush()
-    return {u: [seqs[k] for k in sorted(seqs)] for u, seqs in groups.items()}
+
+def _first_bad_line(lines: list[str], first: int) -> FormatError:
+    """The error for the first bad header or sequence line from line index
+    first on, which read_pool found somewhere."""
+    for n, line in enumerate(lines[first:], first + 1):
+        if line.startswith(">"):
+            if not _HEADER_RE.fullmatch(line[1:].rstrip()):
+                return FormatError(f"line {n}: bad record header {line!r}")
+        elif bad := _NOT_NUCLEOTIDE.search(line.strip()):
+            return FormatError(f"line {n}: invalid nucleotide {bad.group()!r}")
 
 
 # ------------------------------------------------------------ mapping table

@@ -16,10 +16,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
-from .rotation import A, rotate_encode
+from .rotation import A, C, G, rotate_encode
 
 STREAM_DC = 0  # also carries the single interleaved stream
 STREAM_AC = 1
@@ -251,14 +252,29 @@ def _vote_index(nts: np.ndarray, width: int, seed: int, limit: int) -> int | Non
 def assemble_strands(
     geom: StrandGeometry, index_values, payloads: list[np.ndarray]
 ) -> list[np.ndarray]:
-    """fwd_primer | index | payload | rev_primer for each index value and payload."""
+    """fwd_primer | index | payload | rev_primer for each index value and payload.
+
+    Each run of equal-size payloads fills one uint8 grid of one strand per
+    row: the primer columns by broadcast, the index columns from the
+    memoised encodings and the payload columns stacked. The strands are
+    the grids' rows, in payload order. A payload over the capacity is a
+    ValueError before any grid is built.
+    """
     capacity, width, seed = geom.capacity, geom.index_width, geom.index_seed
+    pairs = list(zip(index_values, payloads))
+    over = next((p.size for _, p in pairs if p.size > capacity), None)
+    if over is not None:
+        raise ValueError(f"payload {over} nt exceeds capacity {capacity}")
+    head = geom.fwd_len + geom.index_len
     strands = []
-    for value, payload in zip(index_values, payloads):
-        if payload.size > capacity:
-            raise ValueError(f"payload {payload.size} nt exceeds capacity {capacity}")
-        index = _index_code(value, width, seed)
-        strands.append(np.concatenate([geom.fwd_primer, index, payload, geom.rev_primer]))
+    for size, run in groupby(pairs, key=lambda pair: pair[1].size):
+        values, run_payloads = zip(*run)
+        grid = np.empty((len(values), head + size + geom.rev_len), dtype=np.uint8)
+        grid[:, : geom.fwd_len] = geom.fwd_primer
+        grid[:, geom.fwd_len : head] = [_index_code(v, width, seed) for v in values]
+        grid[:, head : head + size] = run_payloads
+        grid[:, head + size :] = geom.rev_primer
+        strands += list(grid)
     return strands
 
 
@@ -343,24 +359,63 @@ class ConstraintReport:
         return not self.violations
 
 
+_GC_PIECE = 255  # nucleotides per uint8 GC sum, which then cannot overflow
+
+
 def validate_constraints(strands: list[np.ndarray]) -> ConstraintReport:
-    """Check biochemical plausibility rules over a pool of strands."""
-    runs, lens, gcs = [], [], []
+    """Check biochemical plausibility rules over a pool of strands.
+
+    One pass over the concatenated pool. Each strand's longest run comes
+    from the positions where a nucleotide repeats its predecessor, which
+    are rare in rotation-coded strands, with no run crossing a strand
+    start. Its GC count is a sum of uint8 sums over pieces of at most
+    _GC_PIECE nucleotides, so no array the length of the pool is wider
+    than a byte. A strand's GC content is its count over its length in
+    float64, and 0 for an empty strand.
+    """
+    n = len(strands)
+    if n == 0:
+        return ConstraintReport(0, 0, 0, 0.0, 0.0, 0.0)
+    lens = np.fromiter((s.size for s in strands), dtype=np.int64, count=n)
+    starts = np.cumsum(lens) - lens
+    pool = np.concatenate(strands)
+
+    repeat = pool[1:] == pool[:-1]
+    repeat[starts[(starts > 0) & (starts < pool.size)] - 1] = False
+    at = np.flatnonzero(repeat)  # pool[at + 1] repeats pool[at]
+    del repeat
+    runs = (lens > 0).astype(np.int64)
+    if at.size:
+        # k consecutive repeats make a run of k + 1
+        streak = np.flatnonzero(np.diff(at, prepend=-2) != 1)
+        owner = np.searchsorted(starts, at[streak], side="right") - 1
+        np.maximum.at(runs, owner, np.diff(streak, append=at.size) + 1)
+
+    pieces = -(-lens // _GC_PIECE)
+    first = np.cumsum(pieces) - pieces
+    piece_at = np.repeat(starts - _GC_PIECE * first, pieces) + _GC_PIECE * np.arange(pieces.sum())
+    gc_mask = pool == C
+    gc_mask |= pool == G
+    counts = np.zeros(n, dtype=np.int64)
+    filled = lens > 0
+    if piece_at.size:
+        piece_gc = np.add.reduceat(gc_mask.view(np.uint8), piece_at, dtype=np.uint8)
+        counts[filled] = np.add.reduceat(piece_gc, first[filled], dtype=np.int64)
+    gc = np.zeros(n)
+    np.divide(counts, lens, out=gc, where=filled)
+
     violations = []
-    for i, s in enumerate(strands):
-        runs.append(_max_run(s))
-        lens.append(s.size)
-        gcs.append(float(((s == 1) | (s == 2)).mean()) if s.size else 0.0)
-        if runs[-1] > MAX_HOMOPOLYMER:
-            violations.append(f"strand {i}: homopolymer run {runs[-1]} > {MAX_HOMOPOLYMER}")
-        if lens[-1] >= MAX_STRAND_LEN:
-            violations.append(f"strand {i}: length {lens[-1]} >= {MAX_STRAND_LEN}")
+    for i in np.flatnonzero((runs > MAX_HOMOPOLYMER) | (lens >= MAX_STRAND_LEN)).tolist():
+        if runs[i] > MAX_HOMOPOLYMER:
+            violations.append(f"strand {i}: homopolymer run {runs[i]} > {MAX_HOMOPOLYMER}")
+        if lens[i] >= MAX_STRAND_LEN:
+            violations.append(f"strand {i}: length {lens[i]} >= {MAX_STRAND_LEN}")
     return ConstraintReport(
-        strand_count=len(strands),
-        max_homopolymer=max(runs, default=0),
-        max_length=max(lens, default=0),
-        gc_mean=float(np.mean(gcs)) if gcs else 0.0,
-        gc_min=float(np.min(gcs)) if gcs else 0.0,
-        gc_max=float(np.max(gcs)) if gcs else 0.0,
+        strand_count=n,
+        max_homopolymer=int(runs.max()),
+        max_length=int(lens.max()),
+        gc_mean=float(np.mean(gc)),
+        gc_min=float(gc.min()),
+        gc_max=float(gc.max()),
         violations=violations,
     )

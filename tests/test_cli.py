@@ -188,6 +188,14 @@ def test_isolate_rejects_a_rate_outside_unit_interval(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bad_nucleotide_in_a_pool_is_a_format_error_with_its_line(tmp_path, capsys):
+    pool = tmp_path / "bad.fa"
+    pool.write_text(">s0\nACGT\nACGX\n")
+    assert run(["validate", "--pool", pool]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "FormatError", "message": "line 3: invalid nucleotide 'X'"}
+
+
 def test_machine_readable_error_on_missing_file(tmp_path, capsys):
     code = run(["decode", "--pool", tmp_path / "nope.fa", "--mapping", tmp_path / "m",
                 "--metadata", tmp_path / "t", "--out", tmp_path / "o.pgm"])

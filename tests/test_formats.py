@@ -1,7 +1,10 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from imgdna.formats import (
     FormatError,
@@ -16,6 +19,7 @@ from imgdna.formats import (
     write_pool,
 )
 from imgdna.jpeg import ImageMetadata, quality_scaled_table
+from imgdna.rotation import seq_to_string
 
 
 def test_pool_round_trip(tmp_path):
@@ -65,6 +69,84 @@ def test_pool_rejects_garbage(tmp_path):
     path.write_text(">s0\n>s1\nACGT\n")
     back = read_pool(path)
     assert back[0][0].size == 0 and back[1][0].size == 4
+
+
+def test_pool_rejects_copies_below_one(tmp_path):
+    # copies=0 divided by zero and copies=-1 wrote labels read_pool rejects
+    path = tmp_path / "pool.fasta"
+    for copies in (0, -1):
+        with pytest.raises(ValueError, match="copies must be >= 1"):
+            write_pool(path, [np.zeros(4, dtype=np.uint8)], copies=copies)
+    assert not path.exists()
+
+
+def _pool_text_per_record(reads, copies):
+    """write_pool written record by record."""
+    out = []
+    for i, read in enumerate(reads):
+        out.append(f">s{i // copies} copy={i % copies}\n")
+        text = "".join("ACGT"[nt] for nt in read.tolist())
+        out += [text[at : at + 80] + "\n" for at in range(0, len(text), 80)]
+    return "".join(out).encode("ascii")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 250), max_size=9), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@example([0, 79, 80, 81, 160, 250, 0], 3, 0)
+@example([], 1, 0)
+def test_pool_file_bytes_equal_per_record_writer(tmp_path_factory, sizes, copies, seed):
+    rng = np.random.default_rng(seed)
+    reads = [rng.integers(0, 4, size=n).astype(np.uint8) for n in sizes]
+    path = tmp_path_factory.mktemp("pool") / "pool.fasta"
+    write_pool(path, reads, copies=copies)
+    assert path.read_bytes() == _pool_text_per_record(reads, copies)
+    back = read_pool(path)
+    assert sum(map(len, back.values())) == len(reads)
+    for i, read in enumerate(reads):
+        assert np.array_equal(back[i // copies][i % copies], read)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        ">s0 copy=0\r\nACGT\r\nAC\r\n>s1\r\nT\r\n",
+        ">s0 copy=0\rACGT\rAC\r>s1\rT",
+        "\n\n>s0 copy=0\n\nACGT\n\n\nAC\n>s1\n\nT\n\n",
+        ">s0 copy=0 \t\n  ACGT \n\tAC\n   \n>s1\n T\t\n",
+    ],
+    ids=["crlf", "cr", "blank-lines", "spaces-around"],
+)
+def test_pool_grammar_accepts(tmp_path, text):
+    path = tmp_path / "pool.fasta"
+    path.write_bytes(text.encode("ascii"))
+    back = read_pool(path)
+    assert list(back) == [0, 1] and [len(v) for v in back.values()] == [1, 1]
+    assert seq_to_string(back[0][0]) == "ACGTAC" and seq_to_string(back[1][0]) == "T"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (">s0\nACGX\n", "line 2: invalid nucleotide 'X'"),
+        (">s0\nAC\n>s1\nACGT\nAC GT\n", "line 5: invalid nucleotide ' '"),
+        (">s0\nAC\n\nAC>GT\n", "line 4: invalid nucleotide '>'"),
+        (">s0\nACGT\n >s1\nACGT\n", "line 3: invalid nucleotide '>'"),
+        (">s0\nACGT\n>s1\nacgt\n", "line 4: invalid nucleotide 'a'"),
+        (">s0\nAC\xc3\xa9\n", "line 2: invalid nucleotide"),
+        (">s0\nACGT\n>s1 copy=x\nACGT\n", "line 3: bad record header '>s1 copy=x'"),
+        (">s0\nACGX\n>s1 copy=x\n", "line 2: invalid nucleotide 'X'"),
+        ("\n  \n>s0\nACGT\n", "line 2: sequence before any header"),
+    ],
+    ids=[
+        "letter", "inner-space", "inner-gt", "spaced-header", "lower-case", "non-ascii",
+        "header", "first-bad-line", "before-header",
+    ],
+)
+def test_pool_grammar_rejects_with_the_line(tmp_path, text, message):
+    path = tmp_path / "pool.fasta"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}"):
+        read_pool(path)
 
 
 def test_mapping_round_trip(tmp_path):

@@ -296,6 +296,30 @@ def test_assemble_layout():
         assemble_strands(geom, [5], [np.ones(geom.capacity + 1, dtype=np.uint8)])
 
 
+def test_assemble_equals_per_strand_concatenate():
+    geom = StrandGeometry(250, *default_primer_pair(), index_width=6)
+    rng = np.random.default_rng(16)
+    cap = geom.capacity
+    sizes = [cap - 2, cap - 2, cap - 2, 57, 0, 0, cap, cap, 1, cap - 2, 0, cap - 2, 140]
+    payloads = [rng.integers(0, 4, size=n).astype(np.uint8) for n in sizes]
+    values = range(1, 2 * len(sizes), 2)
+    got = assemble_strands(geom, values, payloads)
+    assert len(got) == len(sizes)
+    for strand, value, payload in zip(got, values, payloads):
+        want = np.concatenate([
+            geom.fwd_primer,
+            encode_index(value, geom.index_width, geom.index_seed),
+            payload,
+            geom.rev_primer,
+        ])
+        assert strand.dtype == np.uint8 and np.array_equal(strand, want)
+    assert assemble_strands(geom, [], []) == []
+    # an oversize payload anywhere fails the whole pool with its own size
+    payloads[9] = np.ones(cap + 5, dtype=np.uint8)
+    with pytest.raises(ValueError, match=f"^payload {cap + 5} nt exceeds capacity {cap}$"):
+        assemble_strands(geom, values, payloads)
+
+
 def _make_pool(geom, n_dc, n_ac, rng):
     strands = []
     payloads = {STREAM_DC: [], STREAM_AC: []}
@@ -436,3 +460,20 @@ _STRANDS = st.lists(
 @given(_STRANDS)
 def test_validate_constraints_equals_per_strand_check(strands):
     assert validate_constraints(strands) == _constraints_per_strand(strands)
+
+
+def test_validate_constraints_counts_long_gc_rich_strands():
+    # a GC count past 255 in one strand, and strands around empty ones
+    rng = np.random.default_rng(17)
+    strands = [
+        np.empty(0, dtype=np.uint8),
+        np.tile(np.array([1, 2], dtype=np.uint8), 700),
+        rng.integers(1, 3, size=1300).astype(np.uint8),
+        np.empty(0, dtype=np.uint8),
+        np.full(256, 2, dtype=np.uint8),
+        rng.integers(0, 4, size=511).astype(np.uint8),
+        np.empty(0, dtype=np.uint8),
+    ]
+    report = validate_constraints(strands)
+    assert report == _constraints_per_strand(strands)
+    assert report.gc_max == 1.0 and report.max_homopolymer == 256
