@@ -17,7 +17,6 @@ from .corpus import CORPUS_SEED, build_corpus, corpus_image
 from .formats import (
     FormatError,
     MappingTable,
-    SegmentRecord,
     StreamMap,
     read_mapping,
     read_metadata,
@@ -83,7 +82,6 @@ __all__ = [
     "SCHEME_NO_BARRIER",
     "SCHEME_RAW_DNA",
     "SCHEMES",
-    "SegmentRecord",
     "StrandGeometry",
     "StreamMap",
     "barrier_overhead",

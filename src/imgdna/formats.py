@@ -8,8 +8,8 @@ Three artifacts travel together:
 The sidecars model the error-free side channel; the pool file is the part
 exposed to the noisy channel. All binary fields are little-endian and
 length-prefixed so the files stay self-describing. A sidecar stores each
-fact once and nothing the decoder derives: trit totals, block starts,
-strand counts and ids, and the image's block count.
+fact once and nothing the decoder derives: trit totals, segment block
+ranges, strand counts and ids, and the image's block count.
 
 The mapping owns the strand layout: encode_image and every reader take the
 geometry and each stream's strands from MappingTable.layouts(), which
@@ -32,7 +32,7 @@ from .streams import HuffmanTable
 
 MAPPING_MAGIC = b"IDNM"
 METADATA_MAGIC = b"IDNI"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class FormatError(ValueError):
@@ -41,8 +41,17 @@ class FormatError(ValueError):
 
 # ---------------------------------------------------------------- pool file
 
-_HEADER_RE = re.compile(r"s(\d+)(?:\s+copy=(\d+))?")  # a header line after its '>', stripped
+_HEADER_RE = re.compile(r"s(\d+)(?:\s+copy=(\d+))?")
 _NOT_NUCLEOTIDE = re.compile(r"[^ACGT]")
+
+
+def _parse_header(head: str) -> tuple[int, int] | None:
+    """(id, copy) of a header line after its '>', stripped; None for a bad one."""
+    match = _HEADER_RE.fullmatch(head)
+    try:
+        return match and (int(match[1]), int(match[2] or 0))
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def write_pool(path, reads, copies: int = 1) -> None:
@@ -110,7 +119,7 @@ def read_pool(path) -> dict[int, list[np.ndarray]]:
     heads, seqs = [], []
     for record in records:
         head, _, seq = record.partition("\n")
-        heads.append(_HEADER_RE.fullmatch(head))
+        heads.append(_parse_header(head))
         seqs.append(seq.replace("\n", ""))
     # a line that only stripping made a header, a bad header, a bad nucleotide
     fault = len(records) != raw.count("\n>") + raw.startswith(">") or not all(heads)
@@ -123,9 +132,8 @@ def read_pool(path) -> dict[int, list[np.ndarray]]:
 
     groups: dict[int, dict[int, np.ndarray]] = {}
     end = 0
-    for head, seq in zip(heads, seqs):
+    for (uid, copy_idx), seq in zip(heads, seqs):
         start, end = end, end + len(seq)
-        uid, copy_idx = int(head[1]), int(head[2] or 0)
         slot = groups.setdefault(uid, {})
         if copy_idx in slot:
             raise FormatError(f"duplicate record for s{uid} copy={copy_idx}")
@@ -138,7 +146,7 @@ def _first_bad_line(lines: list[str], first: int) -> FormatError:
     first on, which read_pool found somewhere."""
     for n, line in enumerate(lines[first:], first + 1):
         if line.startswith(">"):
-            if not _HEADER_RE.fullmatch(line[1:].rstrip()):
+            if not _parse_header(line[1:].rstrip()):
                 return FormatError(f"line {n}: bad record header {line!r}")
         elif bad := _NOT_NUCLEOTIDE.search(line.strip()):
             return FormatError(f"line {n}: invalid nucleotide {bad.group()!r}")
@@ -147,13 +155,11 @@ def _first_bad_line(lines: list[str], first: int) -> FormatError:
 # ------------------------------------------------------------ mapping table
 
 
-@dataclass
-class SegmentRecord:
-    """One independently decodable byte segment inside a stream. It covers
-    the next block_count blocks after the segment before it."""
-
-    block_count: int
-    trit_count: int
+def segment_bounds(segment_blocks: int, block_count: int) -> list[tuple[int, int]]:
+    """The [start, end) block range of each segment of a stream: the image's
+    blocks in order, segment_blocks of them per segment and fewer in the last."""
+    starts = range(0, block_count, segment_blocks)
+    return [(b, min(b + segment_blocks, block_count)) for b in starts]
 
 
 @dataclass
@@ -161,11 +167,8 @@ class StreamMap:
     stream_id: int  # 0 = DC (or the single interleaved stream), 1 = AC
     partition_len: int | None  # None: no barriers, and no markers
     window: int
-    segments: list[SegmentRecord] = field(default_factory=list)
-
-    @property
-    def total_trits(self) -> int:
-        return sum(seg.trit_count for seg in self.segments)
+    segment_blocks: int  # blocks per segment; see segment_bounds
+    trit_counts: list[int]  # one per segment
 
 
 @dataclass
@@ -200,7 +203,7 @@ class MappingTable:
                 per = strand_trits(bc, geom.capacity)
             except ValueError as exc:
                 raise FormatError(f"stream {sm.stream_id}: {exc}") from None
-            count = -(-sm.total_trits // per)
+            count = -(-sum(sm.trit_counts) // per)
             layouts[sm.stream_id] = (bc, per, range(first, first + count))
             first += count
         return geom, layouts
@@ -219,20 +222,17 @@ class _Cursor:
         self.pos = 0
         self.label = label
 
-    def take(self, fmt: str):
+    def take(self, fmt: str) -> tuple:
         size = struct.calcsize(fmt)
         if self.pos + size > len(self.data):
             raise FormatError(f"{self.label}: truncated file")
         out = struct.unpack_from(fmt, self.data, self.pos)
         self.pos = size + self.pos
-        return out if len(out) > 1 else out[0]
+        return out
 
     def take_str(self) -> str:
-        n = self.take("<B")
-        if self.pos + n > len(self.data):
-            raise FormatError(f"{self.label}: truncated string")
-        raw = self.data[self.pos : self.pos + n]
-        self.pos += n
+        (n,) = self.take("<B")
+        (raw,) = self.take(f"<{n}s")
         try:
             return raw.decode("ascii")
         except UnicodeDecodeError:
@@ -255,11 +255,9 @@ def write_mapping(path, table: MappingTable) -> None:
     out += _pack_str(table.rev_primer)
     out += struct.pack("<B", len(table.streams))
     for sm in table.streams:
-        out += struct.pack(
-            "<BIII", sm.stream_id, sm.partition_len or 0, sm.window, len(sm.segments)
-        )
-        for seg in sm.segments:
-            out += struct.pack("<II", seg.block_count, seg.trit_count)
+        n = len(sm.trit_counts)
+        record = (sm.stream_id, sm.partition_len or 0, sm.window, sm.segment_blocks, n)
+        out += struct.pack(f"<BIIII{n}I", *record, *sm.trit_counts)
     with open(path, "wb") as fh:
         fh.write(out)
 
@@ -270,7 +268,7 @@ def read_mapping(path) -> MappingTable:
     if data[:4] != MAPPING_MAGIC:
         raise FormatError("not a mapping table file")
     cur = _Cursor(data[4:], "mapping table")
-    version = cur.take("<H")
+    (version,) = cur.take("<H")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported mapping version {version}")
     scheme = cur.take_str()
@@ -278,10 +276,9 @@ def read_mapping(path) -> MappingTable:
     fwd = cur.take_str()
     rev = cur.take_str()
     table = MappingTable(scheme, quality, strand_len, index_width, fwd, rev)
-    for _ in range(cur.take("<B")):
-        sid, pl, window, n_segments = cur.take("<BIII")
-        segments = [SegmentRecord(*cur.take("<II")) for _ in range(n_segments)]
-        table.streams.append(StreamMap(sid, pl or None, window, segments))
+    for _ in range(*cur.take("<B")):
+        sid, pl, window, step, n = cur.take("<BIIII")
+        table.streams.append(StreamMap(sid, pl or None, window, step, list(cur.take(f"<{n}I"))))
     cur.done()
     table.layouts()  # fail here, not at decode
     return table
@@ -317,17 +314,20 @@ def read_metadata(path) -> ImageMetadata:
     if data[:4] != METADATA_MAGIC:
         raise FormatError("not an image metadata file")
     cur = _Cursor(data[4:], "image metadata")
-    version = cur.take("<H")
+    (version,) = cur.take("<H")
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported metadata version {version}")
     width, height = cur.take("<II")
     quant = np.array(cur.take("<64H"), dtype=np.int64).reshape(8, 8)
 
-    def lengths() -> dict[int, int]:
-        return dict(cur.take("<HB") for _ in range(cur.take("<H")))
+    def lengths(label: str) -> dict[int, int]:
+        pairs = [cur.take("<HB") for _ in range(*cur.take("<H"))]
+        if len(table := dict(pairs)) < len(pairs):
+            raise FormatError(f"image metadata: the {label} code lengths repeat a symbol")
+        return table
 
-    dc = lengths()
-    ac = lengths()
+    dc = lengths("DC")
+    ac = lengths("AC")
     cur.done()
     try:
         # fail here, not at decode: every table decode_pool builds must build

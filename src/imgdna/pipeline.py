@@ -14,19 +14,20 @@ differ only in stream layout:
 
 Byte segments are block-aligned so a damaged segment tail corrupts a known
 block range: every AC segment covers one block, DC segments a few blocks,
-and Raw-DNA deliberately uses a single whole-image segment. A stream's
-segments cover the image's blocks in order, so the decoded rows of its
-segments stack into one row per block. A segment stores its block and
-trit counts alone: its first block and trit are the sums of the counts
-before it. encode_image lays the pool out with MappingTable.layouts(), the
-call decode_pool, run_containment and _target_positions read it with.
-decode_pool rejects a mapping with a negative block or trit count, block
-counts that do not sum to the image's, a strand layout no strand can hold,
-or a scheme or stream ids stream_classes does not give. That table says
-which streams a scheme has and which coefficient classes each carries;
-barrier layouts, segment plans, code tables, decoders and targeted
-injection all read it. An AC-only stream of one-block segments goes to the
-lockstep decoder, decode_ac_blocks. Segment extents live in the mapping sidecar (the
+and Raw-DNA deliberately uses a single whole-image segment. A stream
+stores that segment size once, and formats.segment_bounds cuts the image's
+blocks into its segments, in order, for encode_image and decode_pool; the
+decoded rows of a stream's segments stack into one row per block. A
+segment stores its trit count alone. encode_image lays the pool out with
+MappingTable.layouts(), the call decode_pool, run_containment and
+_target_positions read it with. decode_pool rejects a mapping with a
+segment size below 1, other than one trit count per segment, a negative
+trit count, a strand layout no strand can hold, or a scheme or stream ids
+stream_classes does not give. That table says which streams a scheme has
+and which coefficient classes each carries; barrier layouts, segment
+plans, code tables, decoders and targeted injection all read it. An
+AC-only stream of one-block segments goes to the lockstep decoder,
+decode_ac_blocks. Segment extents live in the mapping sidecar (the
 error-free side channel), so the decoder can carve the repaired trit
 stream back into segments whatever the noisy channel did to its strands.
 
@@ -53,7 +54,7 @@ import numpy as np
 
 from .barriers import BarrierConfig, partition_errors, resync_reads, stream_payloads
 from .channel import ChannelConfig, apply_edits, edit_value, perturb_pool
-from .formats import FormatError, MappingTable, SegmentRecord, StreamMap
+from .formats import FormatError, MappingTable, StreamMap, segment_bounds
 from .jpeg import ZIGZAG, ImageMetadata, forward_transform, inverse_transform
 from .metrics import barrier_overhead, ci90_half_width, encoding_density, ssim, write_csv
 from .rotation import seq_to_string
@@ -191,24 +192,19 @@ def encode_image(image: np.ndarray, cfg: ExperimentConfig) -> EncodedImage:
     dc_trit_ranges: list[tuple[int, int]] | None = None
 
     for sid, (dc, ac) in stream_classes(cfg.scheme).items():
-        step = cfg.dc_segment_blocks if dc else 1
         # a stream of both classes is one segment: the whole coded image as
         # a unit, exactly like storing the compressed file as opaque bytes
-        plan = [(0, n)] if dc and ac else [(b, min(b + step, n)) for b in range(0, n, step)]
+        step = n if dc and ac else cfg.dc_segment_blocks if dc else 1
         tables = (dc_table if dc else None, ac_table if ac else None)
-        data, sizes, dc_spans = encode_segments(flat, plan, *tables)
+        data, sizes, dc_spans = encode_segments(flat, segment_bounds(step, n), *tables)
         stream_trits[sid] = bytes_to_trits(data)
         stream_bits[sid] = 8 * len(data)
         # trits before each byte of the stream
         cum = np.zeros(len(data) + 1, dtype=np.int64)
         np.cumsum(CODE_LENGTHS[np.frombuffer(data, dtype=np.uint8)], out=cum[1:])
-        ends = cum[np.cumsum(sizes)]
-        trit_counts = np.diff(ends, prepend=0)
-        segments = [
-            SegmentRecord(b1 - b0, ntrits) for (b0, b1), ntrits in zip(plan, trit_counts.tolist())
-        ]
+        trit_counts = np.diff(cum[np.cumsum(sizes)], prepend=0).tolist()
         bc = stream_cfgs[sid]
-        stream_maps.append(StreamMap(sid, bc.partition_len, bc.window, segments))
+        stream_maps.append(StreamMap(sid, bc.partition_len, bc.window, step, trit_counts))
         if dc and ac:  # nucleotide extents of the DC terms, for targeted injection
             lo, hi = cum[dc_spans[:, 0] // 8], cum[(dc_spans[:, 1] + 7) // 8]
             dc_trit_ranges = list(zip(lo.tolist(), hi.tolist()))
@@ -255,30 +251,33 @@ class DecodeResult:
     segments_failed: int = 0  # entropy segments whose decode hit damage or a lost strand
 
 
-def _check_mapping(mapping: MappingTable, meta: ImageMetadata) -> None:
-    """FormatError unless the scheme is known, the stream ids are the
-    scheme's, no segment has a negative trit count and each stream's
-    segments cover the image's blocks."""
+def _check_mapping(mapping: MappingTable, meta: ImageMetadata) -> dict[int, list[tuple[int, int]]]:
+    """{stream id: its segments' block ranges}; FormatError unless the scheme
+    is known, the stream ids are the scheme's, and each stream has a segment
+    size of at least 1 and one trit count, none negative, per segment."""
     if mapping.scheme not in SCHEMES:
         raise FormatError(f"unknown scheme {mapping.scheme!r}")
     ids = sorted(sm.stream_id for sm in mapping.streams)
     want = sorted(stream_classes(mapping.scheme))
     if ids != want:
         raise FormatError(f"stream ids {ids} do not match {mapping.scheme}'s {want}")
+    plans = {}
     for sm in mapping.streams:
-        if min((seg.trit_count for seg in sm.segments), default=0) < 0:
-            raise FormatError(f"stream {sm.stream_id}: segment trit counts must be >= 0")
-        # each segment starts where the one before ended, so block counts
-        # that are never negative and sum to the image's tile its blocks
-        blocks = [seg.block_count for seg in sm.segments]
-        if min(blocks, default=0) < 0 or sum(blocks) != meta.block_count:
-            raise FormatError(f"stream {sm.stream_id}: segments do not cover the image's blocks")
+        if sm.segment_blocks < 1:
+            raise FormatError(f"stream {sm.stream_id}: segment size must be >= 1 block")
+        plan = plans[sm.stream_id] = segment_bounds(sm.segment_blocks, meta.block_count)
+        if len(sm.trit_counts) != len(plan) or min(sm.trit_counts, default=0) < 0:
+            raise FormatError(
+                f"stream {sm.stream_id}: segment trit counts must be >= 0, "
+                f"one for each of its {len(plan)} segments"
+            )
+    return plans
 
 
 def decode_pool(reads, mapping: MappingTable, meta: ImageMetadata) -> DecodeResult:
     """Reassemble an image from a (possibly noisy) pool: a sequence of
     reads in any order, any number per strand."""
-    _check_mapping(mapping, meta)
+    plans = _check_mapping(mapping, meta)
     geom, layouts = mapping.layouts()
     dis = disassemble_pool(
         reads, geom, {sid: len(uids) for sid, (_, _, uids) in layouts.items()}
@@ -297,8 +296,7 @@ def decode_pool(reads, mapping: MappingTable, meta: ImageMetadata) -> DecodeResu
         dc, ac = classes[sm.stream_id]
         tables = (dc_table if dc else None, ac_table if ac else None)
         slots = dis.streams[sm.stream_id]
-        counts = [seg.trit_count for seg in sm.segments]
-        edges = np.cumsum([0] + counts)
+        edges = np.cumsum([0] + sm.trit_counts)
         total = int(edges[-1])
         # a missing strand decodes as an empty read: zeros, all partitions damaged
         lost = np.cumsum([0] + [read is None for read in slots])  # lost slots before each
@@ -309,7 +307,7 @@ def decode_pool(reads, mapping: MappingTable, meta: ImageMetadata) -> DecodeResu
         trits = np.append(head, tail)
         result.damaged_partitions += int(head_damaged.sum() + tail_damaged.sum())
 
-        datas = trits_to_segments(trits, counts)
+        datas = trits_to_segments(trits, sm.trit_counts)
         # a segment with a trit on a lost slot fails, even where its zero
         # trits decode cleanly
         first = np.minimum(edges[:-1] // per, len(slots))
@@ -317,12 +315,12 @@ def decode_pool(reads, mapping: MappingTable, meta: ImageMetadata) -> DecodeResu
         meets = lost[stop] > lost[first]
         # each coefficient class comes from one stream, and a segment
         # leaves the class it does not carry at 0
-        if not dc and all(seg.block_count == 1 for seg in sm.segments):
+        if not dc and sm.segment_blocks == 1:
             vals, clean = decode_ac_blocks(datas, ac_table, quant_zig)
         else:
             decoded = [
-                decode_segment(data, *tables, seg.block_count, quant_zig)
-                for seg, data in zip(sm.segments, datas)
+                decode_segment(data, *tables, b1 - b0, quant_zig)
+                for (b0, b1), data in zip(plans[sm.stream_id], datas)
             ]
             vals = np.concatenate([v for v, _ in decoded])
             clean = np.array([c for _, c in decoded], dtype=bool)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from imgdna.formats import (
     FormatError,
     MappingTable,
-    SegmentRecord,
     StreamMap,
     read_mapping,
     read_metadata,
@@ -19,6 +18,7 @@ from imgdna.formats import (
     write_pool,
 )
 from imgdna.jpeg import ImageMetadata, quality_scaled_table
+from imgdna.pipeline import decode_pool
 from imgdna.rotation import seq_to_string
 
 
@@ -149,6 +149,20 @@ def test_pool_grammar_rejects_with_the_line(tmp_path, text, message):
         read_pool(path)
 
 
+@pytest.mark.parametrize(
+    "header", [">s" + "1" * 5000, ">s0 copy=" + "1" * 5000], ids=["id", "copy"]
+)
+def test_pool_header_ids_too_long_to_convert_are_bad_headers(tmp_path, header):
+    # int() refuses more than 4,300 digits; the header is bad, with its line
+    path = tmp_path / "pool.fasta"
+    path.write_text(f"{header}\nACGT\n")
+    with pytest.raises(FormatError, match="^line 1: bad record header '>s"):
+        read_pool(path)
+    path.write_text(f">s0\nACGT\n\n{header}\nACGT\n")
+    with pytest.raises(FormatError, match="^line 4: bad record header '>s"):
+        read_pool(path)
+
+
 def test_mapping_round_trip(tmp_path):
     table = MappingTable(
         scheme="IMG-DNA",
@@ -158,19 +172,52 @@ def test_mapping_round_trip(tmp_path):
         fwd_primer="ACGTACGTACGTACGTACGT",
         rev_primer="TGCATGCATGCATGCATGCA",
         streams=[
-            StreamMap(
-                stream_id=0,
-                partition_len=20,
-                window=12,
-                segments=[SegmentRecord(4, 31), SegmentRecord(4, 26)],
-            ),
-            StreamMap(stream_id=1, partition_len=None, window=12, segments=[SegmentRecord(1, 168)]),
+            StreamMap(stream_id=0, partition_len=20, window=12, segment_blocks=4,
+                      trit_counts=[31, 26]),
+            # one segment: its trit count is the only value of its unpack
+            StreamMap(stream_id=1, partition_len=None, window=12, segment_blocks=1,
+                      trit_counts=[168]),
         ],
     )
     path = tmp_path / "img.map"
     write_mapping(path, table)
-    assert table == read_mapping(path)
-    assert [sm.total_trits for sm in read_mapping(path).streams] == [57, 168]
+    back = read_mapping(path)
+    assert table == back
+    assert [sm.trit_counts for sm in back.streams] == [[31, 26], [168]]
+    # magic, version, strings and fields, then per stream <BIIII and its counts
+    assert path.stat().st_size == 4 + 2 + 8 + 8 + 2 * 21 + 1 + (17 + 8) + (17 + 4)
+
+
+def _raw_dna(trit_counts):
+    # a Raw-DNA table for a 16x16 image: one stream of one 4-block segment
+    return MappingTable(
+        "Raw-DNA", 75, 250, 6, "A" * 20, "C" * 20, [StreamMap(0, None, 12, 4, trit_counts)]
+    )
+
+
+_META_16 = ImageMetadata(16, 16, np.ones((8, 8)), {0: 1, 1: 1}, {0: 1, 1: 1})
+
+
+def test_mapping_claiming_no_segments_is_a_format_error(tmp_path):
+    # the empty trit-count list reads back, and decode_pool refuses it
+    path = tmp_path / "img.map"
+    write_mapping(path, _raw_dna([]))
+    mapping = read_mapping(path)
+    assert mapping.streams[0].trit_counts == []
+    with pytest.raises(FormatError, match="stream 0: segment trit counts"):
+        decode_pool([], mapping, _META_16)
+    write_mapping(path, _raw_dna([40]))
+    assert decode_pool([], read_mapping(path), _META_16).missing_strands == 1
+
+
+def test_mapping_with_a_truncated_trit_count_list_is_a_format_error(tmp_path):
+    path = tmp_path / "img.map"
+    write_mapping(path, _raw_dna([40, 7, 9]))
+    data = path.read_bytes()
+    for cut in (1, 4, 5, 11):  # inside the last count, and whole counts missing
+        path.write_bytes(data[:-cut])
+        with pytest.raises(FormatError, match="mapping table: truncated file"):
+            read_mapping(path)
 
 
 def test_mapping_rejects_wrong_magic(tmp_path):
@@ -194,7 +241,7 @@ def test_mapping_rejects_barrier_parameters_the_decoder_cannot_use(tmp_path):
         (1, 4, "partition_len must be >= 2"),
         (5, 10, "smaller than two partitions"),
     ):
-        sm = StreamMap(0, pl, window, [SegmentRecord(1, 40)])
+        sm = StreamMap(0, pl, window, 1, [40])
         write_mapping(path, replace(head, streams=[sm]))
         with pytest.raises(FormatError, match=f"stream 0: .*{message}"):
             read_mapping(path)
@@ -217,7 +264,7 @@ def _scheme_byte(data: bytes) -> bytes:
 )
 def test_mapping_the_decoder_cannot_use_is_a_format_error_when_read(tmp_path, edit, patch, message):
     table = MappingTable(
-        "IMG-DNA", 75, 250, 6, "A" * 20, "C" * 20, [StreamMap(0, 20, 12, [SegmentRecord(1, 40)])]
+        "IMG-DNA", 75, 250, 6, "A" * 20, "C" * 20, [StreamMap(0, 20, 12, 1, [40])]
     )
     path = tmp_path / "img.map"
     write_mapping(path, replace(table, **edit))
@@ -285,15 +332,39 @@ def test_bad_metadata_is_a_format_error_when_read(tmp_path, edit, message):
         read_metadata(path)
 
 
+@pytest.mark.parametrize("table, at", [("DC", 142), ("AC", 142 + 2 + 4 * 3)])
+def test_metadata_listing_a_symbol_twice_is_a_format_error(tmp_path, table, at):
+    # each table is a <H count and sorted <HB entries; the third entry's
+    # symbol becomes the second's, which the last entry would overwrite
+    meta = ImageMetadata(
+        width=130,
+        height=140,
+        quant_table=quality_scaled_table(75),
+        dc_code_lengths={0: 2, 1: 2, 5: 3, 15: 9},
+        ac_code_lengths={0x00: 1, 0x23: 5, 0x31: 5, 0xF0: 4},
+    )
+    path = tmp_path / "img.meta"
+    write_metadata(path, meta)
+    data = bytearray(path.read_bytes())
+    assert data[at : at + 2] == b"\x04\x00"
+    second, third = at + 2 + 3, at + 2 + 6
+    data[third : third + 2] = data[second : second + 2]
+    path.write_bytes(bytes(data))
+    message = f"image metadata: the {table} code lengths repeat a symbol"
+    with pytest.raises(FormatError, match=message):
+        read_metadata(path)
+
+
 def test_metadata_requires_code_lengths(tmp_path):
     meta = ImageMetadata(width=16, height=16, quant_table=np.ones((8, 8)))
     with pytest.raises(FormatError):
         write_metadata(tmp_path / "img.meta", meta)
 
 
-def test_sidecars_of_format_version_1_are_rejected(tmp_path):
-    # a version 1 file lays its fields out differently: it is refused, not
-    # misread, and must be re-encoded
+@pytest.mark.parametrize("old", [1, 2])
+def test_sidecars_of_an_older_format_version_are_rejected(tmp_path, old):
+    # a version 1 or 2 file lays its fields out differently: it is refused,
+    # not misread, and must be re-encoded
     table = MappingTable("Raw-DNA", 75, 250, 6, "A" * 20, "C" * 20)
     meta = ImageMetadata(16, 16, np.ones((8, 8)), {0: 1, 1: 1}, {0: 1, 1: 1})
     for write, read, value, label in (
@@ -303,8 +374,8 @@ def test_sidecars_of_format_version_1_are_rejected(tmp_path):
         path = tmp_path / label
         write(path, value)
         data = bytearray(path.read_bytes())
-        assert data[4:6] == b"\x02\x00"
-        data[4:6] = b"\x01\x00"
+        assert data[4:6] == b"\x03\x00"
+        data[4:6] = old.to_bytes(2, "little")
         path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match=f"unsupported {label} version 1"):
+        with pytest.raises(FormatError, match=f"unsupported {label} version {old}"):
             read(path)

@@ -22,6 +22,8 @@ Rules:
     as one.
 
 Regenerate with:  PYTHONPATH=src python tests/test_output_digest.py
+It prints each case that changed, was added or was removed before it
+overwrites the file.
 """
 
 from __future__ import annotations
@@ -160,6 +162,14 @@ def test_output_digest(case):
 
 def main() -> None:
     cases = {name: run() for name, run in sorted(digest_cases().items())}
+    old = _recorded()["cases"] if DIGEST_PATH.exists() else {}
+    for name in sorted(old.keys() | cases.keys()):
+        if name not in cases:
+            print(f"removed  {name}")
+        elif name not in old:
+            print(f"added    {name}")
+        elif old[name] != cases[name]:
+            print(f"changed  {name}")
     DIGEST_PATH.write_text(json.dumps({"numpy": np.__version__, "cases": cases}, indent=1) + "\n")
     print(f"wrote {len(cases)} cases to {DIGEST_PATH}")
 

@@ -14,7 +14,7 @@ from imgdna import pipeline
 from imgdna.barriers import _resync_decode
 from imgdna.channel import ChannelConfig, apply_edits, edit_value, perturb_pool
 from imgdna.corpus import corpus_image
-from imgdna.formats import FormatError, SegmentRecord, read_mapping, read_metadata, read_pool, write_mapping, write_metadata, write_pool
+from imgdna.formats import FormatError, read_mapping, read_metadata, read_pool, segment_bounds, write_mapping, write_metadata, write_pool
 from imgdna.pipeline import (
     DEFAULT_RATES,
     SCHEME_IMG_DNA,
@@ -90,10 +90,14 @@ def test_strand_layout_and_uid_order(scheme, image, request):
     for s in enc.strands:
         assert s.size <= cfg.strand_len
         assert s.size > geom.fwd_len + geom.rev_len + geom.index_len
-    # every segment's trit extent must tile the stream exactly
+    # every segment's trit extent must tile the stream exactly, one trit
+    # count per segment, at the scheme's segment size
+    n = enc.metadata.block_count
+    steps = {(True, True): n, (True, False): cfg.dc_segment_blocks, (False, True): 1}
     for sm in enc.mapping.streams:
-        assert sum(seg.trit_count for seg in sm.segments) == enc.stream_trits[sm.stream_id].size
-        assert sum(seg.block_count for seg in sm.segments) == enc.metadata.block_count
+        assert sm.segment_blocks == steps[stream_classes(scheme)[sm.stream_id]]
+        assert sum(sm.trit_counts) == enc.stream_trits[sm.stream_id].size
+        assert len(sm.trit_counts) == len(segment_bounds(sm.segment_blocks, n))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -149,7 +153,7 @@ def test_missing_strand_leaves_gap_not_crash(small_image):
     # every partition of the lost strand counts as damaged
     sm = enc.mapping.streams[-1]
     _, per, uids = enc.mapping.layouts()[1][sm.stream_id]
-    last = sm.total_trits - (len(uids) - 1) * per
+    last = sum(sm.trit_counts) - (len(uids) - 1) * per
     assert dec.damaged_partitions == -(-last // sm.partition_len)
 
 
@@ -163,7 +167,7 @@ def test_missing_strands_fail_segments(scheme, small_image):
     pool = [s for uid, s in enumerate(enc.strands) if uid not in lost]
     dec = decode_pool(pool, enc.mapping, enc.metadata)
     assert dec.missing_strands == len(lost)
-    assert 0 < dec.segments_failed <= len(sm.segments)
+    assert 0 < dec.segments_failed <= len(sm.trit_counts)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -175,11 +179,11 @@ def test_lost_strand_fails_every_segment_it_meets(scheme, small_image):
     for sm in enc.mapping.streams:
         _, per, uids = layouts[sm.stream_id]
         for k in sorted({0, len(uids) // 2, len(uids) - 1}):
-            lo, hi = k * per, min((k + 1) * per, sm.total_trits)
+            lo, hi = k * per, min((k + 1) * per, sum(sm.trit_counts))
             want, start = 0, 0
-            for seg in sm.segments:
-                want += start < hi and lo < start + seg.trit_count
-                start += seg.trit_count
+            for count in sm.trit_counts:
+                want += start < hi and lo < start + count
+                start += count
             pool = [s for uid, s in enumerate(enc.strands) if uid != uids[k]]
             dec = decode_pool(pool, enc.mapping, enc.metadata)
             assert dec.missing_strands == 1
@@ -263,26 +267,23 @@ def test_read_order_carries_nothing(scheme):
 
 
 # each edit breaks a mapping and returns the start of the error it raises
-def _long_last_dc_segment(m):
-    m.streams[0].segments[-1].block_count += 5
-    return f"stream {m.streams[0].stream_id}:"
+def _zero_segment_size(m):
+    m.streams[0].segment_blocks = 0
+    return f"stream {m.streams[0].stream_id}: segment size"
 
 
-def _overlapping_segment(m):
-    # a second, empty segment over the last segment's blocks
-    m.streams[-1].segments.append(replace(m.streams[-1].segments[-1], trit_count=0))
-    return f"stream {m.streams[-1].stream_id}:"
+def _one_trit_count_too_many(m):
+    m.streams[-1].trit_counts.append(0)
+    return f"stream {m.streams[-1].stream_id}: segment trit counts"
 
 
-def _negative_block_count(m):
-    # the block counts still sum to the image's
-    m.streams[-1].segments[-1].block_count += 1
-    m.streams[-1].segments.append(SegmentRecord(block_count=-1, trit_count=0))
-    return f"stream {m.streams[-1].stream_id}:"
+def _one_trit_count_too_few(m):
+    m.streams[0].trit_counts.pop()
+    return f"stream {m.streams[0].stream_id}: segment trit counts"
 
 
 def _negative_trit_count(m):
-    m.streams[-1].segments[-1].trit_count = -5
+    m.streams[-1].trit_counts[-1] = -5
     return f"stream {m.streams[-1].stream_id}: segment trit counts"
 
 
@@ -330,9 +331,9 @@ def _dropped_stream(m):
 @pytest.mark.parametrize(
     "edit",
     [
-        _long_last_dc_segment,
-        _overlapping_segment,
-        _negative_block_count,
+        _zero_segment_size,
+        _one_trit_count_too_many,
+        _one_trit_count_too_few,
         _negative_trit_count,
         _bad_primer,
         _short_strand,
