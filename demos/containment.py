@@ -14,6 +14,7 @@ import numpy as np
 
 from imgdna import ExperimentConfig, corpus_image, encode_image, run_containment
 from imgdna.barriers import BarrierConfig, partition_errors, resync_reads, stream_payloads
+from imgdna.channel import pack_reads
 from imgdna.rotation import seq_to_string
 
 # --- micro view: one partitioned sequence, one error of each kind ----------
@@ -29,7 +30,7 @@ for label, mutate in (
     ("deletion    ", lambda nts: np.delete(nts, 31)),
     ("insertion   ", lambda nts: np.insert(nts, 31, 2)),
 ):
-    got, flags = resync_reads([mutate(nts.copy())], cfg, trits.size)
+    got, flags = resync_reads(*pack_reads([mutate(nts.copy())]), cfg, trits.size)
     wrong = int(np.count_nonzero(got != trits))
     touched = np.flatnonzero(partition_errors(got, trits[None], cfg)[0]).tolist()
     flagged = np.flatnonzero(flags[0]).tolist()

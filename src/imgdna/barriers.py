@@ -15,11 +15,13 @@ The decoder knows the expected trit count, searches a +/- window around each
 expected marker position, and when a marker was destroyed it merges the two
 neighbouring partitions and carries on at the following one.
 
-resync_reads decodes a batch of reads of one layout into trits and a (reads,
-partitions) damage matrix. Its intact reads, most reads at the error rates
-studied, decode together: one (reads, length) array, one intact test, one
-rotation decode along the rows and one gather of the payload columns. Every
-other read goes through the marker search, with the same result either way.
+resync_reads decodes a batch of packed reads of one layout into trits and a
+(reads, partitions) damage matrix. Its intact reads, most reads at the
+error rates studied, decode together: one (reads, length) array, one intact
+test, one rotation decode along the rows and one gather of the payload
+columns. Every other read goes through the marker search, with the same
+result either way; those reads are rotation-decoded together too, and the
+search writes each chunk straight into the two matrices.
 partition_errors gives the same matrix against pristine trits. _read_layout
 alone says where partitions start, and no other module knows the marker width.
 """
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .rotation import A, rotate_decode, rotate_encode
 
@@ -105,23 +108,23 @@ def stream_payloads(trits, cfg: BarrierConfig, per_strand: int) -> list[np.ndarr
     return [nts[s : min(s + span, nts.size) - cut] for s in range(0, nts.size, span)]
 
 
-def _find_marker(nts, expected: int, low: int, half: int) -> int | None:
+def _find_marker(nts, expected: int, low: int, half: int, end: int) -> int | None:
     """Nearest 'AA' start around the expected position; ties go left.
 
     Candidates inside one A-run are snapped to the run's last 'AA':
     partitions never start with A, so a true marker always sits at the
     tail of its run (a partition may end with A and extend it leftward).
-    nts is any sequence of nucleotide codes, a list being the fastest.
+    nts is any sequence of nucleotide codes, a list being the fastest;
+    the read being searched ends at end.
     """
     best = None
     best_key = None
-    size = len(nts)
     lo = max(low, expected - half)
-    hi = min(size - 2, expected + half)
+    hi = min(end - 2, expected + half)
     for s in range(lo, hi + 1):
         if nts[s] != A or nts[s + 1] != A:
             continue
-        while s + 2 < size and s + 1 <= hi and nts[s + 2] == A:
+        while s + 2 < end and s + 1 <= hi and nts[s + 2] == A:
             s += 1
         key = (abs(s - expected), s)
         if best_key is None or key < best_key:
@@ -175,61 +178,13 @@ def _intact(nts: np.ndarray, layout: _ReadLayout):
     return ((nts.take(layout.checked, axis=-1) == A) == layout.holds_a).all(axis=-1)
 
 
-def _resync_decode(nts, cfg: BarrierConfig, expected_trits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a barriered sequence back to expected_trits trits by marker
-    search, and flag the partitions of every chunk that is not exactly its
-    span long or that merged a missed marker. Damaged partitions are padded
-    with trit 0 or truncated so every partition lands at its original
-    offset in the output stream.
-    """
-    nts = np.asarray(nts, dtype=np.uint8)
-    layout = _read_layout(expected_trits, cfg)
-    lengths, offsets = layout.lengths, layout.offsets
-    n = len(lengths)
-    # one rotation decode for the whole read: every chunk starts at 0 or
-    # right after a marker's A, so its predecessor is the seed A either way
-    decoded = rotate_decode(nts, seed=A)
-    half = (cfg.window - 2) // 2
-    out = np.zeros(expected_trits, dtype=np.uint8)
-    flags = np.zeros(n, dtype=bool)
-
-    pos = 0  # cursor into nts
-    chunk_first = 0  # first partition of the open chunk
-    merged = 0  # markers missed inside the open chunk
-
-    def close_chunk(last_part: int, end: int) -> None:
-        """Decode nts[pos:end] into partitions chunk_first..last_part."""
-        span = offsets[last_part + 1] - offsets[chunk_first]
-        chunk = decoded[pos:end]
-        at = 0
-        for j in range(chunk_first, last_part + 1):
-            take = min(lengths[j], max(chunk.size - at, 0))
-            out[offsets[j] : offsets[j] + take] = chunk[at : at + take]
-            at += lengths[j]
-        flags[chunk_first : last_part + 1] = merged > 0 or chunk.size != span
-
-    codes = nts.tolist()
-    for i in range(layout.markers):  # marker i follows partition i
-        expected = pos + offsets[i + 1] - offsets[chunk_first] + 2 * merged
-        s = _find_marker(codes, expected, pos, half)
-        if s is None:
-            merged += 1
-            continue
-        close_chunk(i, s)
-        pos = s + 2
-        chunk_first = i + 1
-        merged = 0
-
-    if chunk_first < n:
-        close_chunk(n - 1, nts.size)
-
-    return out, flags
-
-
-def resync_reads(reads, cfg: BarrierConfig, expected_trits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(len(reads), expected_trits) uint8 trits and a (len(reads),
-    partitions) bool matrix of the partitions flagged as damaged; None
-    stands for a missing read, which decodes as an empty one: zeros, every
+def resync_reads(
+    nts: np.ndarray, starts: np.ndarray, sizes: np.ndarray, cfg: BarrierConfig, expected_trits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode packed reads (see channel.pack_reads) of one layout: a
+    (len(sizes), expected_trits) uint8 trit matrix and a (len(sizes),
+    partitions) bool matrix of the partitions flagged as damaged. An empty
+    read, which is how a missing one packs, decodes as zeros with every
     partition flagged.
 
     Intact reads (the layout's length, A in every marker column and in no
@@ -239,23 +194,61 @@ def resync_reads(reads, cfg: BarrierConfig, expected_trits: int) -> tuple[np.nda
     the expected position, and the non-A after it stops the run-snapping,
     so _find_marker returns the expected column every time and every chunk
     is exactly its span long. Intact is not error-free: a substitution
-    inside a partition reads as clean on both paths. Every other read goes
-    through the marker search.
+    inside a partition reads as clean on both paths.
+
+    Every other read goes through the marker search. Those reads are
+    joined and rotation-decoded in one pass, and their codes become one
+    list; every chunk starts at a read's start or right after a marker's
+    A, so its predecessor is the seed A either way. A chunk between two
+    markers found fills its partitions with its decoded trits, padded with
+    0 or truncated so every partition lands at its original offset, and
+    flags them all when it is not exactly their span long or merged a
+    missed marker.
     """
     layout = _read_layout(expected_trits, cfg)
-    out = np.zeros((len(reads), expected_trits), dtype=np.uint8)
-    damaged = np.zeros((len(reads), len(layout.lengths)), dtype=bool)
-    whole = [k for k, read in enumerate(reads) if read is not None and read.size == layout.size]
-    intact = np.zeros(len(reads), dtype=bool)
-    if whole:
-        rows = np.stack([reads[k] for k in whole])
+    lengths, offsets = layout.lengths, layout.offsets
+    out = np.zeros((len(sizes), expected_trits), dtype=np.uint8)
+    damaged = np.zeros((len(sizes), len(lengths)), dtype=bool)
+    if not lengths:
+        return out, damaged
+    intact = np.zeros(len(sizes), dtype=bool)
+    whole = np.flatnonzero(sizes == layout.size)
+    if whole.size:
+        rows = sliding_window_view(nts, layout.size)[starts[whole]]
         ok = _intact(rows, layout)
-        intact[whole] = ok
-        out[intact] = rotate_decode(rows[ok], seed=A)[:, layout.payload]
-    empty = np.zeros(0, dtype=np.uint8)
-    for k in np.flatnonzero(~intact).tolist():
-        read = empty if reads[k] is None else reads[k]
-        out[k], damaged[k] = _resync_decode(read, cfg, expected_trits)
+        intact[whole[ok]] = True
+        out[whole[ok]] = rotate_decode(rows[ok], seed=A)[:, layout.payload]
+    rest = np.flatnonzero(~intact)
+    if not rest.size:
+        return out, damaged
+    read_ends = np.cumsum(sizes[rest])  # in joined
+    read_starts = read_ends - sizes[rest]
+    joined = np.concatenate(
+        [nts[s : s + n] for s, n in zip(starts[rest].tolist(), sizes[rest].tolist())]
+    )
+    decoded = rotate_decode(joined, seed=A)
+    heads = read_starts[sizes[rest] > 0]
+    decoded[heads] = rotate_decode(joined[heads, None], seed=A)[:, 0]
+    codes = joined.tolist() if layout.markers else None
+    half = (cfg.window - 2) // 2
+    chunks = []  # (read, first partition, last partition, start, end, markers missed)
+    for k, pos, end in zip(rest.tolist(), read_starts.tolist(), read_ends.tolist()):
+        chunk_first = merged = 0
+        for i in range(layout.markers):  # marker i follows partition i
+            expected = pos + offsets[i + 1] - offsets[chunk_first] + 2 * merged
+            at = _find_marker(codes, expected, pos, half, end)
+            if at is None:
+                merged += 1
+                continue
+            chunks.append((k, chunk_first, i, pos, at, merged))
+            pos, chunk_first, merged = at + 2, i + 1, 0
+        if chunk_first < len(lengths):  # the rest of the read is the final chunk
+            chunks.append((k, chunk_first, len(lengths) - 1, pos, end, merged))
+    for k, first, last, pos, end, merged in chunks:
+        span = offsets[last + 1] - offsets[first]
+        take = min(span, end - pos)
+        out[k, offsets[first] : offsets[first] + take] = decoded[pos : pos + take]
+        damaged[k, first : last + 1] = merged > 0 or end - pos != span
     return out, damaged
 
 

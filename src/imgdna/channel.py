@@ -13,6 +13,13 @@ default_rng(SeedSequence([seed, uid, copy])) would give; its seed words
 are hashed for the whole pool at once (seed_words), and each read's PCG64
 starts from its row. perturb_pool returns a flat list of reads in (uid,
 copy) order; the decoder routes each read by its own index, not its place.
+
+Reads travel in batches as packed reads (pack_reads): one uint8 array
+holding them back to back, with each read's start and size. edit_reads
+is the one edit applier: it lays a batch of edited reads out in one pass,
+for perturb_pool, targeted injection and containment trials alike.
+draw_point_edits gives a batch of single-edit trials from raw PCG64
+words, equal to the scalar draws a per-trial loop would make.
 """
 
 from __future__ import annotations
@@ -141,41 +148,160 @@ def edit_value(rng: np.random.Generator, kind: int) -> int:
     return 0
 
 
-def apply_edits(nts: np.ndarray, edits) -> np.ndarray:
-    """A copy of nts with (pos, kind, value) point edits applied.
+_HALF = np.uint64(32)
 
-    Positions are distinct and refer to the original strand. Kind 0
-    replaces nts[pos] with (nts[pos] + value) % 4, kind 1 inserts value
-    after pos and kind 2 deletes pos.
+
+def _bounded(halves: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's Lemire draw of integers(0, n) from each 32-bit half: whether
+    the half is kept, and the value it gives."""
+    scaled = halves * np.uint64(n)
+    kept = (scaled & np.uint64(_MASK32)) >= np.uint64((2**32 - n) % n)
+    return kept, (scaled >> _HALF).astype(np.int64)
+
+
+def _first_kept(kept: np.ndarray) -> np.ndarray:
+    """The index of the first kept half at or after each index."""
+    at = np.where(kept, np.arange(kept.size), kept.size)
+    return np.minimum.accumulate(at[::-1])[::-1]
+
+
+def draw_point_edits(
+    rng: np.random.Generator, total: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flat position, kind, value) int64 arrays of n point edits, equal to
+    n rounds of int(rng.integers(0, total)), int(rng.integers(0, 3)) and
+    edit_value(rng, kind), and leaving rng where those calls would.
+
+    Each scalar integers(lo, hi) takes one 32-bit half of PCG64's next
+    word, the low half first; a high half the generator holds buffered
+    comes before any new word. The half times hi - lo is kept unless its
+    low 32 bits fall below (2**32 - (hi - lo)) % (hi - lo), and a rejected
+    half passes to the next one. Here every half is scored for every
+    range at once, and the trial that would start at each half points to
+    the half after it; the trials' starts, the orbit of the first half,
+    come from pointer doubling.
     """
-    pieces = []
-    prev = 0
-    for pos, kind, value in sorted(edits):
-        pieces.append(nts[prev:pos])
-        if kind == 0:
-            pieces.append(np.array([(int(nts[pos]) + value) % 4], dtype=np.uint8))
-        elif kind == 1:
-            pieces.append(nts[pos : pos + 1])
-            pieces.append(np.array([value], dtype=np.uint8))
-        prev = pos + 1
-    pieces.append(nts[prev:])
-    return np.concatenate(pieces)
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, PCG64):
+        raise TypeError("draw_point_edits reads PCG64 words")
+    if not 2 <= total <= 2**32:
+        raise ValueError("total must be in [2, 2**32]")
+    if n <= 0:
+        return (np.zeros(0, dtype=np.int64),) * 3
+    saved = bitgen.state
+    buffered = saved["has_uint32"]
+    words = (3 * n + 1) // 2 + 32  # three halves a trial unless some are rejected
+    while True:
+        raw = bitgen.random_raw(words)
+        size = buffered + 2 * words  # halves drawn; three zero halves follow as stops
+        halves = np.zeros(size + 3, dtype=np.uint64)
+        halves[0] = saved["uinteger"]
+        halves[buffered:size:2] = raw & np.uint64(_MASK32)
+        halves[buffered + 1 : size : 2] = raw >> _HALF
+        pos_kept, pos_value = _bounded(halves, total)
+        three_kept, three_value = _bounded(halves, 3)  # kinds and substitution shifts
+        pos_kept[size:] = three_kept[size:] = True
+        pos_half, three_half = _first_kept(pos_kept), _first_kept(three_kept)
+        # the kind's half and the last half of a trial starting at each half;
+        # an insertion's nucleotide, integers(0, 4), keeps every half
+        kind_half = three_half[pos_half[:size] + 1]
+        kind = three_value[kind_half]
+        last = np.where(kind == 0, three_half[kind_half + 1], kind_half + (kind == 1))
+        # next trial's start; a trial that runs past the drawn halves leads
+        # to size + 1, which leads to itself
+        jump = np.full(size + 2, size + 1, dtype=np.int64)
+        jump[:size] = np.where(last < size, last + 1, size + 1)
+        start = np.zeros(n + 1, dtype=np.int64)  # trial t starts at jump^t(0)
+        trial = np.arange(n + 1)
+        for bit in range(n.bit_length()):
+            on = (trial >> bit & 1).astype(bool)
+            start[on] = jump[start[on]]
+            jump = jump[jump]
+        if start[n] <= size:
+            break
+        bitgen.state = saved  # too few halves: draw twice as many
+        words *= 2
+    end = int(start[n])
+    start = start[:n]
+    kind_at = kind_half[start]
+    kind = kind[start]
+    value = np.where(
+        kind == 0,
+        1 + three_value[three_half[kind_at + 1]],
+        np.where(kind == 1, halves[kind_at + 1] >> np.uint64(30), 0).astype(np.int64),
+    )
+    # leave the generator as the scalar calls would: the used words drawn,
+    # and the high half of the last one buffered unless it was used
+    used = (end - buffered + 1) // 2  # at least one: a trial takes two halves
+    bitgen.state = saved
+    bitgen.advance(used)
+    state = bitgen.state
+    state["has_uint32"] = (end - buffered) % 2
+    state["uinteger"] = int(raw[used - 1] >> _HALF)
+    bitgen.state = state
+    return pos_value[pos_half[start]], kind, value
+
+
+def pack_reads(reads) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(nts, starts, sizes): the reads back to back in one uint8 array, and
+    where each starts and how long it is. None packs as an empty read."""
+    reads = [np.zeros(0, dtype=np.uint8) if read is None else read for read in reads]
+    sizes = np.fromiter(map(len, reads), dtype=np.int64, count=len(reads))
+    nts = np.concatenate(reads).astype(np.uint8, copy=False) if reads else np.zeros(0, np.uint8)
+    return nts, np.cumsum(sizes) - sizes, sizes
+
+
+def unpack_reads(nts: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
+    """The packed reads as a list of views into nts."""
+    return [nts[s:e] for s, e in zip(starts.tolist(), (starts + sizes).tolist())]
+
+
+def edit_reads(
+    bases, read: np.ndarray, pos: np.ndarray, kind: np.ndarray, value: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Packed reads (see pack_reads): read i is bases[i] with each point
+    edit (read, pos, kind, value) whose read is i applied.
+
+    Positions are distinct within a read and refer to its base. Kind 0
+    replaces nts[pos] with (nts[pos] + value) % 4, kind 1 inserts value
+    after pos and kind 2 deletes pos. Every read is laid out at once: the
+    substitutions land in the packed bases, the deletions go in one
+    np.delete and the insertions in one np.insert.
+    """
+    nts, starts, sizes = pack_reads(bases)
+    at = starts[read] + pos  # each edit's place in the packed bases
+    sub, ins, dele = kind == 0, kind == 1, kind == 2
+    nts[at[sub]] = (nts[at[sub]] + value[sub]) & 3
+    gone = np.sort(at[dele])
+    if gone.size:
+        nts = np.delete(nts, gone)
+    if ins.any():
+        after = at[ins] + 1
+        nts = np.insert(nts, after - np.searchsorted(gone, after), value[ins].astype(np.uint8))
+    count = len(sizes)
+    sizes = sizes + np.bincount(read[ins], minlength=count)
+    sizes -= np.bincount(read[dele], minlength=count)
+    return nts, np.cumsum(sizes) - sizes, sizes
+
+
+def _draw_edits(cfg: ChannelConfig, rng: np.random.Generator, lo: int, hi: int):
+    """(positions, kinds, values) of one read's errors, confined to [lo, hi)."""
+    hi = max(hi, lo)
+    draws = rng.random(hi - lo)
+    hits = np.flatnonzero(draws < cfg.rate) + lo
+    # the draw Generator.choice(3, size, p=fractions) makes, without its
+    # argument checks: one uniform per hit, placed on the weights' CDF
+    kinds = cfg.kind_cdf.searchsorted(rng.random(hits.size), side="right") if hits.size else hits
+    values = np.array([edit_value(rng, kind) for kind in kinds.tolist()], dtype=np.int64)
+    return hits, kinds, values
 
 
 def perturb_strand(
     nts: np.ndarray, cfg: ChannelConfig, rng: np.random.Generator, lo: int, hi: int
 ) -> np.ndarray:
     """One noisy read of a strand, errors confined to positions [lo, hi)."""
-    hi = max(hi, lo)
-    draws = rng.random(hi - lo)
-    hits = np.flatnonzero(draws < cfg.rate) + lo
-    if hits.size == 0:
-        return nts.copy()
-    # the draw Generator.choice(3, size, p=fractions) makes, without its
-    # argument checks: one uniform per hit, placed on the weights' CDF
-    kinds = cfg.kind_cdf.searchsorted(rng.random(hits.size), side="right")
-    edits = [(pos, kind, edit_value(rng, kind)) for pos, kind in zip(hits.tolist(), kinds.tolist())]
-    return apply_edits(nts, edits)
+    hits, kinds, values = _draw_edits(cfg, rng, lo, hi)
+    return edit_reads([nts], np.zeros(hits.size, dtype=np.int64), hits, kinds, values)[0]
 
 
 def perturb_pool(
@@ -188,19 +314,24 @@ def perturb_pool(
     read uid * cfg.copies + copy.
 
     protect gives the (prefix, suffix) primer lengths spared by default.
+    Each read draws its errors from its own generator; then one edit_reads
+    call lays every read out.
     """
     words = seed_words(seed, len(strands), cfg.copies)
-    out = []
+    edits = []
     for strand, rows in zip(strands, words):
         lo, hi = 0, strand.size
         if not cfg.corrupt_primers:
             lo = min(protect[0], strand.size)
             hi = max(strand.size - protect[1], lo)
-        out += [
-            perturb_strand(strand, cfg, np.random.Generator(PCG64(_StateWords(w))), lo, hi)
-            for w in rows
-        ]
-    return out
+        rngs = [np.random.Generator(PCG64(_StateWords(w))) for w in rows]
+        edits += [_draw_edits(cfg, rng, lo, hi) for rng in rngs]
+    bases = [strand for strand in strands for _ in range(cfg.copies)]
+    if not bases:
+        return []
+    hits, kinds, values = (np.concatenate(parts) for parts in zip(*edits))
+    read = np.repeat(np.arange(len(edits)), [h.size for h, _, _ in edits])
+    return unpack_reads(*edit_reads(bases, read, hits, kinds, values))
 
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}

@@ -36,14 +36,19 @@ decode_pool routes each read by its own index and votes per slot among the
 reads routed there.
 
 Every strand slot goes through the barrier resync decode, resync_reads,
-which decode_pool calls for a stream's full strands and for its final one
-and run_containment for each barrier layout. Its damage matrix, one row
+which takes packed reads (channel.pack_reads: one uint8 array with each
+read's start and size). decode_pool calls it for a stream's full strands
+and for its final one, and run_containment once per stream piece (full
+strands or final one) and batch. Its damage matrix, one row
 per strand and one column per partition, flags a stream without barriers
 (one unbounded partition per strand) when its decoded length is wrong. A
 missing or quarantined strand decodes as an empty read: zero trits, every
 partition flagged and every segment with a trit on it counted as failed.
 run_containment scores trials with barriers.partition_errors, the same
-matrix against the pristine trits.
+matrix against the pristine trits. Its batches make no Python call per
+trial: one draw_point_edits call gives the edits, bit-identical to the
+scalar draws of a per-trial loop, one edit_reads call lays the reads out
+and one route_reads call routes them.
 """
 
 from __future__ import annotations
@@ -53,7 +58,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .barriers import BarrierConfig, partition_errors, resync_reads, stream_payloads
-from .channel import ChannelConfig, apply_edits, edit_value, perturb_pool
+from .channel import (
+    ChannelConfig,
+    draw_point_edits,
+    edit_reads,
+    edit_value,
+    pack_reads,
+    perturb_pool,
+    unpack_reads,
+)
 from .formats import FormatError, MappingTable, StreamMap, segment_bounds
 from .jpeg import ZIGZAG, ImageMetadata, forward_transform, inverse_transform
 from .metrics import barrier_overhead, ci90_half_width, encoding_density, ssim, write_csv
@@ -65,7 +78,7 @@ from .strands import (
     default_primer_pair,
     disassemble_pool,
     index_width_for,
-    route_read,
+    route_reads,
 )
 from .streams import (
     HuffmanTable,
@@ -302,8 +315,8 @@ def decode_pool(reads, mapping: MappingTable, meta: ImageMetadata) -> DecodeResu
         lost = np.cumsum([0] + [read is None for read in slots])  # lost slots before each
         result.missing_strands += int(lost[-1])
         full = total // per  # the final strand may be short
-        head, head_damaged = resync_reads(slots[:full], bc, per)
-        tail, tail_damaged = resync_reads(slots[full:], bc, total - full * per)
+        head, head_damaged = resync_reads(*pack_reads(slots[:full]), bc, per)
+        tail, tail_damaged = resync_reads(*pack_reads(slots[full:]), bc, total - full * per)
         trits = np.append(head, tail)
         result.damaged_partitions += int(head_damaged.sum() + tail_damaged.sum())
 
@@ -440,15 +453,23 @@ def _inject(strands: list[np.ndarray], hits, rng) -> list[np.ndarray]:
     """One read per strand, with (uid, position, kind) point errors applied;
     kinds: 0 sub, 1 ins, 2 del.
 
-    Values are drawn per uid in first-hit order, highest position first.
+    Values are drawn per uid in first-hit order, highest position first;
+    then one edit_reads call lays out every strand that was hit.
     """
     by_uid: dict[int, list[tuple[int, int]]] = {}
     for uid, pos, kind in hits:
         by_uid.setdefault(uid, []).append((pos, kind))
+    edits = [
+        (read, pos, kind, edit_value(rng, kind))
+        for read, uid_edits in enumerate(by_uid.values())
+        for pos, kind in sorted(uid_edits, reverse=True)
+    ]
     reads = list(strands)
-    for uid, edits in by_uid.items():
-        drawn = [(pos, kind, edit_value(rng, kind)) for pos, kind in sorted(edits, reverse=True)]
-        reads[uid] = apply_edits(strands[uid], drawn)
+    if edits:
+        read, pos, kind, value = np.array(edits, dtype=np.int64).T
+        packed = edit_reads([strands[uid] for uid in by_uid], read, pos, kind, value)
+        for uid, edited in zip(by_uid, unpack_reads(*packed)):
+            reads[uid] = edited
     return reads
 
 
@@ -544,6 +565,12 @@ def run_containment(
     stream. A quarantined read loses the whole strand but stays confined;
     a read routed to any other address loses the strand too and counts as
     unconfined.
+
+    A batch draws its edits in one draw_point_edits call, lays its reads
+    out in one edit_reads call and routes them in one route_reads call.
+    Its trials are grouped by the piece of a stream their strand lies in,
+    its full strands or its short final one, and each group's payloads go
+    through one resync_reads call.
     """
     if trials < 0:
         raise PipelineError("trials must be >= 0")
@@ -551,40 +578,55 @@ def run_containment(
     enc = encode_image(image, cfg)
     geom, layouts = enc.mapping.layouts()
     limit = 2 * max(len(uids) for _, _, uids in layouts.values())
-    # uid -> (stream, offset, barrier layout, pristine trits)
-    targets: dict[int, tuple[int, int, BarrierConfig, np.ndarray]] = {}
+    strands = enc.strands
+    count = len(strands)
+    # per uid: its address, its piece and its row of the piece's pristine trits
+    address, piece, row = (np.empty(count, dtype=np.int64) for _ in range(3))
+    pieces: list[tuple[BarrierConfig, np.ndarray]] = []  # (layout, pristine trits)
     for sid, (bc, per, uids) in layouts.items():
-        for k, uid in enumerate(uids):
-            targets[uid] = (sid, k, bc, enc.stream_trits[sid][k * per : (k + 1) * per])
+        trits = enc.stream_trits[sid]
+        address[uids.start : uids.stop] = 2 * np.arange(len(uids)) + sid
+        full = trits.size // per
+        full_strands, final_strand = trits[: full * per].reshape(full, per), trits[full * per :]
+        for before, grid in ((0, full_strands), (full, final_strand[None])):
+            if grid.size:
+                at = slice(uids.start + before, uids.start + before + len(grid))
+                piece[at], row[at] = len(pieces), np.arange(len(grid))
+                pieces.append((bc, grid))
 
-    cum = np.concatenate([[0], np.cumsum([s.size for s in enc.strands], dtype=np.int64)])
+    sizes = np.fromiter(map(len, strands), dtype=np.int64, count=count)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    head, tail = geom.fwd_len + geom.index_len, geom.rev_len
     rng = np.random.default_rng(seed)
     stats = ContainmentStats(trials=trials)
 
     for first in range(0, trials, CONTAINMENT_BATCH):
         batch = min(CONTAINMENT_BATCH, trials - first)
-        # (barrier layout, trits) -> trial, confined payload or None, pristine trits
-        groups: dict[tuple[BarrierConfig, int], list] = {}
-        for t in range(batch):
-            flat_pos = int(rng.integers(0, cum[-1]))
-            uid = int(np.searchsorted(cum, flat_pos, side="right")) - 1
-            pos = flat_pos - int(cum[uid])
-            kind = int(rng.integers(0, 3))
-            read = apply_edits(enc.strands[uid], [(pos, kind, edit_value(rng, kind))])
-            sid, offset, bc, want = targets[uid]
-            routed = route_read(read, geom, limit)
-            confined = routed is None or routed[:2] == (sid, offset)
-            stats.confined_to_strand += confined
-            # a quarantined or misrouted read decodes as a missing one: zeros
-            payload = routed[2] if routed is not None and confined else None
-            groups.setdefault((bc, want.size), []).append((t, payload, want))
+        flat_pos, kind, value = draw_point_edits(rng, int(ends[-1]), batch)
+        uid = np.searchsorted(ends, flat_pos, side="right")
+        bases = [strands[u] for u in uid.tolist()]
+        nts, read_starts, read_sizes = edit_reads(
+            bases, np.arange(batch), flat_pos - starts[uid], kind, value
+        )
+        routed = route_reads(nts, read_starts, read_sizes, geom, limit)
+        confined = (routed < 0) | (routed == address[uid])
+        stats.confined_to_strand += int(confined.sum())
+        # a quarantined or misrouted read decodes as a missing one: zeros
+        payload_sizes = np.where(confined & (routed >= 0), read_sizes - head - tail, 0)
         damage = np.zeros(batch, dtype=np.int64)
-        for (bc, size), items in groups.items():
-            trial_ids, payloads, wants = zip(*items)
-            got, _ = resync_reads(payloads, bc, size)
-            damage[list(trial_ids)] = partition_errors(got, np.stack(wants), bc).sum(axis=1)
-        for d in damage.tolist():
-            stats.within_two_partitions += d <= 2
-            stats.damage_histogram[d] = stats.damage_histogram.get(d, 0) + 1
+        trial_piece = piece[uid]
+        for p, (bc, grid) in enumerate(pieces):
+            sel = np.flatnonzero(trial_piece == p)
+            if sel.size:
+                got, _ = resync_reads(
+                    nts, read_starts[sel] + head, payload_sizes[sel], bc, grid.shape[1]
+                )
+                damage[sel] = partition_errors(got, grid[row[uid[sel]]], bc).sum(axis=1)
+        stats.within_two_partitions += int((damage <= 2).sum())
+        counts = np.bincount(damage)
+        seen, order = np.unique(damage, return_index=True)
+        for d in seen[np.argsort(order)].tolist():  # in order of first appearance
+            stats.damage_histogram[d] = stats.damage_histogram.get(d, 0) + int(counts[d])
 
     return stats

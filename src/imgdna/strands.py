@@ -3,10 +3,13 @@
 A strand is fwd_primer | index | payload | rev_primer. The index holds
 (offset * 2 + stream_bit) in base 3, written three times so a single hit
 cannot orphan the whole strand; each copy is rotation-encoded from the
-last primer nucleotide. An intact index region is looked up in a memoised
-table of exact encodings. Any other region goes to a decoder that votes
-over the three copy windows plus one-shifted variants, so an indel inside
-the index region still recovers the value. A received pool is a flat
+last primer nucleotide. route_reads routes a batch of packed reads at
+once: every index region becomes an integer key, looked up in a sorted,
+memoised table of exact encodings. Any other region goes to decode_index,
+whose decoder votes over the three copy windows plus one-shifted variants,
+so an indel inside the index region still recovers the value. The key
+table and the voting decoder's candidate codes come from one memoised
+array of every code per (width, seed, limit). A received pool is a flat
 sequence of reads, each routed by its own index; labels and order carry
 nothing.
 """
@@ -19,7 +22,9 @@ from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from .channel import pack_reads
 from .rotation import A, C, G, rotate_encode
 
 STREAM_DC = 0  # also carries the single interleaved stream
@@ -49,14 +54,18 @@ def generate_primer(
         return cand
 
 
+@lru_cache(maxsize=64)
 def default_primer_pair(length: int = 20, seed: int = 0x1D9A) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic primer pair. The reverse primer never starts with A,
-    so a trailing 'AA' marker cannot extend into a longer run."""
+    """Deterministic primer pair, memoised and read-only. The reverse
+    primer never starts with A, so a trailing 'AA' marker cannot extend
+    into a longer run."""
     rng = np.random.default_rng(seed)
     fwd = generate_primer(rng, length)
     while True:
         rev = generate_primer(rng, length, forbid_leading_a=True)
         if not np.array_equal(rev, fwd):
+            fwd.setflags(write=False)
+            rev.setflags(write=False)
             return fwd, rev
 
 
@@ -150,12 +159,61 @@ def encode_index(value: int, width: int, seed: int) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=4096)
-def _index_code(value: int, width: int, seed: int) -> np.ndarray:
-    """encode_index, memoised and read-only, since every caller shares it."""
-    code = encode_index(value, width, seed)
-    code.setflags(write=False)
-    return code
+def encode_indexes(values, width: int, seed: int) -> np.ndarray:
+    """encode_index of every value at once: a (len(values), 3 * width)
+    uint8 array. The digits of all values and all copies are masked
+    together and rotation-encoded one row per copy."""
+    values = np.asarray(values, dtype=np.int64)
+    if values.size and (values.min() < 0 or values.max() >= 3**width):
+        raise ValueError(f"index values must fit {width} trits")
+    digits = values[:, None] // 3 ** np.arange(width - 1, -1, -1, dtype=np.int64) % 3
+    masks = np.array([_copy_mask(width, k) for k in range(3)])
+    copies = rotate_encode((digits[:, None, :] + masks) % 3, seed=seed)
+    return copies.reshape(values.size, 3 * width)
+
+
+@lru_cache(maxsize=64)
+def _index_codes(width: int, seed: int, limit: int) -> np.ndarray:
+    """The codes of every value below min(limit, 3**width), one row per
+    value, memoised and read-only, since every caller shares them."""
+    codes = encode_indexes(np.arange(min(limit, 3**width)), width, seed)
+    codes.setflags(write=False)
+    return codes
+
+
+def _region_keys(regions: np.ndarray) -> np.ndarray:
+    """A uint64 key per row: its first 32 nucleotides, two bits each.
+    Copy 0 alone fixes the value, so up to width 32 no two codes share a
+    key."""
+    columns = min(regions.shape[1], 32)
+    weights = 4 ** np.arange(columns - 1, -1, -1, dtype=np.uint64)
+    return regions[:, :columns].astype(np.uint64) @ weights
+
+
+@lru_cache(maxsize=64)
+def _exact_table(width: int, seed: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted keys, their values) of the exact index encodings.
+
+    index_width_for never yields a limit above 3**width - 1, and stopping
+    there keeps width 1's value 2 out: its exact encoding votes to 0."""
+    codes = _index_codes(width, seed, limit)[: min(limit, 3**width - 1)]
+    keys = _region_keys(codes)
+    order = np.argsort(keys)
+    return keys[order], order
+
+
+def _exact_values(regions: np.ndarray, width: int, seed: int, limit: int) -> np.ndarray:
+    """The value whose exact encoding each row's first 3 * width
+    nucleotides are, or -1: a key lookup, then a check of the whole
+    region against the code it finds."""
+    keys, values = _exact_table(width, seed, limit)
+    if not keys.size:
+        return np.full(len(regions), -1, dtype=np.int64)
+    regions = regions[:, : 3 * width]
+    at = keys.searchsorted(_region_keys(regions))
+    found = values[np.minimum(at, keys.size - 1)]
+    exact = (_index_codes(width, seed, limit)[found] == regions).all(axis=1)
+    return np.where(exact, found, -1)
 
 
 def _prefix_edit_within_one(expected: np.ndarray, observed: np.ndarray) -> bool:
@@ -179,36 +237,9 @@ def _prefix_edit_within_one(expected: np.ndarray, observed: np.ndarray) -> bool:
     )
 
 
-@lru_cache(maxsize=64)
-def _exact_index_table(width: int, seed: int, limit: int) -> dict[bytes, int]:
-    # index_width_for never yields a limit above 3**width - 1, and stopping
-    # there keeps width 1's value 2 out: its exact encoding votes to 0
-    return {
-        _index_code(v, width, seed).tobytes(): v for v in range(min(limit, 3**width - 1))
-    }
-
-
 def decode_index(nts: np.ndarray, width: int, seed: int, limit: int) -> int | None:
-    """Index value below limit read from nts, or None when unroutable.
-
-    When the first 3*width nucleotides are the exact encoding of a value,
-    a memoised table per (width, seed, limit) answers; anything else goes
-    to the voting decoder. Both give the same value for every input. From
-    width 3 up, no other value passes the voting decoder's one-edit check
-    against an exact encoding. One edit either leaves some copy intact in
-    place, which fixes the value, or is an indel in copy 0 that shifts
-    copies 1 and 2, whose different masks cannot both decode to one value.
-    The tests compare the two paths on every value and trailing nucleotide
-    up to width 8.
-    """
-    value = _exact_index_table(width, seed, limit).get(nts[: 3 * width].tobytes())
-    if value is not None:
-        return value
-    return _vote_index(nts, width, seed, limit)
-
-
-def _vote_index(nts: np.ndarray, width: int, seed: int, limit: int) -> int | None:
-    """Vote across the three copies, tolerating one-off shifts.
+    """Index value below limit read from nts, or None when unroutable: a
+    vote across the three copies, tolerating one-off shifts.
 
     Each copy region contributes at most one vote per value, whichever of
     its shifted windows produced it; a corrupt copy then cannot outvote
@@ -220,6 +251,15 @@ def _vote_index(nts: np.ndarray, width: int, seed: int, limit: int) -> int | Non
     values sit only 2 edits apart, so one error can pass one address as
     the other (and the exact encoding of value 2 votes to 0 under limit 3);
     encode_image never writes width-1 indexes.
+
+    route_reads looks every index region up in its exact table first and
+    sends only the rest here; on an exact encoding the two give the same
+    value. From width 3 up, no other value passes the one-edit check
+    against an exact encoding. One edit either leaves some copy intact in
+    place, which fixes the value, or is an indel in copy 0 that shifts
+    copies 1 and 2, whose different masks cannot both decode to one value.
+    The tests compare the two on every value and trailing nucleotide up to
+    width 8.
     """
     region = nts[: 3 * width + 1].tolist()  # the widest window ends here
     copy_votes: Counter = Counter()
@@ -243,8 +283,9 @@ def _vote_index(nts: np.ndarray, width: int, seed: int, limit: int) -> int | Non
     ranked = sorted(
         copy_votes, key=lambda v: (copy_votes[v], raw_votes[v], -v), reverse=True
     )
+    codes = _index_codes(width, seed, limit)
     for value in ranked:
-        if _prefix_edit_within_one(_index_code(value, width, seed), nts):
+        if _prefix_edit_within_one(codes[value], nts):
             return value
     return None
 
@@ -255,8 +296,8 @@ def assemble_strands(
     """fwd_primer | index | payload | rev_primer for each index value and payload.
 
     Each run of equal-size payloads fills one uint8 grid of one strand per
-    row: the primer columns by broadcast, the index columns from the
-    memoised encodings and the payload columns stacked. The strands are
+    row: the primer columns by broadcast, the index columns from one
+    encode_indexes call and the payload columns stacked. The strands are
     the grids' rows, in payload order. A payload over the capacity is a
     ValueError before any grid is built.
     """
@@ -271,7 +312,7 @@ def assemble_strands(
         values, run_payloads = zip(*run)
         grid = np.empty((len(values), head + size + geom.rev_len), dtype=np.uint8)
         grid[:, : geom.fwd_len] = geom.fwd_primer
-        grid[:, geom.fwd_len : head] = [_index_code(v, width, seed) for v in values]
+        grid[:, geom.fwd_len : head] = encode_indexes(values, width, seed)
         grid[:, head : head + size] = run_payloads
         grid[:, head + size :] = geom.rev_primer
         strands += list(grid)
@@ -287,22 +328,32 @@ class DisassemblyResult:
     duplicates: int = 0
 
 
-def route_read(
-    read: np.ndarray, geom: StrandGeometry, limit: int
-) -> tuple[int, int, np.ndarray] | None:
-    """(stream, offset, payload) addressed by a read, or None when unroutable.
+def route_reads(
+    nts: np.ndarray, starts: np.ndarray, sizes: np.ndarray, geom: StrandGeometry, limit: int
+) -> np.ndarray:
+    """The index value each packed read (see channel.pack_reads) addresses,
+    -1 where it is unroutable; its stream is value & 1, its offset value
+    >> 1 and its payload what lies between the index and the reverse
+    primer.
 
-    Primer regions are stripped by position and the index is decoded from
-    the front of what is left. A read too short to hold primers, index and
-    one payload nucleotide is unroutable.
+    Primer regions are stripped by position and the index is read from the
+    front of what is left. A read too short to hold primers, index and one
+    payload nucleotide is unroutable. Every index region is looked up in
+    the exact table at once; only the rest go to decode_index.
     """
-    if read.size <= geom.fwd_len + geom.rev_len + geom.index_len:
-        return None
-    body = read[geom.fwd_len : read.size - geom.rev_len]
-    value = decode_index(body[: geom.index_len + 1], geom.index_width, geom.index_seed, limit)
-    if value is None:
-        return None
-    return value & 1, value >> 1, body[geom.index_len :]
+    values = np.full(len(sizes), -1, dtype=np.int64)
+    fits = np.flatnonzero(sizes > geom.fwd_len + geom.rev_len + geom.index_len)
+    if not fits.size:
+        return values
+    width, seed = geom.index_width, geom.index_seed
+    # decode_index reads one nucleotide past the index, for a shifted copy 2
+    regions = sliding_window_view(nts, geom.index_len + 1)[starts[fits] + geom.fwd_len]
+    exact = _exact_values(regions, width, seed, limit)
+    values[fits] = exact
+    for k in np.flatnonzero(exact < 0).tolist():
+        value = decode_index(regions[k], width, seed, limit)
+        values[fits[k]] = -1 if value is None else value
+    return values
 
 
 def disassemble_pool(
@@ -310,27 +361,29 @@ def disassemble_pool(
 ) -> DisassemblyResult:
     """Recover per-stream payload slots from received reads, in any order.
 
-    Unroutable reads and addresses with no slot are quarantined. Each slot
-    keeps the most common exact payload among the reads routed to it, the
-    first seen winning ties; routed reads whose payload loses that vote
-    count as duplicates. A slot no read reaches stays None for the
-    caller's gap fill.
+    The reads are packed and routed in one route_reads call. Unroutable
+    reads and addresses with no slot are quarantined. Each slot keeps the
+    most common exact payload among the reads routed to it, the first seen
+    winning ties; routed reads whose payload loses that vote count as
+    duplicates. A slot no read reaches stays None for the caller's gap
+    fill.
     """
     result = DisassemblyResult(
         streams={s: [None] * n for s, n in stream_counts.items()}
     )
     limit = 2 * max(stream_counts.values())
+    nts, starts, sizes = pack_reads(reads)
+    values = route_reads(nts, starts, sizes, geom, limit)
+    first = starts + geom.fwd_len + geom.index_len
+    last = starts + sizes - geom.rev_len
     contested: dict[tuple[int, int], list[np.ndarray]] = {}  # slots with 2+ reads
-    for read in reads:
-        routed = route_read(read, geom, limit)
-        if routed is None:
-            result.quarantined += 1
-            continue
-        stream, offset, payload = routed
+    for value, lo, hi in zip(values.tolist(), first.tolist(), last.tolist()):
+        stream, offset = value & 1, value >> 1
         slots = result.streams.get(stream)
-        if slots is None or offset >= len(slots):
+        if value < 0 or slots is None or offset >= len(slots):
             result.quarantined += 1
             continue
+        payload = nts[lo:hi]
         if slots[offset] is None:
             slots[offset] = payload
         else:

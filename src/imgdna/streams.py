@@ -195,6 +195,13 @@ def _ac_terms(flat: np.ndarray):
     return rows, runs, values, _categories(values)
 
 
+def _histogram(symbols: np.ndarray) -> Counter:
+    """How often each nonnegative symbol occurs, from one np.bincount."""
+    counts = np.bincount(symbols)
+    used = np.flatnonzero(counts)
+    return Counter(dict(zip(used.tolist(), counts[used].tolist())))
+
+
 def symbol_counts(flat: np.ndarray) -> tuple[Counter, Counter]:
     """DC and AC symbol histograms over one image's zigzagged blocks.
 
@@ -202,9 +209,9 @@ def symbol_counts(flat: np.ndarray) -> tuple[Counter, Counter]:
     restarts the predictor, which the floor counts in build_tables absorb.
     """
     flat = np.asarray(flat, dtype=np.int64)
-    dc_freqs = Counter(_categories(np.diff(flat[:, 0], prepend=0)).tolist())
+    dc_freqs = _histogram(_categories(np.diff(flat[:, 0], prepend=0)))
     _, runs, _, sizes = _ac_terms(flat)
-    ac_freqs = Counter((((runs % 16) << 4) | sizes).tolist())
+    ac_freqs = _histogram(((runs % 16) << 4) | sizes)
     ac_freqs[ZRL] += int((runs // 16).sum())
     ac_freqs[EOB] += len(flat) - int(np.count_nonzero(flat[:, 63]))
     return dc_freqs, +ac_freqs  # unary plus drops the zero counts

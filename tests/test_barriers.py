@@ -8,12 +8,12 @@ from imgdna.barriers import (
     BarrierConfig,
     _find_marker,
     _read_layout,
-    _resync_decode,
     partition_errors,
     resync_reads,
     strand_trits,
     stream_payloads,
 )
+from imgdna.channel import pack_reads
 from imgdna.corpus import corpus_image
 from imgdna.pipeline import SCHEMES, ExperimentConfig, encode_image
 from imgdna.rotation import A, rotate_encode, seq_to_string
@@ -28,7 +28,7 @@ def one_strand(trits, cfg):
 
 def resync_one(nts, cfg, expected_trits):
     """The trits and partition flags resync_reads gives one read."""
-    trits, damaged = resync_reads([nts], cfg, expected_trits)
+    trits, damaged = resync_reads(*pack_reads([nts]), cfg, expected_trits)
     return trits[0], damaged[0].tolist()
 
 
@@ -240,14 +240,14 @@ def test_one_indel_flags_every_partition_it_damages(seed, layout, parts, kind):
         hit = np.insert(nts, int(rng.integers(0, nts.size + 1)), int(rng.integers(0, 4)))
     else:
         hit = np.delete(nts, int(rng.integers(0, nts.size)))
-    got, flags = resync_reads([hit], cfg, ntrits)
+    got, flags = resync_reads(*pack_reads([hit]), cfg, ntrits)
     wrong = partition_errors(got, trits[None], cfg)
     assert not (wrong & ~flags).any()
 
 
 def resync_by_chunks(nts, cfg, expected_trits):
-    """_resync_decode with a fresh rotation decode of every chunk between
-    the markers found, each seeded from A, and every marker searched for."""
+    """The marker search on one read, with a fresh rotation decode of
+    every chunk between the markers found, each seeded from A."""
     lengths = _read_layout(expected_trits, cfg).lengths
     n = len(lengths)
     out = np.zeros(expected_trits, dtype=np.uint8)
@@ -271,7 +271,7 @@ def resync_by_chunks(nts, cfg, expected_trits):
 
     for i in range(n if cfg.partition_len else 0):  # a marker after every partition
         expected = pos + int(offsets[i + 1] - offsets[chunk_first]) + 2 * merged
-        s = _find_marker(nts, expected, pos, half)
+        s = _find_marker(nts, expected, pos, half, len(nts))
         if s is None:
             merged += 1
             continue
@@ -343,18 +343,18 @@ def test_resync_equals_per_chunk_rotation_decode(seed, ntrits, layout, edits):
     trits = rng.integers(0, 3, size=ntrits).astype(np.uint8)
     nts = random_edits(one_strand(trits, cfg), rng, cfg, ntrits, edits)
     want_trits, want_damaged = resync_by_chunks(nts, cfg, ntrits)
-    got, flags = _resync_decode(nts, cfg, ntrits)
+    got, flags = resync_one(nts, cfg, ntrits)
     assert np.array_equal(got, want_trits)
-    assert flags.tolist() == want_damaged
+    assert flags == want_damaged
 
 
 def resync_read_by_read(reads, cfg, expected_trits):
-    """resync_reads by one marker search per read, a missing one empty."""
+    """resync_reads by resync_by_chunks on each read, a missing one empty."""
     trits = np.zeros((len(reads), expected_trits), dtype=np.uint8)
     damaged = np.zeros((len(reads), len(_read_layout(expected_trits, cfg).lengths)), dtype=bool)
     empty = np.zeros(0, dtype=np.uint8)
     for k, read in enumerate(reads):
-        trits[k], damaged[k] = _resync_decode(empty if read is None else read, cfg, expected_trits)
+        trits[k], damaged[k] = resync_by_chunks(empty if read is None else read, cfg, expected_trits)
     return trits, damaged
 
 
@@ -400,7 +400,7 @@ def test_resync_reads_equals_per_read_marker_search(seed, layout, parts, fill, s
         elif fate == "long":
             extra = rng.integers(0, 4, size=int(rng.integers(1, 5))).astype(np.uint8)
             reads[k] = np.concatenate([reads[k], extra])
-    got, damaged = resync_reads(reads, cfg, expected)
+    got, damaged = resync_reads(*pack_reads(reads), cfg, expected)
     want, want_damaged = resync_read_by_read(reads, cfg, expected)
     assert got.dtype == np.uint8
     assert got.shape == (len(reads), expected)
@@ -409,12 +409,53 @@ def test_resync_reads_equals_per_read_marker_search(seed, layout, parts, fill, s
     assert np.array_equal(damaged, want_damaged)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(3, 4), (10, 12), (20, 12), (50, 12), (None, 12)]),
+    st.integers(20, 60),
+    st.booleans(),
+)
+@example(0, (20, 12), 40, False)
+@example(1, (None, 12), 30, True)
+def test_resync_reads_of_many_damaged_reads_equals_per_chunk_decode(seed, layout, count, shuffle):
+    # one call holding many damaged reads at once: edited, missing,
+    # truncated and A-run reads among intact ones; shuffled, the reads
+    # sit in the packed array out of order
+    rng = np.random.default_rng(seed)
+    cfg = BarrierConfig(partition_len=layout[0], window=layout[1])
+    per_strand = 3 * (layout[0] or int(rng.integers(1, 60)))
+    expected = int(rng.integers(1, per_strand + 1))
+    reads = []
+    for _ in range(count):
+        trits = rng.integers(0, 3, size=expected).astype(np.uint8)
+        (nts,) = stream_payloads(trits, cfg, per_strand)
+        fate = int(rng.integers(0, 5))
+        if fate == 0:
+            nts = random_edits(nts, rng, cfg, expected, int(rng.integers(1, 7)))
+        elif fate == 1:
+            nts = None
+        elif fate == 2:
+            nts = nts[: int(rng.integers(0, nts.size))]
+        elif fate == 3:  # a run of A over a marker or inside a partition
+            nts = nts.copy()
+            at = int(rng.integers(0, nts.size))
+            nts[at : at + int(rng.integers(2, 9))] = A
+        reads.append(nts)
+    nts, starts, sizes = pack_reads(reads)
+    order = rng.permutation(count) if shuffle else np.arange(count)
+    got, damaged = resync_reads(nts, starts[order], sizes[order], cfg, expected)
+    want, want_damaged = resync_read_by_read([reads[k] for k in order], cfg, expected)
+    assert np.array_equal(got, want)
+    assert np.array_equal(damaged, want_damaged)
+
+
 def test_resync_reads_of_missing_reads_are_zeros_with_every_partition_damaged():
     cfg = BarrierConfig(partition_len=20)
-    got, damaged = resync_reads([None] * 3, cfg, 45)
+    got, damaged = resync_reads(*pack_reads([None] * 3), cfg, 45)
     assert np.array_equal(got, np.zeros((3, 45), dtype=np.uint8))
     assert damaged.tolist() == [[True] * 3] * 3
-    got, damaged = resync_reads([], cfg, 45)
+    got, damaged = resync_reads(*pack_reads([]), cfg, 45)
     assert got.shape == (0, 45) and damaged.shape == (0, 3)
 
 

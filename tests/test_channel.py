@@ -3,11 +3,15 @@ import pytest
 
 from imgdna.channel import (
     ChannelConfig,
-    apply_edits,
+    draw_point_edits,
+    edit_reads,
+    edit_value,
+    pack_reads,
     parse_channel_config,
     perturb_pool,
     perturb_strand,
     seed_words,
+    unpack_reads,
 )
 
 
@@ -217,22 +221,75 @@ def _apply_edits_reference(nts, edits):
     return seq
 
 
-def test_apply_edits_matches_one_at_a_time_reference():
+def test_edit_reads_matches_one_at_a_time_reference():
     rng = np.random.default_rng(12)
-    for _ in range(3000):
-        n = int(rng.integers(1, 61))
-        nts = rng.integers(0, 4, size=n).astype(np.uint8)
-        positions = rng.choice(n, size=int(rng.integers(0, min(5, n) + 1)), replace=False)
-        edits = []
-        for pos in positions.tolist():
-            kind = int(rng.integers(0, 3))
-            value = int(rng.integers(1, 4)) if kind == 0 else int(rng.integers(0, 4))
-            edits.append((pos, kind, value))
-        got = apply_edits(nts, edits)
-        assert got.dtype == np.uint8
-        assert np.array_equal(got, _apply_edits_reference(nts, edits)), (nts, edits)
-        assert np.array_equal(apply_edits(nts, edits[::-1]), got)  # order-free
-    assert apply_edits(nts, []) is not nts
+    for _ in range(300):
+        bases, edits = [], []
+        for read in range(int(rng.integers(1, 12))):
+            n = int(rng.integers(0, 61))
+            bases.append(rng.integers(0, 4, size=n).astype(np.uint8))
+            picks = rng.choice(n, size=int(rng.integers(0, min(5, n) + 1)), replace=False)
+            for pos in picks.tolist():
+                kind = int(rng.integers(0, 3))
+                value = int(rng.integers(1, 4)) if kind == 0 else int(rng.integers(0, 4))
+                edits.append((read, pos, kind, value))
+        columns = np.array(edits, dtype=np.int64).reshape(-1, 4).T
+        packed = edit_reads(bases, *columns)
+        got = unpack_reads(*packed)
+        assert packed[0].dtype == np.uint8 and len(got) == len(bases)
+        for read, base in enumerate(bases):
+            want = _apply_edits_reference(base, [e[1:] for e in edits if e[0] == read])
+            assert np.array_equal(got[read], want), (base, edits)
+        shuffled = columns[:, rng.permutation(columns.shape[1])]
+        again = edit_reads(bases, *shuffled)  # order-free
+        assert all(np.array_equal(x, y) for x, y in zip(packed, again))
+        assert not any(np.shares_memory(packed[0], base) for base in bases)
+
+
+def test_pack_reads_round_trip_and_missing_reads():
+    reads = [np.array([1, 2], np.uint8), None, np.zeros(0, np.uint8), np.array([3], np.uint8)]
+    nts, starts, sizes = pack_reads(reads)
+    assert nts.tolist() == [1, 2, 3] and starts.tolist() == [0, 2, 2, 2] and sizes.tolist() == [2, 0, 0, 1]
+    assert [r.tolist() for r in unpack_reads(nts, starts, sizes)] == [[1, 2], [], [], [3]]
+    nts, starts, sizes = pack_reads([])
+    assert nts.dtype == np.uint8 and nts.size == starts.size == sizes.size == 0
+
+
+def _scalar_point_edits(rng, total, n):
+    """n rounds of the scalar draws run_containment once made per trial."""
+    edits = []
+    for _ in range(n):
+        pos = int(rng.integers(0, total))
+        kind = int(rng.integers(0, 3))
+        edits.append((pos, kind, edit_value(rng, kind)))
+    return edits
+
+
+@pytest.mark.parametrize("total", [3, 5, 76_000, 2**31 + 1, 3 * 10**9])
+def test_point_edit_draws_equal_scalar_draws(total):
+    # 2**31 + 1 rejects about half of all halves for the position draw;
+    # odd and even call lengths make later calls start on a buffered half
+    for seed in range(300):
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if seed % 2:  # start with a buffered half
+            assert want_rng.integers(0, 7) == got_rng.integers(0, 7)
+        for n in (7, 4, 1, 10, 0, 3):
+            want = _scalar_point_edits(want_rng, total, n)
+            pos, kind, value = draw_point_edits(got_rng, total, n)
+            assert all(a.dtype == np.int64 for a in (pos, kind, value))
+            assert list(zip(pos.tolist(), kind.tolist(), value.tolist())) == want, (seed, n)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, (seed, n)
+        assert got_rng.random() == want_rng.random()
+        assert got_rng.integers(0, 1000) == want_rng.integers(0, 1000)
+
+
+def test_point_edit_draws_reject_what_they_cannot_pin():
+    with pytest.raises(ValueError):
+        draw_point_edits(np.random.default_rng(0), 2**32 + 1, 5)
+    with pytest.raises(ValueError):
+        draw_point_edits(np.random.default_rng(0), 1, 5)
+    with pytest.raises(TypeError):
+        draw_point_edits(np.random.Generator(np.random.MT19937(0)), 10, 5)
 
 
 def test_parse_channel_config():

@@ -11,8 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from imgdna import pipeline
-from imgdna.barriers import _resync_decode
-from imgdna.channel import ChannelConfig, apply_edits, edit_value, perturb_pool
+from imgdna.channel import ChannelConfig, edit_value, pack_reads, perturb_pool
 from imgdna.corpus import corpus_image
 from imgdna.formats import FormatError, read_mapping, read_metadata, read_pool, segment_bounds, write_mapping, write_metadata, write_pool
 from imgdna.pipeline import (
@@ -34,7 +33,9 @@ from imgdna.pipeline import (
     _primer_bounds,
     _target_positions,
 )
-from imgdna.strands import STREAM_AC, STREAM_DC, route_read, validate_constraints
+from imgdna.strands import STREAM_AC, STREAM_DC, decode_index, route_reads, validate_constraints
+from test_barriers import resync_by_chunks
+from test_channel import _apply_edits_reference
 
 
 @pytest.fixture(scope="module")
@@ -84,9 +85,10 @@ def test_strand_layout_and_uid_order(scheme, image, request):
     # the encoder wrote each strand's index from the layout the decoder
     # reads, so every strand routes to the (stream, offset) of its uid
     limit = 2 * max(len(r) for r in uids.values())
+    routed = route_reads(*pack_reads(enc.strands), geom, limit).tolist()
     for sid, r in uids.items():
         for offset, uid in enumerate(r):
-            assert route_read(enc.strands[uid], geom, limit)[:2] == (sid, offset)
+            assert (routed[uid] & 1, routed[uid] >> 1) == (sid, offset)
     for s in enc.strands:
         assert s.size <= cfg.strand_len
         assert s.size > geom.fwd_len + geom.rev_len + geom.index_len
@@ -390,9 +392,22 @@ def test_seeded_draw_order_is_pinned(small_image):
     ]
 
 
+def route_read(read, geom, limit):
+    """(stream, offset, payload) addressed by one read, or None: primers
+    stripped by position, the index decoded from the front of the rest."""
+    if read.size <= geom.fwd_len + geom.rev_len + geom.index_len:
+        return None
+    body = read[geom.fwd_len : read.size - geom.rev_len]
+    value = decode_index(body[: geom.index_len + 1], geom.index_width, geom.index_seed, limit)
+    if value is None:
+        return None
+    return value & 1, value >> 1, body[geom.index_len :]
+
+
 def containment_by_trial(image, cfg, trials, seed):
-    """run_containment with one route_read, one marker search and one
-    per-partition damage count per trial, each in turn."""
+    """run_containment with scalar draws, one edit applied in place, one
+    route_read, one per-chunk marker search and one per-partition damage
+    count per trial, each in turn."""
     enc = encode_image(image, cfg)
     geom, layouts = enc.mapping.layouts()
     limit = 2 * max(len(uids) for _, _, uids in layouts.values())
@@ -410,12 +425,12 @@ def containment_by_trial(image, cfg, trials, seed):
         uid = int(np.searchsorted(cum, flat_pos, side="right")) - 1
         pos = flat_pos - int(cum[uid])
         kind = int(rng.integers(0, 3))
-        read = apply_edits(enc.strands[uid], [(pos, kind, edit_value(rng, kind))])
+        read = _apply_edits_reference(enc.strands[uid], [(pos, kind, edit_value(rng, kind))])
         sid, offset, bc, want = targets[uid]
         routed = route_read(read, geom, limit)
         confined = routed is None or routed[:2] == (sid, offset)
         if routed is not None and confined:
-            got = _resync_decode(routed[2], bc, want.size)[0]
+            got = resync_by_chunks(routed[2], bc, want.size)[0]
         else:
             got = np.zeros_like(want)
         step = bc.partition_len or want.size
@@ -462,19 +477,21 @@ def test_misrouted_reads_are_unconfined_lost_strands(small_image, every, monkeyp
     # real misroutes are too rare to test on; here every k-th routed read
     # is either quarantined or sent to an offset no strand has
     cfg = ExperimentConfig()
-    real = pipeline.route_read
+    real = pipeline.route_reads
 
     def run(fate):
         chosen, calls = [], itertools.count()
 
-        def route(read, geom, limit):
-            routed = real(read, geom, limit)
-            if routed is None or next(calls) % every:
-                return routed
-            chosen.append(routed[:2])
-            return None if fate == "quarantine" else (routed[0], -1, routed[2])
+        def route(nts, starts, sizes, geom, limit):
+            routed = real(nts, starts, sizes, geom, limit)
+            for k, value in enumerate(routed.tolist()):
+                if value < 0 or next(calls) % every:
+                    continue
+                chosen.append((value & 1, value >> 1))
+                routed[k] = -1 if fate == "quarantine" else (value & 1) + 2 * limit
+            return routed
 
-        monkeypatch.setattr(pipeline, "route_read", route)
+        monkeypatch.setattr(pipeline, "route_reads", route)
         return run_containment(small_image, cfg, trials=300, seed=3), chosen
 
     kept, chosen = run("quarantine")

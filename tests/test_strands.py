@@ -24,7 +24,13 @@ from imgdna.strands import (
     int_to_trits,
     validate_constraints,
 )
-from imgdna.strands import _copy_mask, _index_code, _prefix_edit_within_one, _vote_index
+from imgdna.strands import (
+    _copy_mask,
+    _exact_values,
+    _index_codes,
+    _prefix_edit_within_one,
+    encode_indexes,
+)
 from test_rotation import rotate_decode_arithmetic
 
 
@@ -41,6 +47,11 @@ def test_default_primers_obey_rules():
     assert not np.array_equal(fwd, rev)
     again = default_primer_pair()
     assert np.array_equal(again[0], fwd) and np.array_equal(again[1], rev)
+    # memoised, so every caller shares the arrays: they must be read-only
+    assert again[0] is fwd and again[1] is rev
+    for p in (fwd, rev):
+        with pytest.raises(ValueError):
+            p[0] = (p[0] + 1) % 4
 
 
 def test_generate_primer_respects_leading_ban():
@@ -85,14 +96,44 @@ def test_index_round_trip_all_values():
 
 
 def test_memoised_index_codes_equal_fresh_encodings_and_are_read_only():
-    for width in range(2, 9):
+    for width in range(1, 9):
         for seed in range(4):
-            for v in {0, 1, 3**width // 2, 3**width - 2}:
-                code = _index_code(v, width, seed)
-                assert np.array_equal(code, encode_index(v, width, seed))
-                assert _index_code(v, width, seed) is code
+            for limit in (3**width, 3**width - 1, 2):
+                codes = _index_codes(width, seed, limit)
+                assert codes.shape == (min(limit, 3**width), 3 * width)
+                assert _index_codes(width, seed, limit) is codes
+                for v in {0, 1, 3**width // 2, 3**width - 2} & set(range(len(codes))):
+                    assert np.array_equal(codes[v], encode_index(v, width, seed))
                 with pytest.raises(ValueError):
-                    code[0] = (code[0] + 1) % 4
+                    codes[0, 0] = (codes[0, 0] + 1) % 4
+
+
+def test_encode_indexes_equals_one_value_encodings():
+    rng = np.random.default_rng(4)
+    for width in range(1, 11):
+        values = rng.integers(0, 3**width, size=50)
+        got = encode_indexes(values, width, seed=width % 4)
+        assert got.dtype == np.uint8 and got.shape == (50, 3 * width)
+        for v, row in zip(values.tolist(), got):
+            assert np.array_equal(row, encode_index(v, width, seed=width % 4))
+    assert encode_indexes([], 3, 0).shape == (0, 9)
+    with pytest.raises(ValueError):
+        encode_indexes([27], 3, 0)
+
+
+def test_exact_lookup_finds_exactly_the_table_codes():
+    # every code below min(limit, 3**width - 1) is found, any one-nucleotide
+    # change to it is not, and neither is the width-1 value 2
+    rng = np.random.default_rng(9)
+    for width, limit in ((1, 3), (2, 9), (4, 50), (6, 3**6), (11, 500)):
+        codes = _index_codes(width, 1, limit)
+        got = _exact_values(codes, width, 1, limit)
+        top = min(limit, 3**width - 1)
+        assert got.tolist() == list(range(top)) + [-1] * (len(codes) - top)
+        hit = codes.copy()
+        cols = rng.integers(0, 3 * width, size=len(hit))
+        hit[np.arange(len(hit)), cols] = (hit[np.arange(len(hit)), cols] + 1) % 4
+        assert (_exact_values(hit, width, 1, limit) == -1).all()
 
 
 def test_index_survives_any_single_substitution():
@@ -139,11 +180,13 @@ def _with_tails(nts):
 
 
 def _assert_exact_reads_match_votes(width, seed):
-    # the largest limit index_width_for can produce, and every value under it
+    # the largest limit index_width_for can produce, and every value under
+    # it: the exact table route_reads looks up and the voting decoder agree
     limit = 3**width - 1
+    codes = encode_indexes(np.arange(limit), width, seed)
+    assert _exact_values(codes, width, seed, limit).tolist() == list(range(limit))
     for v in range(limit):
         for nts in _with_tails(encode_index(v, width, seed)):
-            assert _vote_index(nts, width, seed, limit) == v, (width, seed, v, nts)
             assert decode_index(nts, width, seed, limit) == v, (width, seed, v, nts)
 
 
@@ -160,22 +203,22 @@ def test_exact_index_lookup_matches_voting_decoder_at_width_8():
 
 def test_width_one_limit_stays_below_its_collision():
     # at width 1 the exact encoding of value 2 votes to 0 under limit 3 ...
+    # and the exact table leaves it out, so routing gives the vote's answer
     for seed in range(4):
         reads = list(_with_tails(encode_index(2, 1, seed)))
-        votes = [_vote_index(nts, 1, seed, 3) for nts in reads]
-        assert 0 in votes
-        assert [decode_index(nts, 1, seed, 3) for nts in reads] == votes
+        assert 0 in [decode_index(nts, 1, seed, 3) for nts in reads]
+        assert _exact_values(reads[0][None], 1, seed, 3).tolist() == [-1]
     # ... a limit no pool reaches: every width's limit stays <= 3**width - 1
     for n in range(1, 4000):
         assert 2 * n <= 3 ** index_width_for(n) - 1
     assert index_width_for(1) == 1
 
 
-def test_exact_encoding_at_or_above_limit_matches_voting_decoder():
+def test_exact_encoding_at_or_above_limit_misses_the_exact_table():
+    # so routing sends it to the voting decoder
     for width, limit in ((2, 4), (5, 100), (6, 500)):
-        for v in range(limit, 3**width, 3):
-            for nts in _with_tails(encode_index(v, width, seed=3)):
-                assert decode_index(nts, width, 3, limit) == _vote_index(nts, width, 3, limit)
+        codes = encode_indexes(np.arange(limit, 3**width, 3), width, seed=3)
+        assert (_exact_values(codes, width, 3, limit) == -1).all()
 
 
 def _prefix_edit_within_one_dp(expected, observed):
@@ -258,7 +301,7 @@ def vote_index_reference(nts, width, seed, limit):
     st.integers(0, 3),
     st.booleans(),
 )
-def test_vote_index_matches_numpy_reference(width, seed, key, region, edits, low_limit):
+def test_voting_decoder_matches_numpy_reference(width, seed, key, region, edits, low_limit):
     rng = np.random.default_rng(key)
     top = 3**width - 1
     limit = int(rng.integers(1, top)) if low_limit else top
@@ -273,7 +316,7 @@ def test_vote_index_matches_numpy_reference(width, seed, key, region, edits, low
         else:
             nts = nts[:span]
     nts = np.array(nts, dtype=np.uint8)
-    assert _vote_index(nts, width, seed, limit) == vote_index_reference(nts, width, seed, limit)
+    assert decode_index(nts, width, seed, limit) == vote_index_reference(nts, width, seed, limit)
 
 
 def test_geometry_capacity():
