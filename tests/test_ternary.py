@@ -10,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imgdna import ternary
+from imgdna.corpus import corpus_image
+from imgdna.pipeline import SCHEME_IMG_DNA, SCHEME_RAW_DNA, ExperimentConfig, encode_image
+from imgdna.strands import STREAM_AC, STREAM_DC
 
 
 def trits_to_bytes(trits) -> bytes:
@@ -167,15 +170,32 @@ def decode_by_codewords(trits: list[int]) -> bytes:
     return bytes(out)
 
 
-# codewords, dummy codewords and stray trits, so resynchronisation gets tried
+_LONG_SYMBOLS = np.flatnonzero(ternary.CODE_LENGTHS == ternary.MAX_LENGTH).tolist()
+
+# Codewords, dense in 6-trit ones and dummies, runs of 2s (a dummy at every
+# start but the last five) and stray trits, which shift what follows to
+# every residue mod 5, so resynchronisation and every kind of decode event
+# get tried at every residue and, with the counts below, at segment edges.
 _STREAMS = st.lists(
     st.one_of(
         st.integers(0, 255).map(lambda v: list(ternary.codeword(v))),
+        st.sampled_from(_LONG_SYMBOLS).map(lambda v: list(ternary.codeword(v))),
         st.just(list(ternary.codeword(ternary.DUMMY_SYMBOL))),
-        st.lists(st.integers(0, 2), max_size=3),
+        st.integers(1, 2 * ternary.MAX_LENGTH + 1).map(lambda k: [2] * k),
+        st.lists(st.integers(0, 2), max_size=4),
     ),
     max_size=60,
 ).map(lambda pieces: np.array([t for p in pieces for t in p], dtype=np.uint8))
+
+
+def assert_segments_match_oracle(stream, counts):
+    got = ternary.trits_to_segments(stream, counts)
+    assert len(got) == len(counts)
+    pos = 0
+    for count, data in zip(counts, got):
+        segment = stream[pos : pos + count]
+        assert data == decode_by_codewords(segment.tolist()), (pos, count)
+        pos += count
 
 
 @settings(max_examples=300, deadline=None)
@@ -191,6 +211,46 @@ def test_stream_decode_equals_per_segment_decode(stream, counts):
         pos += count
 
 
+@pytest.mark.parametrize("lead", range(5))
+def test_each_event_at_each_residue_and_segment_edge(lead):
+    # a first segment of lead trits puts the second one's start, and every
+    # event in it, at residue lead mod 5; the third segment starts at every
+    # cut through the event and the short codewords around it
+    short = list(ternary.codeword(7))
+    events = [
+        list(ternary.codeword(_LONG_SYMBOLS[-1])),
+        list(ternary.codeword(ternary.DUMMY_SYMBOL)),
+        [2] * 3,
+        [2] * 8,
+        short[:3],
+    ]
+    for event in events:
+        body = short * 2 + event + short * 2
+        stream = np.array([1] * lead + body, dtype=np.uint8)
+        for cut in range(len(body) + 1):
+            assert_segments_match_oracle(stream, [lead, cut, len(body) - cut])
+            assert_segments_match_oracle(stream, [lead, cut, 0, len(body)])  # runs past the end
+
+
+@pytest.mark.parametrize("rate", [0.01, 0.3])
+@pytest.mark.parametrize("scheme, stream_id", [(SCHEME_IMG_DNA, STREAM_AC), (SCHEME_RAW_DNA, STREAM_DC)])
+def test_noisy_real_stream_equals_codeword_oracle(scheme, stream_id, rate):
+    enc = encode_image(corpus_image(0), ExperimentConfig(scheme=scheme))
+    counts = next(sm.trit_counts for sm in enc.mapping.streams if sm.stream_id == stream_id)
+    rng = np.random.default_rng(25)
+    trits = enc.stream_trits[stream_id].copy()
+    hit = rng.random(trits.size) < rate
+    trits[hit] = (trits[hit] + rng.integers(1, 3, int(hit.sum()))) % 3
+    trits = np.delete(trits, rng.choice(trits.size, 5, replace=False))
+    assert_segments_match_oracle(trits, counts)
+
+
 def test_stream_decode_rejects_bad_trits():
     with pytest.raises(ValueError):
         ternary.trits_to_segments(np.array([0, 1, 3], dtype=np.uint8), [3])
+
+
+def test_stream_decode_rejects_negative_counts():
+    # a negative count would start the next segment inside an earlier one
+    with pytest.raises(ValueError, match="segment trit counts must be >= 0"):
+        ternary.trits_to_segments(np.zeros(25, dtype=np.uint8), [10, -5, 10])
