@@ -11,7 +11,6 @@ from .channel import (
     load_channel_config,
     parse_channel_config,
     perturb_pool,
-    perturb_strand,
 )
 from .corpus import CORPUS_SEED, build_corpus, corpus_image
 from .formats import (
@@ -97,7 +96,6 @@ __all__ = [
     "load_channel_config",
     "parse_channel_config",
     "perturb_pool",
-    "perturb_strand",
     "quality_scaled_table",
     "read_mapping",
     "read_metadata",

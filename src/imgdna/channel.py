@@ -11,8 +11,18 @@ own generator, so a strand's noise never depends on pool size or on how
 many other strands were processed first. The generator is the one
 default_rng(SeedSequence([seed, uid, copy])) would give; its seed words
 are hashed for the whole pool at once (seed_words), and each read's PCG64
-starts from its row. perturb_pool returns a flat list of reads in (uid,
-copy) order; the decoder routes each read by its own index, not its place.
+starts from its row. A read's draws are, in order: one uniform per
+position it may err at, (word >> 11) * 2**-53 as Generator.random()
+makes it, a hit where it falls below the rate; one uniform per hit,
+placed on the weights' CDF as Generator.choice does, for the hit's kind;
+then, hit by hit, one 32-bit half per substitution or insertion, low half
+first, as scalar integers() calls take them. A substitution shifts by
+1 + integers(0, 3), whose Lemire rejection passes a zero half over to the
+next; an insertion adds integers(0, 4), the half's top two bits; a
+deletion draws nothing. perturb_pool makes one random_raw call per read
+and finds every hit, kind and value in whole-array passes over the words.
+It returns a flat list of reads in (uid, copy) order; the decoder routes
+each read by its own index, not its place.
 
 Reads travel in batches as packed reads (pack_reads): one uint8 array
 holding them back to back, with each read's start and size. edit_reads
@@ -284,24 +294,87 @@ def edit_reads(
     return nts, np.cumsum(sizes) - sizes, sizes
 
 
-def _draw_edits(cfg: ChannelConfig, rng: np.random.Generator, lo: int, hi: int):
-    """(positions, kinds, values) of one read's errors, confined to [lo, hi)."""
-    hi = max(hi, lo)
-    draws = rng.random(hi - lo)
-    hits = np.flatnonzero(draws < cfg.rate) + lo
-    # the draw Generator.choice(3, size, p=fractions) makes, without its
-    # argument checks: one uniform per hit, placed on the weights' CDF
-    kinds = cfg.kind_cdf.searchsorted(rng.random(hits.size), side="right") if hits.size else hits
-    values = np.array([edit_value(rng, kind) for kind in kinds.tolist()], dtype=np.int64)
-    return hits, kinds, values
+# a read draws its span, one word per expected hit and this many more
+# before it has to draw again
+_MARGIN = 16
 
 
-def perturb_strand(
-    nts: np.ndarray, cfg: ChannelConfig, rng: np.random.Generator, lo: int, hi: int
-) -> np.ndarray:
-    """One noisy read of a strand, errors confined to positions [lo, hi)."""
-    hits, kinds, values = _draw_edits(cfg, rng, lo, hi)
-    return edit_reads([nts], np.zeros(hits.size, dtype=np.int64), hits, kinds, values)[0]
+def _ragged_arange(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., counts[i] - 1 for each i, back to back."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _uniform(words: np.ndarray) -> np.ndarray:
+    """The doubles in [0, 1) that Generator.random() makes of raw words."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _below(words: np.ndarray, rate: float) -> np.ndarray:
+    """The indices of the words whose uniform falls below rate, asked of
+    the raw words: (w >> 11) * 2**-53 < rate exactly when
+    w < ceil(rate * 2**53) << 11, and no float array is made."""
+    limit = math.ceil(rate * 2**53) << 11
+    return np.flatnonzero(words < np.uint64(limit)) if limit < 2**64 else np.arange(words.size)
+
+
+def _draw_reads(cfg: ChannelConfig, words: np.ndarray, span: np.ndarray, count: np.ndarray):
+    """(short, read, pos, kind, value): the errors of reads whose
+    generators start from state words words[i] and draw count[i] raw
+    words, each confined to its first span[i] positions. short[i] is set
+    where read i ran out of words; the other reads' errors are (read,
+    position, kind, value), read by read in position order.
+    """
+    raw = np.concatenate(
+        [PCG64(_StateWords(w)).random_raw(n) for w, n in zip(words, count.tolist())]
+    )
+    ends = np.cumsum(count)
+    starts = ends - count
+    at = _below(raw, cfg.rate)
+    read = np.searchsorted(ends, at, side="right")
+    pos = at - starts[read]
+    inside = pos < span[read]
+    read, pos = read[inside], pos[inside]
+    hits = np.bincount(read, minlength=count.size)
+    # a read's next hits words give its kinds
+    kind_at = np.arange(read.size) + (starts + span - np.cumsum(hits) + hits)[read]
+    kind = cfg.kind_cdf.searchsorted(_uniform(raw[np.minimum(kind_at, raw.size - 1)]), side="right")
+    # the words after those, as 32-bit halves with one stop half at the end;
+    # read i's halves end at half_ends[i]
+    spare = np.maximum(count - span - hits, 0)
+    spare_words = raw[_ragged_arange(spare) + np.repeat(starts + span + hits, spare)]
+    halves = np.zeros(2 * spare_words.size + 1, dtype=np.uint64)
+    halves[0:-1:2] = spare_words & np.uint64(_MASK32)
+    halves[1:-1:2] = spare_words >> _HALF
+    half_ends = 2 * np.cumsum(spare)
+    three_kept, three_value = _bounded(halves, 3)
+    three_kept[-1] = True
+    next_kept = _first_kept(three_kept)
+    # a substitution or insertion takes its read's next half; a substitution
+    # passes over rejected halves, which moves every later draw of its read.
+    # A draw's start depends only on the draws before it, so each pass fixes
+    # at least one more draw, and the starts stop moving once all are right.
+    draw = np.flatnonzero(kind != 2)
+    draw_read = read[draw]
+    sub = kind[draw] == 0
+    per_read = np.bincount(draw_read, minlength=count.size)
+    base = _ragged_arange(per_read) + (half_ends - 2 * spare)[draw_read]
+    first = (np.cumsum(per_read) - per_read)[draw_read]
+    last = halves.size - 1
+    start = np.minimum(base, last)
+    while True:
+        used = np.where(sub, next_kept[start], start)
+        skipped = np.cumsum(used - start) - (used - start)
+        moved = np.minimum(base + skipped - skipped[first], last)
+        if np.array_equal(moved, start):
+            break
+        start = moved
+    short = span + hits > count
+    short[draw_read[used >= half_ends[draw_read]]] = True
+    value = np.zeros(read.size, dtype=np.int64)
+    # a substitution shifts by 1 + integers(0, 3), an insertion adds
+    # integers(0, 4), the half's top two bits
+    value[draw] = np.where(sub, 1 + three_value[used], (halves[used] >> np.uint64(30)).astype(np.int64))
+    return short, read, pos, kind, value
 
 
 def perturb_pool(
@@ -314,24 +387,31 @@ def perturb_pool(
     read uid * cfg.copies + copy.
 
     protect gives the (prefix, suffix) primer lengths spared by default.
-    Each read draws its errors from its own generator; then one edit_reads
-    call lays every read out.
+    Each read draws its raw words in one call to its own PCG64, and a read
+    whose words run out draws again with twice as many; then one
+    edit_reads call lays every read out.
     """
-    words = seed_words(seed, len(strands), cfg.copies)
-    edits = []
-    for strand, rows in zip(strands, words):
-        lo, hi = 0, strand.size
-        if not cfg.corrupt_primers:
-            lo = min(protect[0], strand.size)
-            hi = max(strand.size - protect[1], lo)
-        rngs = [np.random.Generator(PCG64(_StateWords(w))) for w in rows]
-        edits += [_draw_edits(cfg, rng, lo, hi) for rng in rngs]
-    bases = [strand for strand in strands for _ in range(cfg.copies)]
-    if not bases:
+    words = seed_words(seed, len(strands), cfg.copies).reshape(-1, 4)
+    if not strands:
         return []
-    hits, kinds, values = (np.concatenate(parts) for parts in zip(*edits))
-    read = np.repeat(np.arange(len(edits)), [h.size for h, _, _ in edits])
-    return unpack_reads(*edit_reads(bases, read, hits, kinds, values))
+    size = np.fromiter(map(len, strands), dtype=np.int64, count=len(strands))
+    lo, hi = np.zeros_like(size), size
+    if not cfg.corrupt_primers:
+        lo = np.minimum(protect[0], size)
+        hi = np.maximum(size - protect[1], lo)
+    lo, span = np.repeat(lo, cfg.copies), np.repeat(hi - lo, cfg.copies)
+    count = span + _MARGIN + np.ceil(cfg.rate * span).astype(np.int64)
+    todo = np.arange(span.size)
+    edits = []
+    while todo.size:
+        short, read, pos, kind, value = _draw_reads(cfg, words[todo], span[todo], count[todo])
+        done = ~short[read]
+        read = todo[read[done]]
+        edits.append((read, lo[read] + pos[done], kind[done], value[done]))
+        todo = todo[short]
+        count[todo] *= 2
+    bases = [strand for strand in strands for _ in range(cfg.copies)]
+    return unpack_reads(*edit_reads(bases, *map(np.concatenate, zip(*edits))))
 
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}

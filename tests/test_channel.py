@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from imgdna import channel
 from imgdna.channel import (
     ChannelConfig,
     draw_point_edits,
@@ -9,7 +12,6 @@ from imgdna.channel import (
     pack_reads,
     parse_channel_config,
     perturb_pool,
-    perturb_strand,
     seed_words,
     unpack_reads,
 )
@@ -18,6 +20,25 @@ from imgdna.channel import (
 def strand_rng(seed: int, uid: int, copy: int) -> np.random.Generator:
     """The generator perturb_pool gives read (uid, copy), built by numpy."""
     return np.random.default_rng(np.random.SeedSequence([seed, uid, copy]))
+
+
+def draw_edits_reference(cfg, rng, lo, hi):
+    """(positions, kinds, values) of one read's errors, confined to [lo, hi),
+    drawn by scalar Generator calls in the order perturb_pool reproduces."""
+    hi = max(hi, lo)
+    draws = rng.random(hi - lo)
+    hits = np.flatnonzero(draws < cfg.rate) + lo
+    # the draw Generator.choice(3, size, p=fractions) makes, without its
+    # argument checks: one uniform per hit, placed on the weights' CDF
+    kinds = cfg.kind_cdf.searchsorted(rng.random(hits.size), side="right") if hits.size else hits
+    values = np.array([edit_value(rng, kind) for kind in kinds.tolist()], dtype=np.int64)
+    return hits, kinds, values
+
+
+def perturb_strand(nts, cfg, rng, lo, hi):
+    """One noisy read of a strand, errors confined to positions [lo, hi)."""
+    hits, kinds, values = draw_edits_reference(cfg, rng, lo, hi)
+    return edit_reads([nts], np.zeros(hits.size, dtype=np.int64), hits, kinds, values)[0]
 
 
 def perturb_pool_reference(strands, cfg, seed, protect=(0, 0)):
@@ -50,7 +71,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("weights", [(1, 1, 1), (2, 1, 1), (1, 0, 0), (0.2, 0, 0.8)])
 def test_kind_draw_matches_generator_choice(weights):
-    # perturb_strand places one uniform per hit on kind_cdf, which is the
+    # perturb_pool places one uniform per hit on kind_cdf, which is the
     # draw Generator.choice(3, n, p=fractions) makes; if numpy ever changes
     # choice, this names the break before the seeded outputs move
     cfg = ChannelConfig(0.1, *weights)
@@ -91,6 +112,141 @@ def test_perturb_pool_equals_per_read_reference(rate, copies, protect, corrupt_p
         assert len(got) == len(want) == len(strands) * copies
         for g, w in zip(got, want):
             assert g.dtype == np.uint8 and np.array_equal(g, w)
+
+
+def test_uniform_is_generator_random():
+    # perturb_pool reads Generator.random() off the raw words; if numpy
+    # ever changes how a double is made, this names the break
+    for seed in range(200):
+        raw_gen, gen = strand_rng(seed, 1, 2), strand_rng(seed, 1, 2)
+        words = raw_gen.bit_generator.random_raw(50)
+        assert np.array_equal(channel._uniform(words), gen.random(50))
+        assert raw_gen.bit_generator.state == gen.bit_generator.state
+
+
+@pytest.mark.parametrize("rate", [0.0, 2.0**-53, 0.003, 0.1, 1 / 3, 0.5, 1 - 2.0**-53, 1.0])
+def test_hits_on_raw_words_equal_uniform_below_rate(rate):
+    # words on both sides of the rate's threshold, and the extremes
+    edge = int(np.ceil(rate * 2**53)) << 11
+    near = [edge + d for d in range(-4097, 4097, 7)] + [0, 1, 2**11 - 1, 2**11, 2**64 - 1]
+    words = np.array([w for w in near if 0 <= w < 2**64], dtype=np.uint64)
+    words = np.concatenate([words, np.random.default_rng(0).integers(0, 2**64, 5000, dtype=np.uint64)])
+    want = np.flatnonzero(channel._uniform(words) < rate)
+    assert np.array_equal(channel._below(words, rate), want)
+
+
+@pytest.mark.parametrize("weights", [(1, 0, 0), (0, 1, 0), (2, 1, 1)])
+def test_reads_that_run_out_of_words_draw_again(weights, monkeypatch):
+    # at rate 1 every position is hit, so every read of more than a few
+    # dozen nt needs more words than its first draw gives
+    calls = []  # the reads in each draw pass
+    draw = channel._draw_reads
+
+    def counted(cfg, words, span, count):
+        calls.append(len(words))
+        return draw(cfg, words, span, count)
+
+    monkeypatch.setattr(channel, "_draw_reads", counted)
+    rng = np.random.default_rng(21)
+    strands = [rng.integers(0, 4, size=n).astype(np.uint8) for n in (0, 1, 2, 17, 64, 65, 150, 299, 300)]
+    for copies in range(1, 6):
+        calls.clear()
+        cfg = ChannelConfig(1.0, *weights, copies=copies)
+        got = perturb_pool(strands, cfg, seed=copies)
+        want = perturb_pool_reference(strands, cfg, seed=copies)
+        assert len(got) == len(want) == len(strands) * copies
+        for g, w in zip(got, want):
+            assert g.dtype == np.uint8 and np.array_equal(g, w)
+        assert len(calls) > 1 and max(calls[1:]) < calls[0]  # only the short reads drew again
+
+
+@pytest.mark.parametrize("weights, per_hit", [((0, 0, 1), 2), ((1, 0, 0), 2.5), ((0, 1, 0), 2.5)])
+def test_a_read_is_short_exactly_when_its_words_run_out(weights, per_hit):
+    # at rate 1 a 10 nt read takes 10 uniforms, 10 kinds and a half per
+    # substitution or insertion
+    cfg = ChannelConfig(1.0, *weights)
+    words = seed_words(4, 1, 1).reshape(-1, 4)
+    span = np.array([10])
+    for count in range(10, 40):
+        short, read, pos, kind, value = channel._draw_reads(cfg, words, span, np.array([count]))
+        assert short[0] == (count < 10 * per_hit), count
+        if not short[0]:
+            assert pos.tolist() == list(range(10)) and kind.tolist() == [weights.index(1)] * 10
+
+
+@pytest.mark.parametrize("weights", [(1, 0, 0), (1, 1, 0), (2, 1, 1)])
+@pytest.mark.parametrize("zero_word", [12, 13, 14])
+def test_rejected_substitution_half_passes_to_the_next(weights, zero_word, monkeypatch):
+    # integers(1, 4) rejects a 32-bit half only when it is 0. A PCG64
+    # output is 0 when its state's high and low 64 bits are equal, so the
+    # generator is set back zero_word + 1 steps from such a state. A 6 nt
+    # read at rate 1 draws 6 uniforms and 6 kinds; its value halves start
+    # at word 12
+    x = 0x0123456789ABCDEF
+    bitgen = np.random.PCG64(5)
+    state = bitgen.state
+    state["state"]["state"] = x << 64 | x
+    bitgen.state = state
+    bitgen.advance(-(zero_word + 1))
+    state = bitgen.state
+    assert bitgen.random_raw(zero_word + 1)[-1] == 0
+
+    def rigged(_seed_sequence):
+        out = np.random.PCG64()
+        out.state = state
+        return out
+
+    monkeypatch.setattr(channel, "PCG64", rigged)
+    strand = np.array([0, 1, 2, 3, 0, 1], dtype=np.uint8)
+    cfg = ChannelConfig(1.0, *weights)
+    want = perturb_strand(strand, cfg, np.random.Generator(rigged(None)), 0, strand.size)
+    got = perturb_pool([strand], cfg, seed=0)[0]
+    assert np.array_equal(got, want)
+    if weights == (1, 0, 0):
+        assert np.all(got != strand)
+
+
+_WEIGHTS = st.tuples(
+    st.sampled_from([0.0, 1.0, 2.0, 0.3]), st.sampled_from([0.0, 1.0, 0.5]), st.sampled_from([1.0, 0.0, 4.0])
+).filter(lambda w: sum(w) > 0)
+_CONFIGS = st.builds(
+    lambda rate, weights, copies, corrupt_primers: ChannelConfig(
+        rate, *weights, copies=copies, corrupt_primers=corrupt_primers
+    ),
+    st.sampled_from([0.0, 0.001, 0.02, 0.2, 0.9, 1.0]) | st.floats(0, 1),
+    _WEIGHTS,
+    st.integers(1, 3),
+    st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cfg=_CONFIGS,
+    sizes=st.lists(st.integers(0, 120), max_size=8),
+    protect=st.tuples(st.integers(0, 150), st.integers(0, 150)),
+    seed=st.integers(0, 2**70),
+)
+def test_perturb_pool_equals_reference_everywhere(cfg, sizes, protect, seed):
+    rng = np.random.default_rng(len(sizes))
+    strands = [rng.integers(0, 4, size=n).astype(np.uint8) for n in sizes]
+    got = perturb_pool(strands, cfg, seed, protect=protect)
+    want = perturb_pool_reference(strands, cfg, seed, protect=protect)
+    assert len(got) == len(want) == len(strands) * cfg.copies
+    for g, w in zip(got, want):
+        assert g.dtype == np.uint8 and np.array_equal(g, w)
+
+
+def test_perturb_pool_leaves_its_strands_alone():
+    rng = np.random.default_rng(22)
+    strands = [rng.integers(0, 4, size=n).astype(np.uint8) for n in (0, 5, 80, 200)]
+    before = [s.copy() for s in strands]
+    for rate in (0.0, 0.05, 1.0):
+        out = perturb_pool(strands, ChannelConfig(rate, copies=2), seed=3, protect=(2, 2))
+        assert all(s.flags.writeable for s in strands)
+        assert all(np.array_equal(s, b) for s, b in zip(strands, before))
+        assert all(r.dtype == np.uint8 for r in out)
+        assert not any(np.shares_memory(r, s) for r in out for s in strands)
 
 
 def test_pool_seed_must_be_a_nonnegative_integer():
