@@ -20,8 +20,10 @@ resync_reads decodes a batch of packed reads of one layout into trits and a
 error rates studied, decode together: one (reads, length) array, one intact
 test, one rotation decode along the rows and one gather of the payload
 columns. Every other read goes through the marker search, with the same
-result either way; those reads are rotation-decoded together too, and the
-search writes each chunk straight into the two matrices.
+result either way. The search takes one marker of every such read per
+step, on a small grid of A flags around each read's expected position,
+and one gather then gives each (read, partition) its chunk, which is
+rotation-decoded for all of them at once.
 partition_errors gives the same matrix against pristine trits. _read_layout
 alone says where partitions start, and no other module knows the marker width.
 """
@@ -108,30 +110,6 @@ def stream_payloads(trits, cfg: BarrierConfig, per_strand: int) -> list[np.ndarr
     return [nts[s : min(s + span, nts.size) - cut] for s in range(0, nts.size, span)]
 
 
-def _find_marker(nts, expected: int, low: int, half: int, end: int) -> int | None:
-    """Nearest 'AA' start around the expected position; ties go left.
-
-    Candidates inside one A-run are snapped to the run's last 'AA':
-    partitions never start with A, so a true marker always sits at the
-    tail of its run (a partition may end with A and extend it leftward).
-    nts is any sequence of nucleotide codes, a list being the fastest;
-    the read being searched ends at end.
-    """
-    best = None
-    best_key = None
-    lo = max(low, expected - half)
-    hi = min(end - 2, expected + half)
-    for s in range(lo, hi + 1):
-        if nts[s] != A or nts[s + 1] != A:
-            continue
-        while s + 2 < end and s + 1 <= hi and nts[s + 2] == A:
-            s += 1
-        key = (abs(s - expected), s)
-        if best_key is None or key < best_key:
-            best, best_key = s, key
-    return best
-
-
 @dataclass(frozen=True)
 class _ReadLayout:
     """Where everything sits in an undamaged read of expected_trits trits.
@@ -144,7 +122,7 @@ class _ReadLayout:
     """
 
     lengths: tuple[int, ...]
-    offsets: tuple[int, ...]
+    offsets: np.ndarray
     markers: int
     size: int
     checked: np.ndarray
@@ -157,16 +135,16 @@ def _read_layout(expected_trits: int, cfg: BarrierConfig) -> _ReadLayout:
     pl = cfg.partition_len or expected_trits or 1  # None: one unbounded partition
     full, rest = divmod(expected_trits, pl)
     lengths = (pl,) * full + ((rest,) if rest else ())
-    offsets = (0, *itertools.accumulate(lengths))
+    offsets = np.array((0, *itertools.accumulate(lengths)), dtype=np.int64)
     markers = len(lengths) if cfg.partition_len is not None else 0
     size = expected_trits + 2 * markers
-    marker_at = [offsets[j + 1] + 2 * j for j in range(markers)]  # after partition j
+    marker_at = [int(offsets[j + 1]) + 2 * j for j in range(markers)]  # after partition j
     marker_cols = [m + d for m in marker_at for d in (0, 1)]
     after = [m + 2 for m in marker_at[:-1]]
     checked = np.array(marker_cols + after, dtype=np.int64)
     holds_a = np.arange(checked.size) < len(marker_cols)
     payload = np.delete(np.arange(size), marker_cols)
-    for array in (checked, holds_a, payload):
+    for array in (offsets, checked, holds_a, payload):
         array.setflags(write=False)
     return _ReadLayout(lengths, offsets, markers, size, checked, holds_a, payload)
 
@@ -192,21 +170,17 @@ def resync_reads(
     at once, with no partition flagged. The marker search gives them the
     same: at each marker the true 'AA' is a candidate at distance 0 from
     the expected position, and the non-A after it stops the run-snapping,
-    so _find_marker returns the expected column every time and every chunk
-    is exactly its span long. Intact is not error-free: a substitution
-    inside a partition reads as clean on both paths.
+    so the search finds the expected column every time and every chunk is
+    exactly its span long. Intact is not error-free: a substitution inside
+    a partition reads as clean on both paths.
 
-    Every other read goes through the marker search. Those reads are
-    joined and rotation-decoded in one pass, and their codes become one
-    list; every chunk starts at a read's start or right after a marker's
-    A, so its predecessor is the seed A either way. A chunk between two
-    markers found fills its partitions with its decoded trits, padded with
-    0 or truncated so every partition lands at its original offset, and
-    flags them all when it is not exactly their span long or merged a
-    missed marker.
+    Every other nonempty read goes through the marker search, which takes
+    one marker of all of them per step (_find_markers), and their chunks
+    are decoded together in one gather (_decode_chunks). Python runs once
+    per marker of the layout, not once per read or chunk.
     """
     layout = _read_layout(expected_trits, cfg)
-    lengths, offsets = layout.lengths, layout.offsets
+    lengths = layout.lengths
     out = np.zeros((len(sizes), expected_trits), dtype=np.uint8)
     damaged = np.zeros((len(sizes), len(lengths)), dtype=bool)
     if not lengths:
@@ -218,38 +192,125 @@ def resync_reads(
         ok = _intact(rows, layout)
         intact[whole[ok]] = True
         out[whole[ok]] = rotate_decode(rows[ok], seed=A)[:, layout.payload]
-    rest = np.flatnonzero(~intact)
-    if not rest.size:
-        return out, damaged
-    read_ends = np.cumsum(sizes[rest])  # in joined
-    read_starts = read_ends - sizes[rest]
-    joined = np.concatenate(
-        [nts[s : s + n] for s, n in zip(starts[rest].tolist(), sizes[rest].tolist())]
-    )
-    decoded = rotate_decode(joined, seed=A)
-    heads = read_starts[sizes[rest] > 0]
-    decoded[heads] = rotate_decode(joined[heads, None], seed=A)[:, 0]
-    codes = joined.tolist() if layout.markers else None
-    half = (cfg.window - 2) // 2
-    chunks = []  # (read, first partition, last partition, start, end, markers missed)
-    for k, pos, end in zip(rest.tolist(), read_starts.tolist(), read_ends.tolist()):
-        chunk_first = merged = 0
-        for i in range(layout.markers):  # marker i follows partition i
-            expected = pos + offsets[i + 1] - offsets[chunk_first] + 2 * merged
-            at = _find_marker(codes, expected, pos, half, end)
-            if at is None:
-                merged += 1
-                continue
-            chunks.append((k, chunk_first, i, pos, at, merged))
-            pos, chunk_first, merged = at + 2, i + 1, 0
-        if chunk_first < len(lengths):  # the rest of the read is the final chunk
-            chunks.append((k, chunk_first, len(lengths) - 1, pos, end, merged))
-    for k, first, last, pos, end, merged in chunks:
-        span = offsets[last + 1] - offsets[first]
-        take = min(span, end - pos)
-        out[k, offsets[first] : offsets[first] + take] = decoded[pos : pos + take]
-        damaged[k, first : last + 1] = merged > 0 or end - pos != span
+    damaged[sizes == 0] = True
+    rest = np.flatnonzero(~intact & (sizes > 0))
+    if rest.size:
+        begin = starts[rest]
+        found, stops = _find_markers(nts, begin, begin + sizes[rest], cfg, layout)
+        out[rest], damaged[rest] = _decode_chunks(nts, begin, found, stops, layout)
     return out, damaged
+
+
+@lru_cache(maxsize=16)
+def _marker_ranks(window: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rank, gap) of the marker search over a window: rank[c] orders a
+    marker snapped to column c by its distance from the expected one,
+    column (window - 2) / 2, the left one first among equals, and
+    gap[rank[c]] is that distance, signed."""
+    half = (window - 2) // 2
+    offset = np.arange(window - 1) - half
+    rank = np.abs(4 * offset + 1)  # 1, 3, 5, ... for 0, -1, +1, ...
+    gap = np.zeros(rank.max() + 2, dtype=np.int64)
+    gap[rank] = offset
+    for array in (rank, gap):
+        array.setflags(write=False)
+    return rank, gap
+
+
+def _find_markers(nts, begin, end, cfg: BarrierConfig, layout: _ReadLayout):
+    """The marker search on the packed reads nts[begin:end], one marker of
+    every read per step: (found, stops), where found[r, i] says whether
+    read r's marker i was found and stops[r, i] is where it starts, or
+    the read's end in the last column.
+
+    Marker i is expected where the chunk's partitions and the markers it
+    missed would put it. A step gathers A flags from (window - 2) / 2
+    nucleotides before that through the window and one column after it,
+    which never holds an A; none before the chunk start or at or past the
+    read's end. Every 'AA' start in the window is a candidate, snapped to
+    min(the last A of its run - 1, the window's last start): partitions
+    never start with A, so a true marker always sits at the tail of its
+    run (a partition may end with A and extend it leftward). So each run
+    of two or more A gives one candidate, two columns before its first
+    non-A. The nearest candidate wins, ties going left.
+    """
+    offsets = layout.offsets
+    half = (cfg.window - 2) // 2
+    rank, gap = _marker_ranks(cfg.window)
+    missing = gap.size - 1  # above every rank
+    # the window and the nucleotide after it; the last column lies past
+    # every read's end, so it reads as no A and ends every run
+    columns = np.append(np.arange(-half, half + 2), nts.size + 1)
+    # a chunk opened at partition f by pos expects marker i at
+    # pos + offsets[i + 1] - offsets[f] + 2 * (i - f), its missed markers
+    # included: anchor + lead[i + 1] - 2 with anchor = pos - lead[f]
+    lead = offsets + 2 * np.arange(offsets.size)
+    found = np.zeros((begin.size, layout.markers), dtype=bool)
+    stops = np.empty((begin.size, layout.markers + 1), dtype=np.int64)
+    stops[:, -1] = end
+    pos = anchor = begin
+    for i in range(layout.markers):  # marker i follows partition i
+        expected = anchor + (lead[i + 1] - 2)
+        at = expected[:, None] + columns
+        is_a = nts.take(at, mode="clip") == A
+        is_a &= at >= pos[:, None]
+        is_a &= at < end[:, None]
+        snapped = is_a[:, :-2] & (is_a[:, 1:-1] > is_a[:, 2:])  # A, A, no A
+        best = np.where(snapped, rank, missing).min(axis=1)
+        hit = best < missing
+        mark = expected + gap[best]
+        found[:, i], stops[:, i] = hit, mark
+        pos = np.where(hit, mark + 2, pos)
+        anchor = np.where(hit, pos - lead[i + 1], anchor)
+    return found, stops
+
+
+def _decode_chunks(nts, begin, found, stops, layout: _ReadLayout):
+    """The trits and damage flags of packed reads starting at begin, cut
+    into chunks at the markers found (see _find_markers).
+
+    A chunk runs from the read's start or the end of a marker found to
+    the start of the next marker found or the read's end, and covers the
+    partitions from the one after its opening marker to the one of its
+    closing marker. One gather gives each (read, partition) its chunk, and
+    one window per (read, partition), the nucleotide before the
+    partition's first one and the longest partition's length after it, is
+    rotation-decoded for all at once; a chunk's first window starts from
+    the seed A, as every chunk decodes on its own. A partition takes the
+    trits at its offset within its chunk, zeros past the chunk's end, so
+    every partition lands at its original offset. All of a chunk's
+    partitions are flagged when it merged a missed marker or is not
+    exactly their span long.
+    """
+    offsets = layout.offsets
+    parts, markers = len(layout.lengths), layout.markers
+    reads, index = begin.size, np.arange(markers)
+    rows = np.arange(reads)[:, None]
+    # per (read, partition): the marker that closes its chunk (markers for
+    # the final chunk) and the chunk's first partition
+    close = np.full((reads, parts), markers)
+    close[:, :markers] = np.where(found, index, markers)
+    close = np.minimum.accumulate(close[:, ::-1], axis=1)[:, ::-1]
+    first = np.zeros((reads, parts), dtype=np.int64)
+    first[:, 1:] = np.maximum.accumulate(np.where(found, index, -1), axis=1)[:, : parts - 1] + 1
+    opens = np.empty_like(stops)
+    opens[:, 0] = begin
+    opens[:, 1:] = stops[:, :-1] + 2
+    start, stop = opens[rows, first], stops[rows, close]
+    span = offsets[np.minimum(close + 1, parts)] - offsets[first]
+    damaged = (close > first) | (stop - start != span)
+    # each partition's first nucleotide; padded[at] is the one before it
+    at = start - offsets[first] + offsets[:-1]
+    pl = layout.lengths[0]
+    padded = np.zeros(nts.size + pl + 1, dtype=np.uint8)
+    padded[0] = A
+    padded[1 : nts.size + 1] = nts
+    view = sliding_window_view(padded, pl + 1)
+    windows = view[np.minimum(at, len(view) - 1)]
+    windows[..., 0][first == np.arange(parts)] = A
+    trits = rotate_decode(windows, seed=A)[..., 1:]
+    trits[np.arange(pl) >= (stop - at)[..., None]] = 0
+    return trits.reshape(reads, parts * pl)[:, : offsets[-1]], damaged
 
 
 def partition_errors(got: np.ndarray, want: np.ndarray, cfg: BarrierConfig) -> np.ndarray:

@@ -298,6 +298,10 @@ def edit_reads(
 # before it has to draw again
 _MARGIN = 16
 
+# raw words one _draw_reads call holds at most, unless a single read
+# needs more, so a large pool's words are never all in memory at once
+_SLICE_WORDS = 1 << 18
+
 
 def _ragged_arange(counts: np.ndarray) -> np.ndarray:
     """0, 1, ..., counts[i] - 1 for each i, back to back."""
@@ -388,8 +392,10 @@ def perturb_pool(
 
     protect gives the (prefix, suffix) primer lengths spared by default.
     Each read draws its raw words in one call to its own PCG64, and a read
-    whose words run out draws again with twice as many; then one
-    edit_reads call lays every read out.
+    whose words run out draws again with twice as many. The reads are
+    drawn in slices of at most _SLICE_WORDS words, which leaves each
+    read's draws as they are; then one edit_reads call lays every read
+    out.
     """
     words = seed_words(seed, len(strands), cfg.copies).reshape(-1, 4)
     if not strands:
@@ -404,12 +410,15 @@ def perturb_pool(
     todo = np.arange(span.size)
     edits = []
     while todo.size:
-        short, read, pos, kind, value = _draw_reads(cfg, words[todo], span[todo], count[todo])
+        take = max(int(np.searchsorted(np.cumsum(count[todo]), _SLICE_WORDS, side="right")), 1)
+        batch, todo = todo[:take], todo[take:]
+        short, read, pos, kind, value = _draw_reads(cfg, words[batch], span[batch], count[batch])
         done = ~short[read]
-        read = todo[read[done]]
+        read = batch[read[done]]
         edits.append((read, lo[read] + pos[done], kind[done], value[done]))
-        todo = todo[short]
-        count[todo] *= 2
+        again = batch[short]
+        count[again] *= 2
+        todo = np.concatenate([again, todo])
     bases = [strand for strand in strands for _ in range(cfg.copies)]
     return unpack_reads(*edit_reads(bases, *map(np.concatenate, zip(*edits))))
 

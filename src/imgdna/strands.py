@@ -5,11 +5,13 @@ A strand is fwd_primer | index | payload | rev_primer. The index holds
 cannot orphan the whole strand; each copy is rotation-encoded from the
 last primer nucleotide. route_reads routes a batch of packed reads at
 once: every index region becomes an integer key, looked up in a sorted,
-memoised table of exact encodings. Any other region goes to decode_index,
-whose decoder votes over the three copy windows plus one-shifted variants,
-so an indel inside the index region still recovers the value. The key
-table and the voting decoder's candidate codes come from one memoised
-array of every code per (width, seed, limit). A received pool is a flat
+memoised table of exact encodings. Every other region goes to one
+decode_index call, which votes over the three copy windows plus their
+one-shifted neighbours for all of them at once, so an indel inside the
+index region still recovers the value: whole-array passes over the
+(misses, windows) values, with no Python step per read. The key table
+and the voting decoder's candidate codes come from one memoised array of
+every code per (width, seed, limit). A received pool is a flat
 sequence of reads, each routed by its own index; labels and order carry
 nothing.
 """
@@ -124,28 +126,16 @@ def index_width_for(max_strands: int) -> int:
     return width
 
 
-def int_to_trits(value: int, width: int) -> np.ndarray:
-    if value < 0 or value >= 3**width:
-        raise ValueError(f"value {value} does not fit {width} trits")
-    out = np.zeros(width, dtype=np.uint8)
-    for i in range(width - 1, -1, -1):
-        out[i] = value % 3
-        value //= 3
-    return out
-
-
 def _copy_mask(width: int, k: int) -> np.ndarray:
     # position-dependent trit offset, distinct per copy
     return (np.arange(1, width + 1, dtype=np.int64) * k) % 3
 
 
-@lru_cache(maxsize=64)
-def _copy_masks(width: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(_copy_mask(width, k).tolist()) for k in range(3))
-
-
-def encode_index(value: int, width: int, seed: int) -> np.ndarray:
-    """Three rotation-encoded copies of the value, each masked differently.
+def encode_indexes(values, width: int, seed: int) -> np.ndarray:
+    """Three rotation-encoded copies of each value, each masked
+    differently: a (len(values), 3 * width) uint8 array. The digits of all
+    values and all copies are masked together and rotation-encoded one row
+    per copy.
 
     The rotation code is additive, so plain repeats yield copies that are
     elementwise shifts of one another, and then decode windows misaligned
@@ -153,16 +143,6 @@ def encode_index(value: int, width: int, seed: int) -> np.ndarray:
     can outvote the intact reads. Masking copy k with k*(position+1) mod 3
     makes equally misaligned windows disagree in every digit instead.
     """
-    trits = int_to_trits(value, width).astype(np.int64)
-    return np.concatenate(
-        [rotate_encode((trits + _copy_mask(width, k)) % 3, seed=seed) for k in range(3)]
-    )
-
-
-def encode_indexes(values, width: int, seed: int) -> np.ndarray:
-    """encode_index of every value at once: a (len(values), 3 * width)
-    uint8 array. The digits of all values and all copies are masked
-    together and rotation-encoded one row per copy."""
     values = np.asarray(values, dtype=np.int64)
     if values.size and (values.min() < 0 or values.max() >= 3**width):
         raise ValueError(f"index values must fit {width} trits")
@@ -216,41 +196,62 @@ def _exact_values(regions: np.ndarray, width: int, seed: int, limit: int) -> np.
     return np.where(exact, found, -1)
 
 
-def _prefix_edit_within_one(expected: np.ndarray, observed: np.ndarray) -> bool:
-    """True when expected aligns to a prefix of observed with <= 1 edit.
+def _last_true(flags: np.ndarray) -> np.ndarray:
+    """The last index along the last axis where flags is set, or -1."""
+    n = flags.shape[-1]
+    return np.where(flags.any(axis=-1), n - 1 - flags[..., ::-1].argmax(axis=-1), -1)
 
-    Anchored at the start, free at the observed tail, so a trailing payload
-    nucleotide after the index region never counts as damage. Only prefixes
-    of length n-1, n or n+1 can be one edit away, so past the first
-    mismatch k the rest must match under a deletion, substitution or
-    insertion at k.
+
+def _within_one_edit(codes: np.ndarray, regions: np.ndarray) -> np.ndarray:
+    """Whether each code, (..., n), aligns to a prefix of its region,
+    (..., n + 1), with <= 1 edit.
+
+    Anchored at the start, free at the region's tail, so a trailing
+    payload nucleotide after the index never counts as damage. Only
+    prefixes of length n-1, n or n+1 can be one edit away, so past the
+    first mismatch k the rest must match under a substitution (Hamming
+    distance <= 1), an insertion (codes[j] == regions[j + 1] for j >= k)
+    or a deletion (codes[j + 1] == regions[j] for j >= k).
     """
-    e, o = expected.tolist(), observed.tolist()
-    n = len(e)
-    k = 0
-    while k < min(n, len(o)) and e[k] == o[k]:
-        k += 1
-    return (
-        e[k + 1 :] == o[k + 1 : n]  # substitution, or none when k == n
-        or e[k:] == o[k + 1 : n + 1]  # insertion
-        or e[k + 1 :] == o[k : n - 1]  # deletion
-    )
+    n = codes.shape[-1]
+    mismatch = codes != regions[..., :n]
+    k = np.where(mismatch.any(axis=-1), mismatch.argmax(axis=-1), n)
+    inserted = _last_true(codes != regions[..., 1:]) < k
+    deleted = _last_true(codes[..., 1:] != regions[..., : n - 1]) < k
+    return (mismatch.sum(axis=-1) <= 1) | inserted | deleted
 
 
-def decode_index(nts: np.ndarray, width: int, seed: int, limit: int) -> int | None:
-    """Index value below limit read from nts, or None when unroutable: a
-    vote across the three copies, tolerating one-off shifts.
+@lru_cache(maxsize=64)
+def _vote_windows(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(columns, masks, copy starts) of the voting windows: each copy's
+    window at shifts -1, 0 and +1 that starts inside the region, copy by
+    copy; each window's columns and its copy's mask, and where each copy's
+    windows start."""
+    starts = [(k, k * width + d) for k in range(3) for d in (-1, 0, 1) if k * width + d >= 0]
+    columns = np.array([np.arange(s, s + width) for _, s in starts])
+    masks = np.array([_copy_mask(width, k) for k, _ in starts], dtype=np.uint8)
+    copy = np.array([k for k, _ in starts])
+    return columns, masks, np.flatnonzero(np.diff(copy, prepend=-1))
 
-    Each copy region contributes at most one vote per value, whichever of
-    its shifted windows produced it; a corrupt copy then cannot outvote
-    the two intact ones with misaligned-window noise. Every candidate,
-    however strong its vote, must re-encode to within one edit of the
-    observed index region before it is accepted. From width 2 up, distinct
-    values sit >= 3 edits apart, so a single-error strand can never pass
-    under another strand's address, no matter how the votes fall. Width 1
-    values sit only 2 edits apart, so one error can pass one address as
-    the other (and the exact encoding of value 2 votes to 0 under limit 3);
-    encode_image never writes width-1 indexes.
+
+def decode_index(regions: np.ndarray, width: int, seed: int, limit: int) -> np.ndarray:
+    """The index value below limit each row of regions, a (reads, 3 * width
+    + 1) array of index nucleotides and the one after them, addresses, or
+    -1 where it is unroutable: a vote across the three copies, tolerating
+    one-off shifts.
+
+    Every copy window and its one-shifted neighbours are rotation-decoded
+    and unmasked at once, each from seed. A window's value below limit is
+    a candidate; its copy votes count the copies with a window holding its
+    value, so a corrupt copy cannot outvote the two intact ones with
+    misaligned-window noise, and its raw votes count those windows. The
+    highest (copy votes, raw votes, -value) wins among the candidates
+    whose code is within one edit of the region (_within_one_edit). From
+    width 2 up, distinct values sit >= 3 edits apart, so a single-error
+    strand can never pass under another strand's address, no matter how
+    the votes fall. Width 1 values sit only 2 edits apart, so one error
+    can pass one address as the other (and the exact encoding of value 2
+    votes to 0 under limit 3); encode_image never writes width-1 indexes.
 
     route_reads looks every index region up in its exact table first and
     sends only the rest here; on an exact encoding the two give the same
@@ -261,33 +262,26 @@ def decode_index(nts: np.ndarray, width: int, seed: int, limit: int) -> int | No
     The tests compare the two on every value and trailing nucleotide up to
     width 8.
     """
-    region = nts[: 3 * width + 1].tolist()  # the widest window ends here
-    copy_votes: Counter = Counter()
-    raw_votes: Counter = Counter()
-    for k, mask in enumerate(_copy_masks(width)):
-        seen = set()
-        for off in (k * width - 1, k * width, k * width + 1):
-            if off < 0 or off + width > len(region):
-                continue
-            # rotation-decode and unmask in one step: a repeat, d = 3,
-            # decodes as trit 0, and 3 = 0 mod 3
-            prev, value = seed, 0
-            for nt, m in zip(region[off : off + width], mask):
-                value = value * 3 + (((nt - prev - 1) & 3) - m) % 3
-                prev = nt
-            if value < limit:
-                seen.add(value)
-                raw_votes[value] += 1
-        for value in seen:
-            copy_votes[value] += 1
-    ranked = sorted(
-        copy_votes, key=lambda v: (copy_votes[v], raw_votes[v], -v), reverse=True
-    )
-    codes = _index_codes(width, seed, limit)
-    for value in ranked:
-        if _prefix_edit_within_one(codes[value], nts):
-            return value
-    return None
+    columns, masks, copy_starts = _vote_windows(width)
+    windows = regions[:, columns]  # (reads, windows, width)
+    prev = np.empty_like(windows)
+    prev[..., 0] = seed
+    prev[..., 1:] = windows[..., :-1]
+    # rotation-decode and unmask in one step: a repeat, d = 3, decodes as
+    # trit 0, and 3 = 0 mod 3
+    digits = ((windows - prev - 1) & 3) + 3 - masks
+    digits %= 3
+    values = digits @ 3 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    valid = values < limit
+    same = (values[:, :, None] == values[:, None, :]) & valid[:, None, :]
+    raw_votes = same.sum(axis=2)
+    copy_votes = np.logical_or.reduceat(same, copy_starts, axis=2).sum(axis=2)
+    codes = _index_codes(width, seed, limit)[np.where(valid, values, 0)]
+    valid &= _within_one_edit(codes, regions[:, None, :])
+    score = np.where(valid, copy_votes * 16 + raw_votes, -1)
+    top = valid & (score == score.max(axis=1, keepdims=True))
+    value = np.where(top, values, limit).min(axis=1)
+    return np.where(value < limit, value, -1)
 
 
 def assemble_strands(
@@ -350,9 +344,9 @@ def route_reads(
     regions = sliding_window_view(nts, geom.index_len + 1)[starts[fits] + geom.fwd_len]
     exact = _exact_values(regions, width, seed, limit)
     values[fits] = exact
-    for k in np.flatnonzero(exact < 0).tolist():
-        value = decode_index(regions[k], width, seed, limit)
-        values[fits[k]] = -1 if value is None else value
+    misses = np.flatnonzero(exact < 0)
+    if misses.size:
+        values[fits[misses]] = decode_index(regions[misses], width, seed, limit)
     return values
 
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from imgdna.barriers import (
     BARRIER,
     BarrierConfig,
-    _find_marker,
     _read_layout,
     partition_errors,
     resync_reads,
@@ -16,7 +15,7 @@ from imgdna.barriers import (
 from imgdna.channel import pack_reads
 from imgdna.corpus import corpus_image
 from imgdna.pipeline import SCHEMES, ExperimentConfig, encode_image
-from imgdna.rotation import A, rotate_encode, seq_to_string
+from imgdna.rotation import A, C, G, rotate_encode, seq_to_string
 from test_rotation import rotate_decode_arithmetic
 
 
@@ -245,6 +244,25 @@ def test_one_indel_flags_every_partition_it_damages(seed, layout, parts, kind):
     assert not (wrong & ~flags).any()
 
 
+def find_marker(nts, expected: int, low: int, half: int, end: int) -> int | None:
+    """Nearest 'AA' start around the expected position, at or after low;
+    ties go left. Candidates inside one A-run are snapped to the run's last
+    'AA' start, but never past the window."""
+    best = None
+    best_key = None
+    lo = max(low, expected - half)
+    hi = min(end - 2, expected + half)
+    for s in range(lo, hi + 1):
+        if nts[s] != A or nts[s + 1] != A:
+            continue
+        while s + 2 < end and s + 1 <= hi and nts[s + 2] == A:
+            s += 1
+        key = (abs(s - expected), s)
+        if best_key is None or key < best_key:
+            best, best_key = s, key
+    return best
+
+
 def resync_by_chunks(nts, cfg, expected_trits):
     """The marker search on one read, with a fresh rotation decode of
     every chunk between the markers found, each seeded from A."""
@@ -271,7 +289,7 @@ def resync_by_chunks(nts, cfg, expected_trits):
 
     for i in range(n if cfg.partition_len else 0):  # a marker after every partition
         expected = pos + int(offsets[i + 1] - offsets[chunk_first]) + 2 * merged
-        s = _find_marker(nts, expected, pos, half, len(nts))
+        s = find_marker(nts, expected, pos, half, len(nts))
         if s is None:
             merged += 1
             continue
@@ -358,30 +376,46 @@ def resync_read_by_read(reads, cfg, expected_trits):
     return trits, damaged
 
 
+FATES = ["intact", "edits", "missing", "short", "long", "no_last_marker", "a_tail", "a_run", "tie"]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
     st.sampled_from([(3, 4), (10, 12), (20, 12), (50, 12), (None, 12)]),
-    st.integers(1, 4),
-    st.sampled_from(["exact", "short"]),
+    st.integers(1, 5),
+    st.sampled_from(["exact", "short", "one"]),
     st.sampled_from(["strands", "copies"]),
-    st.lists(st.sampled_from(["intact", "edits", "missing", "short", "long"]), max_size=6),
+    st.lists(st.sampled_from(FATES), max_size=6),
 )
 @example(0, (20, 12), 2, "short", "strands", ["intact", "missing", "edits", "long"])
 @example(1, (None, 12), 1, "exact", "strands", ["intact", "short", "intact"])
 @example(2, (10, 12), 3, "exact", "copies", ["intact", "edits", "edits", "intact", "missing"])
 @example(3, (20, 12), 2, "short", "copies", ["missing", "missing", "missing"])
 @example(4, (50, 12), 1, "exact", "strands", [])
+# 81 trits at partition 20: the final partition holds 1 trit, so the
+# window of its marker reaches back past the chunk start to the marker
+# before, an 'AA' the search must not take again when its own is gone
+@example(5, (20, 12), 5, "one", "strands", ["no_last_marker", "intact", "no_last_marker"])
+@example(6, (10, 12), 3, "exact", "strands", ["a_tail", "a_run", "intact", "a_run"])
+@example(7, (20, 12), 5, "one", "copies", ["long", "long", "edits", "a_tail"])
+@example(8, (10, 12), 3, "exact", "strands", ["tie", "tie", "intact", "tie"])
 def test_resync_reads_equals_per_read_marker_search(seed, layout, parts, fill, source, fates):
     # strands: distinct reads, as a stream's strands are; copies: repeated
     # reads of one strand, as containment trials are; short: the trits of
-    # a stream's final strand
+    # a stream's final strand; one: a final partition of one trit.
+    # no_last_marker: the read's last 'AA' is gone; a_tail: an A-run
+    # reaches the read's end; a_run: an A-run longer than the window
+    # starts at a random place; tie: a marker is gone and two 'AA' sit
+    # two columns either side of it
     rng = np.random.default_rng(seed)
     cfg = BarrierConfig(partition_len=layout[0], window=layout[1])
     per_strand = parts * (layout[0] or int(rng.integers(1, 60)))
     expected = per_strand
     if fill == "short" and per_strand > 1:
         expected = int(rng.integers(1, per_strand))
+    elif fill == "one":
+        expected = per_strand - (layout[0] or per_strand) + 1
 
     def strand():
         trits = rng.integers(0, 3, size=expected).astype(np.uint8)
@@ -400,6 +434,22 @@ def test_resync_reads_equals_per_read_marker_search(seed, layout, parts, fill, s
         elif fate == "long":
             extra = rng.integers(0, 4, size=int(rng.integers(1, 5))).astype(np.uint8)
             reads[k] = np.concatenate([reads[k], extra])
+        elif fate == "no_last_marker" and layout[0]:
+            reads[k] = reads[k].copy()
+            reads[k][-2:] = [C, G]
+        elif fate == "a_tail":
+            reads[k] = reads[k].copy()
+            reads[k][-int(rng.integers(2, 2 * cfg.window)) :] = A
+        elif fate == "a_run":
+            reads[k] = reads[k].copy()
+            at = int(rng.integers(0, reads[k].size))
+            reads[k][at : at + cfg.window + int(rng.integers(1, 6))] = A
+        elif fate == "tie" and layout[0]:
+            read = reads[k] = reads[k].copy()
+            lengths = _read_layout(expected, cfg).lengths
+            j = int(rng.integers(0, len(lengths)))
+            m = max(sum(lengths[: j + 1]) + 2 * j, 2)  # marker j's column
+            read[m - 2 : m + 5] = [A, A, C, G, A, A, C][: read.size - (m - 2)]
     got, damaged = resync_reads(*pack_reads(reads), cfg, expected)
     want, want_damaged = resync_read_by_read(reads, cfg, expected)
     assert got.dtype == np.uint8

@@ -114,6 +114,35 @@ def test_perturb_pool_equals_per_read_reference(rate, copies, protect, corrupt_p
             assert g.dtype == np.uint8 and np.array_equal(g, w)
 
 
+@pytest.mark.parametrize("rate", [0.01, 1.0])
+@pytest.mark.parametrize("copies", [1, 3])
+@pytest.mark.parametrize("budget", [1, 40, 700])
+def test_perturb_pool_in_word_slices_equals_per_read_reference(rate, copies, budget, monkeypatch):
+    # a pool drawn a few words at a time gives the same reads, and no
+    # draw holds more words than the budget unless one read needs them
+    rng = np.random.default_rng(6)
+    strands = [rng.integers(0, 4, size=int(n)).astype(np.uint8) for n in rng.integers(0, 260, 40)]
+    cfg = ChannelConfig(rate=rate, copies=copies)
+    draws = []
+    real = channel._draw_reads
+
+    def draw_reads(cfg, words, span, count):
+        draws.append((count.size, int(count.sum())))
+        return real(cfg, words, span, count)
+
+    monkeypatch.setattr(channel, "_SLICE_WORDS", budget)
+    monkeypatch.setattr(channel, "_draw_reads", draw_reads)
+    for seed in (0, 2**70 + 3):
+        draws.clear()
+        got = perturb_pool(strands, cfg, seed, protect=(20, 15))
+        want = perturb_pool_reference(strands, cfg, seed, protect=(20, 15))
+        assert len(got) == len(want) == len(strands) * copies
+        for g, w in zip(got, want):
+            assert g.dtype == np.uint8 and np.array_equal(g, w)
+        assert len(draws) > 1
+        assert all(words <= budget or reads == 1 for reads, words in draws)
+
+
 def test_uniform_is_generator_random():
     # perturb_pool reads Generator.random() off the raw words; if numpy
     # ever changes how a double is made, this names the break

@@ -33,9 +33,10 @@ from imgdna.pipeline import (
     _primer_bounds,
     _target_positions,
 )
-from imgdna.strands import STREAM_AC, STREAM_DC, decode_index, route_reads, validate_constraints
+from imgdna.strands import STREAM_AC, STREAM_DC, route_reads, validate_constraints
 from test_barriers import resync_by_chunks
 from test_channel import _apply_edits_reference
+from test_strands import vote_index_reference
 
 
 @pytest.fixture(scope="module")
@@ -394,11 +395,14 @@ def test_seeded_draw_order_is_pinned(small_image):
 
 def route_read(read, geom, limit):
     """(stream, offset, payload) addressed by one read, or None: primers
-    stripped by position, the index decoded from the front of the rest."""
+    stripped by position, the index voted on from the front of the rest,
+    one window and one candidate at a time."""
     if read.size <= geom.fwd_len + geom.rev_len + geom.index_len:
         return None
     body = read[geom.fwd_len : read.size - geom.rev_len]
-    value = decode_index(body[: geom.index_len + 1], geom.index_width, geom.index_seed, limit)
+    value = vote_index_reference(
+        body[: geom.index_len + 1].tolist(), geom.index_width, geom.index_seed, limit
+    )
     if value is None:
         return None
     return value & 1, value >> 1, body[geom.index_len :]

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imgdna.channel import pack_reads
 from imgdna.pipeline import ExperimentConfig
-from imgdna.rotation import A, seq_to_string
+from imgdna.rotation import A, rotate_encode, seq_to_string
 from imgdna.strands import (
     MAX_HOMOPOLYMER,
     MAX_STRAND_LEN,
@@ -18,17 +19,16 @@ from imgdna.strands import (
     decode_index,
     default_primer_pair,
     disassemble_pool,
-    encode_index,
     generate_primer,
     index_width_for,
-    int_to_trits,
+    route_reads,
     validate_constraints,
 )
 from imgdna.strands import (
     _copy_mask,
     _exact_values,
     _index_codes,
-    _prefix_edit_within_one,
+    _within_one_edit,
     encode_indexes,
 )
 from test_rotation import rotate_decode_arithmetic
@@ -80,6 +80,40 @@ def trits_to_int(trits) -> int:
     return value
 
 
+def int_to_trits(value: int, width: int) -> np.ndarray:
+    if value < 0 or value >= 3**width:
+        raise ValueError(f"value {value} does not fit {width} trits")
+    out = np.zeros(width, dtype=np.uint8)
+    for i in range(width - 1, -1, -1):
+        out[i] = value % 3
+        value //= 3
+    return out
+
+
+def encode_index(value: int, width: int, seed: int) -> np.ndarray:
+    """One value's index: three rotation-encoded copies, copy k masked
+    with k * (position + 1) mod 3, each encoded on its own."""
+    trits = int_to_trits(value, width).astype(np.int64)
+    return np.concatenate(
+        [rotate_encode((trits + _copy_mask(width, k)) % 3, seed=seed) for k in range(3)]
+    )
+
+
+def decode_one(nts, width, seed, limit):
+    """decode_index of one region of 3 * width + 1 nucleotides, None where
+    it is unroutable."""
+    nts = np.asarray(nts, dtype=np.uint8)
+    assert nts.size == 3 * width + 1
+    value = int(decode_index(nts[None], width, seed, limit)[0])
+    return None if value < 0 else value
+
+
+def with_tail(codes, tail):
+    """Each row of codes followed by the nucleotide tail."""
+    codes = np.atleast_2d(codes)
+    return np.column_stack([codes, np.full(len(codes), tail, dtype=np.uint8)])
+
+
 def test_trit_integer_round_trip():
     for v in (0, 1, 5, 80, min(3**6 - 1, 728)):
         assert trits_to_int(int_to_trits(v, 6)) == v
@@ -89,10 +123,13 @@ def test_trit_integer_round_trip():
 
 def test_index_round_trip_all_values():
     width = 5
-    for v in range(0, 3**width, 7):
-        nts = encode_index(v, width, seed=2)
-        assert nts.size == 3 * width
-        assert decode_index(nts, width, seed=2, limit=3**width) == v
+    values = np.arange(0, 3**width, 7)
+    codes = encode_indexes(values, width, seed=2)
+    assert codes.shape == (values.size, 3 * width)
+    for tail in range(4):
+        got = decode_index(with_tail(codes, tail), width, seed=2, limit=3**width)
+        assert got.dtype == np.int64 and got.tolist() == values.tolist()
+    assert decode_index(np.zeros((0, 3 * width + 1), np.uint8), width, 2, 3**width).shape == (0,)
 
 
 def test_memoised_index_codes_equal_fresh_encodings_and_are_read_only():
@@ -140,43 +177,36 @@ def test_index_survives_any_single_substitution():
     # two copies stay aligned and intact, and their agreement wins outright
     rng = np.random.default_rng(8)
     for width in (4, 5, 6, 7):
-        for _ in range(200):
-            v = int(rng.integers(0, 3**width))
-            nts = encode_index(v, width, seed=1)
-            hit = nts.copy()
-            pos = int(rng.integers(0, nts.size))
-            hit[pos] = (hit[pos] + int(rng.integers(1, 4))) % 4
-            assert decode_index(hit, width, seed=1, limit=3**width) == v
+        values = rng.integers(0, 3**width, size=200)
+        hit = with_tail(encode_indexes(values, width, seed=1), 0)
+        hit[:, -1] = rng.integers(0, 4, size=200)
+        pos = rng.integers(0, 3 * width, size=200)
+        rows = np.arange(200)
+        hit[rows, pos] = (hit[rows, pos] + rng.integers(1, 4, size=200)) % 4
+        assert decode_index(hit, width, seed=1, limit=3**width).tolist() == values.tolist()
 
 
 def test_index_indel_failure_rate_is_small():
-    # the decoder may give up on an indel-damaged index (None -> quarantine)
+    # the decoder may give up on an indel-damaged index (-1 -> quarantine)
     # but must never hand back some other strand's address
     width = 6
     rng = np.random.default_rng(8)
-    gave_up = 0
-    wrong = 0
     trials = 2000
-    for trial in range(trials):
-        v = int(rng.integers(0, 3**width))
+    values = rng.integers(0, 3**width, size=trials)
+    regions = []
+    for trial, v in enumerate(values.tolist()):
         nts = encode_index(v, width, seed=1)
         if trial % 2:
             hit = np.insert(nts, int(rng.integers(0, nts.size + 1)), int(rng.integers(0, 4)))
         else:
             hit = np.delete(nts, int(rng.integers(0, nts.size)))
-        got = decode_index(hit, width, seed=1, limit=3**width)
-        if got is None:
-            gave_up += 1
-        elif got != v:
-            wrong += 1
+        tail = rng.integers(0, 4, size=2).astype(np.uint8)
+        regions.append(np.concatenate([hit, tail])[: 3 * width + 1])
+    got = decode_index(np.array(regions), width, seed=1, limit=3**width)
+    gave_up = int((got < 0).sum())
+    wrong = int(((got >= 0) & (got != values)).sum())
     assert wrong == 0, wrong
     assert gave_up / trials < 0.01, gave_up
-
-
-def _with_tails(nts):
-    yield nts
-    for tail in range(4):
-        yield np.append(nts, np.uint8(tail))
 
 
 def _assert_exact_reads_match_votes(width, seed):
@@ -185,9 +215,9 @@ def _assert_exact_reads_match_votes(width, seed):
     limit = 3**width - 1
     codes = encode_indexes(np.arange(limit), width, seed)
     assert _exact_values(codes, width, seed, limit).tolist() == list(range(limit))
-    for v in range(limit):
-        for nts in _with_tails(encode_index(v, width, seed)):
-            assert decode_index(nts, width, seed, limit) == v, (width, seed, v, nts)
+    for tail in range(4):
+        got = decode_index(with_tail(codes, tail), width, seed, limit)
+        assert got.tolist() == list(range(limit)), (width, seed, tail)
 
 
 @pytest.mark.parametrize("width", range(1, 8))
@@ -205,9 +235,10 @@ def test_width_one_limit_stays_below_its_collision():
     # at width 1 the exact encoding of value 2 votes to 0 under limit 3 ...
     # and the exact table leaves it out, so routing gives the vote's answer
     for seed in range(4):
-        reads = list(_with_tails(encode_index(2, 1, seed)))
-        assert 0 in [decode_index(nts, 1, seed, 3) for nts in reads]
-        assert _exact_values(reads[0][None], 1, seed, 3).tolist() == [-1]
+        code = encode_index(2, 1, seed)
+        reads = with_tail(np.tile(code, (4, 1)), np.arange(4))
+        assert 0 in decode_index(reads, 1, seed, 3).tolist()
+        assert _exact_values(code[None], 1, seed, 3).tolist() == [-1]
     # ... a limit no pool reaches: every width's limit stays <= 3**width - 1
     for n in range(1, 4000):
         assert 2 * n <= 3 ** index_width_for(n) - 1
@@ -234,6 +265,25 @@ def _prefix_edit_within_one_dp(expected, observed):
     return min(prev) <= 1
 
 
+def prefix_edit_within_one(expected, observed) -> bool:
+    """True when expected aligns to a prefix of observed with <= 1 edit.
+
+    Anchored at the start, free at the observed tail. Only prefixes of
+    length n-1, n or n+1 can be one edit away, so past the first mismatch
+    k the rest must match under a deletion, substitution or insertion at
+    k."""
+    e, o = list(expected), list(observed)
+    n = len(e)
+    k = 0
+    while k < min(n, len(o)) and e[k] == o[k]:
+        k += 1
+    return (
+        e[k + 1 :] == o[k + 1 : n]  # substitution, or none when k == n
+        or e[k:] == o[k + 1 : n + 1]  # insertion
+        or e[k + 1 :] == o[k : n - 1]  # deletion
+    )
+
+
 def _random_edits(rng, seq, count):
     seq = list(seq)
     for _ in range(count):
@@ -258,38 +308,72 @@ def test_prefix_edit_check_matches_reference_dp():
             tail = rng.integers(0, 4, size=int(rng.integers(0, 4))).tolist()
             observed = np.array(edited + tail, dtype=np.uint8)
         want = _prefix_edit_within_one_dp(expected.tolist(), observed.tolist())
-        assert _prefix_edit_within_one(expected, observed) == want, (expected, observed)
+        assert prefix_edit_within_one(expected.tolist(), observed.tolist()) == want
+
+
+def test_batched_prefix_edit_check_matches_reference_dp():
+    # what decode_index asks: codes of n = 3 * width against regions of n + 1
+    rng = np.random.default_rng(22)
+    for n in range(2, 25):
+        codes, regions = [], []
+        for trial in range(400):
+            code = rng.integers(0, 4, size=n).tolist()
+            if trial % 4 == 0:
+                region = rng.integers(0, 4, size=n + 1).tolist()
+            else:
+                edited = _random_edits(rng, code, int(rng.integers(0, 3)))
+                region = (edited + rng.integers(0, 4, size=3).tolist())[: n + 1]
+            codes.append(code)
+            regions.append(region)
+        codes, regions = np.array(codes, dtype=np.uint8), np.array(regions, dtype=np.uint8)
+        want = [_prefix_edit_within_one_dp(c, r) for c, r in zip(codes.tolist(), regions.tolist())]
+        assert _within_one_edit(codes, regions).tolist() == want, n
+        # and with candidates along a middle axis, as decode_index has them
+        got = _within_one_edit(codes.reshape(100, 4, n), regions.reshape(100, 4, n + 1))
+        assert got.ravel().tolist() == want
+
+
+def window_values(nts, width, seed):
+    """(copy, value) of each copy window and its one-shifted neighbours
+    that fits nts: each rotation-decoded as an array, unmasked and read
+    back as an integer."""
+    found = []
+    for k in range(3):
+        for off in (k * width - 1, k * width, k * width + 1):
+            if off < 0 or off + width > len(nts):
+                continue
+            decoded = rotate_decode_arithmetic(np.asarray(nts[off : off + width]), seed)
+            found.append((k, trits_to_int((decoded - _copy_mask(width, k)) % 3)))
+    return found
 
 
 def vote_index_reference(nts, width, seed, limit):
-    """The numpy voting decoder: each shifted window rotation-decoded as an
-    array, unmasked and read back as an integer."""
-    copy_windows = (
-        (0, 1),
-        (width - 1, width, width + 1),
-        (2 * width - 1, 2 * width, 2 * width + 1),
-    )
+    """The voting decoder on one region, one window and one candidate at a
+    time: the value with the most copy votes, then the most window votes,
+    then the lowest, whose code is within one edit of a prefix of nts;
+    None when no candidate is."""
     copy_votes: Counter = Counter()
     raw_votes: Counter = Counter()
-    for k, windows in enumerate(copy_windows):
-        seen = set()
-        for off in windows:
-            if off < 0 or off + width > nts.size:
-                continue
-            decoded = rotate_decode_arithmetic(nts[off : off + width], seed)
-            value = trits_to_int((decoded - _copy_mask(width, k)) % 3)
-            if value < limit:
-                seen.add(value)
-                raw_votes[value] += 1
-        for value in seen:
-            copy_votes[value] += 1
+    seen = set()
+    for k, value in window_values(nts, width, seed):
+        if value < limit:
+            raw_votes[value] += 1
+            if (k, value) not in seen:
+                seen.add((k, value))
+                copy_votes[value] += 1
     ranked = sorted(
         copy_votes, key=lambda v: (copy_votes[v], raw_votes[v], -v), reverse=True
     )
     for value in ranked:
-        if _prefix_edit_within_one(encode_index(value, width, seed), nts):
+        if prefix_edit_within_one(encode_index(value, width, seed).tolist(), list(nts)):
             return value
     return None
+
+
+def _edited_region(rng, width, seed, edits):
+    code = encode_index(int(rng.integers(0, 3**width)), width, seed).tolist()
+    nts = _random_edits(rng, code, edits) + rng.integers(0, 4, size=4).tolist()
+    return nts[: 3 * width + 1]
 
 
 @settings(max_examples=400, deadline=None)
@@ -297,26 +381,65 @@ def vote_index_reference(nts, width, seed, limit):
     st.integers(2, 8),
     st.integers(0, 3),
     st.integers(0, 2**32 - 1),
-    st.sampled_from(["edited", "junk", "short"]),
+    st.sampled_from(["edited", "junk"]),
     st.integers(0, 3),
     st.booleans(),
 )
-def test_voting_decoder_matches_numpy_reference(width, seed, key, region, edits, low_limit):
+def test_voting_decoder_matches_scalar_reference(width, seed, key, region, edits, low_limit):
+    # route_reads decodes only regions of 3 * width + 1 nucleotides: a
+    # shorter read is unroutable (test_route_reads_quarantines_short_reads)
     rng = np.random.default_rng(key)
     top = 3**width - 1
     limit = int(rng.integers(1, top)) if low_limit else top
-    span = 3 * width + 1
     if region == "junk":
-        nts = rng.integers(0, 4, size=int(rng.integers(0, span + 1)))
+        nts = rng.integers(0, 4, size=3 * width + 1)
     else:
-        code = encode_index(int(rng.integers(0, 3**width)), width, seed).tolist()
-        nts = _random_edits(rng, code, edits) + rng.integers(0, 4, size=1).tolist()
-        if region == "short":  # cut below the widest window's end
-            nts = nts[: int(rng.integers(0, span))]
-        else:
-            nts = nts[:span]
-    nts = np.array(nts, dtype=np.uint8)
-    assert decode_index(nts, width, seed, limit) == vote_index_reference(nts, width, seed, limit)
+        nts = _edited_region(rng, width, seed, edits)
+    assert decode_one(nts, width, seed, limit) == vote_index_reference(nts, width, seed, limit)
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_voting_decoder_of_a_mixed_batch_matches_scalar_reference(width):
+    # exact codes, codes with one to three edits, junk, and, under the
+    # lowest limit, rows whose every window votes at or above it, all in
+    # one call. Below width 3 some window always votes below the limit: at
+    # width 1, copies 0, 1 and 2 all decode nucleotide 1, under three
+    # different masks. Only at width 1 can two candidates pass the one-edit
+    # check, so only there does the vote's order show
+    rng = np.random.default_rng(width)
+    for limit in sorted({3**width, 3**width - 1, max(1, (3**width - 1) // 3)}):
+        kinds_used = 4 if width >= 3 and limit < 3**width // 2 else 3
+        for seed in range(4):
+            rows, kinds = [], []
+            while len(rows) < 120:
+                kind = len(rows) % kinds_used
+                if kind == 0:
+                    nts = _edited_region(rng, width, seed, 0)
+                elif kind == 1:
+                    nts = _edited_region(rng, width, seed, int(rng.integers(1, 4)))
+                else:
+                    nts = rng.integers(0, 4, size=3 * width + 1).tolist()
+                    above = all(v >= limit for _, v in window_values(nts, width, seed))
+                    if kind == 3 and not above:
+                        continue
+                rows.append(nts)
+                kinds.append(kind)
+            got = decode_index(np.array(rows, dtype=np.uint8), width, seed, limit)
+            want = [vote_index_reference(r, width, seed, limit) for r in rows]
+            assert got.tolist() == [-1 if w is None else w for w in want], (width, seed, limit)
+            assert (got[np.array(kinds) == 3] == -1).all()
+
+
+def test_route_reads_quarantines_short_reads():
+    # a read needs primers, index and one more nucleotide to be decoded
+    geom = StrandGeometry(250, *default_primer_pair(), index_width=6)
+    (strand,), _ = _make_pool(geom, 1, 0, np.random.default_rng(18))
+    shortest = geom.fwd_len + geom.index_len + geom.rev_len + 1
+    reads = [strand[:n] for n in (0, 5, geom.fwd_len + geom.index_len, shortest - 1, shortest)]
+    reads.append(strand)
+    limit = 2 * 3
+    got = route_reads(*pack_reads(reads), geom, limit)
+    assert got.tolist() == [-1, -1, -1, -1, 0, 0]
 
 
 def test_geometry_capacity():
