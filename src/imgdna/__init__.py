@@ -39,6 +39,7 @@ from .pipeline import (
     ExperimentConfig,
     PipelineError,
     decode_pool,
+    decode_pools,
     encode_image,
     reference_image,
     run_coefficient_isolation,
@@ -89,6 +90,7 @@ __all__ = [
     "ci90_half_width",
     "corpus_image",
     "decode_pool",
+    "decode_pools",
     "encode_image",
     "encoding_density",
     "forward_transform",

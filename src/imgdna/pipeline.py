@@ -16,35 +16,39 @@ Byte segments are block-aligned so a damaged segment tail corrupts a known
 block range: every AC segment covers one block, DC segments a few blocks,
 and Raw-DNA deliberately uses a single whole-image segment. A stream
 stores that segment size once, and formats.segment_bounds cuts the image's
-blocks into its segments, in order, for encode_image and decode_pool; the
+blocks into its segments, in order, for encode_image and decode_pools; the
 decoded rows of a stream's segments stack into one row per block. A
 segment stores its trit count alone. encode_image lays the pool out with
-MappingTable.layouts(), the call decode_pool, run_containment and
-_target_positions read it with. decode_pool rejects a mapping with a
+MappingTable.layouts(), the call decode_pools, run_containment and
+_target_positions read it with. decode_pools rejects a mapping with a
 segment size below 1, other than one trit count per segment, a negative
 trit count, a strand layout no strand can hold, or a scheme or stream ids
 stream_classes does not give. That table says which streams a scheme has
 and which coefficient classes each carries; barrier layouts, segment
 plans, code tables, decoders and targeted injection all read it. An
-AC-only stream of one-block segments goes to the lockstep decoder,
-decode_ac_blocks. Segment extents live in the mapping sidecar (the
-error-free side channel), so the decoder can carve the repaired trit
-stream back into segments whatever the noisy channel did to its strands.
+AC-only stream of one-block segments goes to the lockstep decoder
+decode_ac_blocks and a DC-only stream to decode_dc_segments. Segment
+extents live in the mapping sidecar (the error-free side channel), so
+the decoder can carve the repaired trit stream back into segments
+whatever the noisy channel did to its strands.
 
 A pool is a flat sequence of reads, as perturb_pool and _inject return it;
-decode_pool routes each read by its own index and votes per slot among the
-reads routed there.
+decode_pools routes each read by its own index and votes per slot among the
+reads routed there. It decodes several pools of one encoding in one pass,
+each step one call over all of them, and decode_pool is a pass of one
+pool. The trial loop of run_sweep and run_coefficient_isolation,
+_score_trials, decodes each encoding's noisy pools that way.
 
 Every strand slot goes through the barrier resync decode, resync_reads,
 which takes packed reads (channel.pack_reads: one uint8 array with each
-read's start and size). decode_pool calls it for a stream's full strands
-and for its final one, and run_containment once per stream piece (full
-strands or final one) and batch. Its damage matrix, one row
-per strand and one column per partition, flags a stream without barriers
-(one unbounded partition per strand) when its decoded length is wrong. A
-missing or quarantined strand decodes as an empty read: zero trits, every
-partition flagged and every segment with a trit on it counted as failed.
-run_containment scores trials with barriers.partition_errors, the same
+read's start and size). decode_pools calls it for every pool's full
+strands of a stream and for their final ones, and run_containment once
+per stream piece (full strands or final one) and batch. Its damage
+matrix, one row per strand and one column per partition, flags a stream
+without barriers (one unbounded partition per strand) when its decoded
+length is wrong. A missing or quarantined strand decodes as an empty
+read: zero trits, every partition flagged and every segment with a trit
+on it counted as failed. run_containment scores trials with barriers.partition_errors, the same
 matrix against the pristine trits. Its batches make no Python call per
 trial: one draw_point_edits call gives the edits, bit-identical to the
 scalar draws of a per-trial loop, one edit_reads call lays the reads out
@@ -84,6 +88,7 @@ from .streams import (
     HuffmanTable,
     build_tables,
     decode_ac_blocks,
+    decode_dc_segments,
     decode_segment,
     encode_segments,
     zigzag_flatten,
@@ -287,61 +292,127 @@ def _check_mapping(mapping: MappingTable, meta: ImageMetadata) -> dict[int, list
     return plans
 
 
+# reads decoded in one decode_pools pass; bounds memory for any pool count
+DECODE_BATCH_READS = 4096
+
+
 def decode_pool(reads, mapping: MappingTable, meta: ImageMetadata) -> DecodeResult:
     """Reassemble an image from a (possibly noisy) pool: a sequence of
-    reads in any order, any number per strand."""
+    reads in any order, any number per strand. One decode_pools pass."""
+    return decode_pools([reads], mapping, meta)[0]
+
+
+def decode_pools(pools, mapping: MappingTable, meta: ImageMetadata) -> list[DecodeResult]:
+    """decode_pool of every pool of one encoding, in order: an iterable of
+    pools, taken in passes of at most DECODE_BATCH_READS reads (or one
+    larger pool).
+
+    The mapping is checked, the layouts derived and both code tables built
+    once. Each pool is routed by its own disassemble_pool call as it is
+    taken, so its reads can go; then a pass decodes all of its pools'
+    strands together: per stream, one resync_reads call for the full
+    strands and one for the final ones, and one decoder call over every
+    segment (decode_ac_blocks, decode_dc_segments or, for Raw-DNA's
+    interleaved segment, decode_segment per segment). Each pool's trits
+    are cut into segments on their own, so trits_to_segments' working
+    arrays stay one pool long. Every result equals decode_pool's.
+    """
     plans = _check_mapping(mapping, meta)
     geom, layouts = mapping.layouts()
-    dis = disassemble_pool(
-        reads, geom, {sid: len(uids) for sid, (_, _, uids) in layouts.items()}
+    counts = {sid: len(uids) for sid, (_, _, uids) in layouts.items()}
+    tables = HuffmanTable(meta.dc_code_lengths), HuffmanTable(meta.ac_code_lengths)
+    results: list[DecodeResult] = []
+    routed: list = []  # this pass's pools, each routed as it is taken
+    reads = 0
+    for pool in pools:
+        if routed and reads + len(pool) > DECODE_BATCH_READS:
+            results += _decode_pass(routed, mapping, meta, plans, layouts, tables)
+            routed, reads = [], 0
+        routed.append(disassemble_pool(pool, geom, counts))
+        reads += len(pool)
+    if routed:
+        results += _decode_pass(routed, mapping, meta, plans, layouts, tables)
+    return results
+
+
+def _resync_segments(slots, trit_counts, bc: BarrierConfig, per: int):
+    """(segment bytes, damaged partitions) of one stream, from its slots in
+    each of k pools: the k pools' segments in order, and a count per pool.
+    One resync_reads call takes every pool's full strands and one their
+    final strands; then each pool's trits are cut into its segments."""
+    k = len(slots)
+    total = sum(trit_counts)
+    full = total // per  # the final strand may be short
+    head, head_damaged = resync_reads(
+        *pack_reads([read for s in slots for read in s[:full]]), bc, per
     )
+    tail, tail_damaged = resync_reads(
+        *pack_reads([read for s in slots for read in s[full:]]), bc, total - full * per
+    )
+    head, tail, head_damaged, tail_damaged = (
+        a.reshape(k, a.size // k) for a in (head, tail, head_damaged, tail_damaged)
+    )
+    trits = np.concatenate([head, tail], axis=1)  # one row per pool
+    datas = [data for row in trits for data in trits_to_segments(row, trit_counts)]
+    return datas, head_damaged.sum(axis=1) + tail_damaged.sum(axis=1)
 
-    dc_table = HuffmanTable(meta.dc_code_lengths)
-    ac_table = HuffmanTable(meta.ac_code_lengths)
+
+def _decode_pass(dis, mapping, meta, plans, layouts, tables) -> list[DecodeResult]:
+    """decode_pools' results for one pass of routed pools."""
+    k = len(dis)
+    dc_table, ac_table = tables
     quant_zig = meta.quant_table.ravel()[ZIGZAG]
-
-    flat = np.zeros((meta.block_count, 64), dtype=np.int32)
-    result = DecodeResult(image=None, quarantined=dis.quarantined, duplicates=dis.duplicates)
+    n = meta.block_count
+    flat = np.zeros((k * n, 64), dtype=np.int32)  # pool i's blocks are rows i*n to (i+1)*n
+    damaged, missing, failed = (np.zeros(k, dtype=np.int64) for _ in range(3))
 
     classes = stream_classes(mapping.scheme)
     for sm in mapping.streams:
-        bc, per, _ = layouts[sm.stream_id]
+        bc, per, uids = layouts[sm.stream_id]
         dc, ac = classes[sm.stream_id]
-        tables = (dc_table if dc else None, ac_table if ac else None)
-        slots = dis.streams[sm.stream_id]
+        plan = plans[sm.stream_id]
+        slots = [d.streams[sm.stream_id] for d in dis]
         edges = np.cumsum([0] + sm.trit_counts)
-        total = int(edges[-1])
         # a missing strand decodes as an empty read: zeros, all partitions damaged
-        lost = np.cumsum([0] + [read is None for read in slots])  # lost slots before each
-        result.missing_strands += int(lost[-1])
-        full = total // per  # the final strand may be short
-        head, head_damaged = resync_reads(*pack_reads(slots[:full]), bc, per)
-        tail, tail_damaged = resync_reads(*pack_reads(slots[full:]), bc, total - full * per)
-        trits = np.append(head, tail)
-        result.damaged_partitions += int(head_damaged.sum() + tail_damaged.sum())
-
-        datas = trits_to_segments(trits, sm.trit_counts)
+        lost = np.zeros((k, len(uids) + 1), dtype=np.int64)  # lost slots before each
+        lost[:, 1:] = np.cumsum([[read is None for read in s] for s in slots], axis=1)
+        missing += lost[:, -1]
+        datas, hit = _resync_segments(slots, sm.trit_counts, bc, per)
+        damaged += hit
         # a segment with a trit on a lost slot fails, even where its zero
         # trits decode cleanly
-        first = np.minimum(edges[:-1] // per, len(slots))
-        stop = np.minimum(-(-edges[1:] // per), len(slots))
-        meets = lost[stop] > lost[first]
+        first = np.minimum(edges[:-1] // per, len(uids))
+        stop = np.minimum(-(-edges[1:] // per), len(uids))
+        meets = lost[:, stop] > lost[:, first]
         # each coefficient class comes from one stream, and a segment
         # leaves the class it does not carry at 0
         if not dc and sm.segment_blocks == 1:
             vals, clean = decode_ac_blocks(datas, ac_table, quant_zig)
+        elif not ac:
+            counts = [b1 - b0 for b0, b1 in plan] * k
+            vals, clean = decode_dc_segments(datas, dc_table, counts, quant_zig)
         else:
+            tabs = (dc_table if dc else None, ac_table)
             decoded = [
-                decode_segment(data, *tables, b1 - b0, quant_zig)
-                for (b0, b1), data in zip(plans[sm.stream_id], datas)
+                decode_segment(data, *tabs, b1 - b0, quant_zig)
+                for (b0, b1), data in zip(plan * k, datas)
             ]
             vals = np.concatenate([v for v, _ in decoded])
             clean = np.array([c for _, c in decoded], dtype=bool)
-        flat += vals  # the segments cover the blocks in order
-        result.segments_failed += int((meets | ~clean).sum())
+        flat += vals  # the segments cover each pool's blocks in order
+        failed += (meets | ~clean.reshape(k, len(plan))).sum(axis=1)
 
-    result.image = inverse_transform(zigzag_unflatten(flat), meta)
-    return result
+    return [
+        DecodeResult(
+            image=inverse_transform(zigzag_unflatten(flat[i * n : (i + 1) * n]), meta),
+            damaged_partitions=int(damaged[i]),
+            missing_strands=int(missing[i]),
+            quarantined=d.quarantined,
+            duplicates=d.duplicates,
+            segments_failed=int(failed[i]),
+        )
+        for i, d in enumerate(dis)
+    ]
 
 
 def reference_image(image: np.ndarray, quality: int = 75) -> np.ndarray:
@@ -370,20 +441,24 @@ def _primer_bounds(enc: EncodedImage) -> tuple[int, int]:
     return len(enc.mapping.fwd_primer), len(enc.mapping.rev_primer)
 
 
-def _score_trials(encs, refs, trials: int, noisy_pool) -> tuple[float, float]:
-    """Mean SSIM and its 90% CI half-width over every image x trial.
+def _score_trials(encs, refs, cells, trials: int, noisy_pool) -> list[tuple[float, float]]:
+    """Mean SSIM and its 90% CI half-width of each cell, over every image x
+    trial.
 
-    noisy_pool(ii, enc, trial) returns the noisy pool for one trial; each
-    trial seeds its own generator, so the call order cannot change a score.
+    noisy_pool(cell, ii, enc, trial) returns the noisy pool for one trial.
+    Each encoding's pools of every cell and trial go to decode_pools
+    together, built as its passes take them; each trial seeds its own
+    generator, so neither the call order nor the batching can change a
+    score, and a cell's scores stay in image-major, trial-minor order.
     """
     if trials < 1:
         raise PipelineError("trials must be >= 1")
-    scores = [
-        ssim(refs[ii], decode_pool(noisy_pool(ii, enc, trial), enc.mapping, enc.metadata).image)
-        for ii, enc in enumerate(encs)
-        for trial in range(trials)
-    ]
-    return float(np.mean(scores)), ci90_half_width(scores)
+    scores = [[] for _ in cells]
+    for ii, enc in enumerate(encs):
+        pools = (noisy_pool(cell, ii, enc, t) for cell in cells for t in range(trials))
+        for j, dec in enumerate(decode_pools(pools, enc.mapping, enc.metadata)):
+            scores[j // trials].append(ssim(refs[ii], dec.image))
+    return [(float(np.mean(s)), ci90_half_width(s)) for s in scores]
 
 
 # -------------------------------------------------------------------- sweeps
@@ -408,15 +483,15 @@ def run_sweep(
         encs = [encode_image(img, cfg) for img in images]
         refs = [reference_image(img, cfg.quality) for img in images]
         density = float(np.mean([e.payload_density for e in encs]))
-        for ri, rate in enumerate(rates):
-            channel = ChannelConfig(rate=rate)
+        channels = [ChannelConfig(rate=rate) for rate in rates]
 
-            def noisy_pool(ii, enc, trial):
-                key = np.random.SeedSequence([base_seed, pi, ri, ii, trial])
-                seed = int(key.generate_state(1)[0])
-                return perturb_pool(enc.strands, channel, seed, protect=_primer_bounds(enc))
+        def noisy_pool(ri, ii, enc, trial):
+            key = np.random.SeedSequence([base_seed, pi, ri, ii, trial])
+            seed = int(key.generate_state(1)[0])
+            return perturb_pool(enc.strands, channels[ri], seed, protect=_primer_bounds(enc))
 
-            rows.append([label, rate, *_score_trials(encs, refs, trials, noisy_pool), density])
+        scores = _score_trials(encs, refs, range(len(rates)), trials, noisy_pool)
+        rows += [[label, rate, *score, density] for rate, score in zip(rates, scores)]
     if out_path is not None:
         write_csv(out_path, SWEEP_HEADER, rows)
     return rows
@@ -502,26 +577,25 @@ def run_coefficient_isolation(
         positions = [
             [_target_positions(enc, t) for enc in encs] for t, _ in targets
         ]
-        for ri, rate in enumerate(rates):
-            for ti, (_, label) in enumerate(targets):
+        cells = [(ri, ti) for ri in range(len(rates)) for ti in range(len(targets))]
 
-                def noisy_pool(ii, enc, trial):
-                    rng = np.random.default_rng(
-                        np.random.SeedSequence([base_seed, si, ri, ti, ii, trial])
-                    )
-                    choices = positions[ti][ii]
-                    budget = max(1, round(rate * enc.payload_nt))
-                    picks = rng.choice(
-                        len(choices), size=min(budget, len(choices)), replace=False
-                    )
-                    kinds = rng.integers(0, 3, size=picks.size)
-                    hits = [
-                        (uid, pos, kind)
-                        for (uid, pos), kind in zip(choices[picks].tolist(), kinds.tolist())
-                    ]
-                    return _inject(enc.strands, hits, rng)
+        def noisy_pool(cell, ii, enc, trial):
+            ri, ti = cell
+            rng = np.random.default_rng(np.random.SeedSequence([base_seed, si, ri, ti, ii, trial]))
+            choices = positions[ti][ii]
+            budget = max(1, round(rates[ri] * enc.payload_nt))
+            picks = rng.choice(len(choices), size=min(budget, len(choices)), replace=False)
+            kinds = rng.integers(0, 3, size=picks.size)
+            hits = [
+                (uid, pos, kind)
+                for (uid, pos), kind in zip(choices[picks].tolist(), kinds.tolist())
+            ]
+            return _inject(enc.strands, hits, rng)
 
-                rows.append([scheme, label, rate, *_score_trials(encs, refs, trials, noisy_pool)])
+        scores = _score_trials(encs, refs, cells, trials, noisy_pool)
+        rows += [
+            [scheme, targets[ti][1], rates[ri], *score] for (ri, ti), score in zip(cells, scores)
+        ]
     if out_path is not None:
         write_csv(out_path, ISOLATION_HEADER, rows)
     return rows

@@ -32,14 +32,16 @@ bits come from the same words. A zero length, or a code or amplitude that
 runs past the segment, fails it. Decoded values are clamped to the valid
 coefficient range once per segment, with numpy.
 
-An AC stream cut into one-block segments (IMG-DNA's and
-NoBarrier-Separated's) is decoded in lockstep by decode_ac_blocks. Its
-segments are read from the words of their concatenation, and every
-segment keeps its own bit cursor and coefficient index: each step reads
-one codeword of every block still open with numpy gathers; both decoders
-read one table of AC symbol rules. The per-segment decoder stays the
-reference, and it decodes DC segments and Raw-DNA's single interleaved
-segment, where lockstep has few or no segments to run side by side.
+IMG-DNA's and NoBarrier-Separated's streams carry one class each and
+are decoded in lockstep, many segments side by side: the one-block AC
+segments by decode_ac_blocks and the DC segments by decode_dc_segments.
+The segments are read from the words of their concatenation, and every
+segment keeps its own bit cursor (and coefficient index, or predictor):
+each step reads one codeword of every segment still open with numpy
+gathers. decode_pools hands each of them every segment of a stream from
+all the pools of one pass. The per-segment decoder stays the reference,
+and it decodes Raw-DNA's single interleaved segment, where lockstep has
+no segments to run side by side.
 """
 
 from __future__ import annotations
@@ -249,7 +251,7 @@ def _ac_symbol_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     block. A term moves k past itself and may reach 63; ZRL moves k by 16
     and EOB by 63, and either may end the block; any other size-0 symbol
     fails."""
-    sym = np.arange(256)
+    sym = np.arange(256, dtype=np.int32)
     size = sym & 0xF
     advance = np.where(size > 0, (sym >> 4) + 1, 16)
     advance[EOB] = 63
@@ -465,7 +467,9 @@ def decode_ac_blocks(
     and a coefficient index k, and each step reads one codeword for every
     block still open, with numpy gathers over their cursors; a block
     leaves when it fails or k reaches 63. Amplitudes are read after the
-    loop, from the bit position and size each term left behind.
+    loop, from the bit position and size each term left behind. Cursors
+    and terms are int32, which halves the term lists of a large batch and
+    holds the bit positions of up to 2**28 bytes of segments.
 
     The segments are read from the words of their concatenation, so a
     cursor's window runs on into the next segment where decode_segment
@@ -473,12 +477,12 @@ def decode_ac_blocks(
     window, so one that fits in the segment is found whatever follows,
     and when none fits the lookup gives length 0 or a code past the end.
     """
-    nbytes = np.array([len(d) for d in datas], dtype=np.int64)
+    nbytes = np.array([len(d) for d in datas], dtype=np.int32)
     words = _words(b"".join(datas))
-    pos = 8 * (np.cumsum(nbytes) - nbytes)
+    pos = 8 * (np.cumsum(nbytes, dtype=np.int32) - nbytes)
     end = pos + 8 * nbytes
     syms, lens = (np.frombuffer(t, dtype=np.uint8) for t in ac_table.lookup())
-    seg = np.arange(len(datas))
+    seg = np.arange(len(datas), dtype=np.int32)
     k = np.zeros_like(seg)
     clean = np.zeros(len(datas), dtype=bool)
     terms = [(seg[:0], pos[:0], k[:0])]  # (row * 64 + column, bit position, size)
@@ -498,9 +502,64 @@ def decode_ac_blocks(
         ok &= ~closed
         seg, pos, end, k = seg[ok], pos[ok], end[ok], k[ok]
     cell, at, size = (np.concatenate(column) for column in zip(*terms))
+    del terms
     bits = (words[at >> 3] >> (24 - (at & 7) - size)) & ((1 << size) - 1)
     out = np.zeros((len(datas), 64), dtype=np.int32)
     out.flat[cell] = np.where(bits >> (size - 1), bits, bits - (1 << size) + 1)
     bound = coefficient_bounds(quant_zig)
     np.clip(out, -bound, bound, out=out)
     return out, clean
+
+
+def decode_dc_segments(
+    datas: list[bytes], dc_table: HuffmanTable, counts, quant_zig: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode DC-only segments in lockstep: ((sum(counts), 64) rows, clean
+    flags), segment i's counts[i] rows first.
+
+    Segment i's rows and clean[i] equal decode_segment(datas[i], dc_table,
+    None, counts[i], quant_zig), under _dc_diff's rules. Every segment
+    keeps a bit cursor, its next row and its predictor, and each step
+    reads one difference of every segment still open with numpy gathers:
+    the predictor is clamped to the DC bound at every step, as it chains,
+    and a failed segment freezes it over its remaining rows. The segments
+    are read from the words of their concatenation, which changes no
+    result, as in decode_ac_blocks.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    nbytes = np.array([len(d) for d in datas], dtype=np.int64)
+    words = _words(b"".join(datas))
+    syms, lens = (np.frombuffer(t, dtype=np.uint8) for t in dc_table.lookup())
+    bound = int(coefficient_bounds(quant_zig)[0])
+    first = np.cumsum(counts) - counts  # each segment's first row
+    dc = np.zeros(int(counts.sum()), dtype=np.int64)
+    frozen = np.zeros(len(datas), dtype=np.int64)  # the predictor at a failure
+    fail = first + counts  # the first row a failure leaves frozen
+    seg = np.flatnonzero(counts > 0)
+    pos = 8 * (np.cumsum(nbytes) - nbytes)[seg]
+    end = pos + 8 * nbytes[seg]
+    row = first[seg]
+    prev = np.zeros(seg.size, dtype=np.int64)
+    while seg.size:
+        window = (words[pos >> 3] >> (8 - (pos & 7))) & 0xFFFF
+        size = syms[window].astype(np.int64)
+        ln = lens[window]
+        pos += ln
+        ok = (ln > 0) & (pos + size <= end)
+        frozen[seg[~ok]], fail[seg[~ok]] = prev[~ok], row[~ok]
+        seg, pos, end, row, prev, size = (a[ok] for a in (seg, pos, end, row, prev, size))
+        top = np.minimum(size, 16)  # see _dc_diff
+        bits = (words[pos >> 3] >> (24 - (pos & 7) - top)) & ((1 << top) - 1)
+        diff = np.where(bits >> np.maximum(top - 1, 0), bits, bits - (1 << top) + 1)
+        prev = np.clip(prev + diff, -bound, bound)
+        dc[row] = prev
+        pos += size
+        row += 1
+        more = row < fail[seg]
+        seg, pos, end, row, prev = (a[more] for a in (seg, pos, end, row, prev))
+    owner = np.repeat(np.arange(len(datas)), counts)
+    after = np.arange(dc.size) >= fail[owner]
+    dc[after] = frozen[owner[after]]
+    out = np.zeros((dc.size, 64), dtype=np.int32)
+    out[:, 0] = dc
+    return out, fail == first + counts

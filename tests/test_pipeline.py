@@ -23,6 +23,7 @@ from imgdna.pipeline import (
     ExperimentConfig,
     PipelineError,
     decode_pool,
+    decode_pools,
     encode_image,
     reference_image,
     run_coefficient_isolation,
@@ -267,6 +268,50 @@ def test_read_order_carries_nothing(scheme):
     assert np.array_equal(dec.image, ordered.image)
     assert replace(dec, image=None) == replace(ordered, image=None)
     assert ordered.damaged_partitions > 0  # the pool is noisy
+
+
+def _mixed_pools(enc):
+    """Pools of one encoding: clean, 0.5% and 5% noise, empty, without the
+    last stream's strands, and three noisy copies of every strand."""
+    protect = _primer_bounds(enc)
+    noisy = [
+        perturb_pool(enc.strands, ChannelConfig(rate=rate), seed, protect=protect)
+        for seed, rate in ((1, 0.005), (2, 0.05))
+    ]
+    last = enc.mapping.layouts()[1][enc.mapping.streams[-1].stream_id][2]
+    dropped = [strand for uid, strand in enumerate(enc.strands) if uid not in last]
+    copies = perturb_pool(enc.strands, ChannelConfig(rate=0.01, copies=3), 3, protect=protect)
+    return [list(enc.strands), *noisy, [], dropped, copies]
+
+
+def _fields(dec):
+    return (dec.image.shape, dec.image.tobytes(), replace(dec, image=None))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_decode_pools_equals_one_pool_at_a_time(scheme, odd_image, monkeypatch):
+    enc = encode_image(odd_image, ExperimentConfig(scheme=scheme))
+    pools = _mixed_pools(enc)
+    want = [_fields(decode_pool(pool, enc.mapping, enc.metadata)) for pool in pools]
+    assert [_fields(dec) for dec in decode_pools(pools, enc.mapping, enc.metadata)] == want
+    assert want[0][2].damaged_partitions == 0 and want[2][2].segments_failed > 0
+    assert want[3][2].missing_strands == len(enc.strands)
+    assert decode_pools([], enc.mapping, enc.metadata) == []
+
+    # under a cap of two pools' reads, the batch takes three passes, the
+    # last one the copies=3 pool alone, which is over the cap
+    passes = []
+    decode_pass = pipeline._decode_pass
+
+    def spy(dis, *args):
+        passes.append(len(dis))
+        return decode_pass(dis, *args)
+
+    monkeypatch.setattr(pipeline, "_decode_pass", spy)
+    monkeypatch.setattr(pipeline, "DECODE_BATCH_READS", 2 * len(enc.strands))
+    got = decode_pools(iter(pools), enc.mapping, enc.metadata)
+    assert [_fields(dec) for dec in got] == want
+    assert passes == [2, 3, 1]
 
 
 # each edit breaks a mapping and returns the start of the error it raises

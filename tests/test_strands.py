@@ -209,6 +209,51 @@ def test_index_indel_failure_rate_is_small():
     assert gave_up / trials < 0.01, gave_up
 
 
+def _single_edit_regions(width, seed):
+    """(values, regions): every value's index code with each single
+    substitution, deletion or insertion inside it, followed by every
+    2-nucleotide payload tail and cut to the 3 * width + 1 nucleotides
+    route_reads decodes, each distinct (value, region) pair once."""
+    codes = _index_codes(width, seed, 3**width)
+    n, count = 3 * width, len(codes)
+    tails = np.array([(a, b) for a in range(4) for b in range(4)], dtype=np.uint8)
+    values, regions = [], []
+
+    def add(edited):  # each edited code followed by each tail
+        rows = np.column_stack([np.repeat(edited, len(tails), axis=0), np.tile(tails, (count, 1))])
+        regions.append(rows[:, : n + 1])
+        values.append(np.repeat(np.arange(count), len(tails)))
+
+    for p in range(n):
+        add(np.delete(codes, p, axis=1))
+        for d in (1, 2, 3):
+            sub = codes.copy()
+            sub[:, p] = (sub[:, p] + d) % 4
+            add(sub)
+    for p in range(n + 1):
+        for x in range(4):
+            add(np.insert(codes, p, x, axis=1))
+    values, regions = np.concatenate(values), np.concatenate(regions)
+    keys = values * 4 ** (n + 1) + regions @ 4 ** np.arange(n, -1, -1, dtype=np.int64)
+    _, first = np.unique(keys, return_index=True)
+    return values[first], regions[first]
+
+
+def test_no_single_edit_in_a_width_4_index_routes_to_another_value():
+    # exhaustive at the smallest width a 32x32 crop or larger gets: the
+    # exact lookup, then the vote, as route_reads does; at widths 2 and 3
+    # a few single-edit regions do decode to another value
+    width = 4
+    for seed in range(4):
+        values, regions = _single_edit_regions(width, seed)
+        got = _exact_values(regions, width, seed, 3**width)
+        misses = got < 0
+        got[misses] = decode_index(regions[misses], width, seed, 3**width)
+        misrouted = (got >= 0) & (got != values)
+        assert not misrouted.any(), (seed, values[misrouted][:5], got[misrouted][:5])
+        assert len(values) > 27_000
+
+
 def _assert_exact_reads_match_votes(width, seed):
     # the largest limit index_width_for can produce, and every value under
     # it: the exact table route_reads looks up and the voting decoder agree
@@ -404,8 +449,8 @@ def test_voting_decoder_of_a_mixed_batch_matches_scalar_reference(width):
     # lowest limit, rows whose every window votes at or above it, all in
     # one call. Below width 3 some window always votes below the limit: at
     # width 1, copies 0, 1 and 2 all decode nucleotide 1, under three
-    # different masks. Only at width 1 can two candidates pass the one-edit
-    # check, so only there does the vote's order show
+    # different masks. Below width 4 two candidates can pass the one-edit
+    # check, so there the vote's order can show
     rng = np.random.default_rng(width)
     for limit in sorted({3**width, 3**width - 1, max(1, (3**width - 1) // 3)}):
         kinds_used = 4 if width >= 3 and limit < 3**width // 2 else 3

@@ -17,6 +17,7 @@ from imgdna.streams import (
     _words,
     build_tables,
     decode_ac_blocks,
+    decode_dc_segments,
     decode_segment,
     encode_segments,
     symbol_counts,
@@ -860,3 +861,89 @@ def test_lockstep_ac_decode_clamps_like_segment_decoder(monkeypatch):
     bound = coefficient_bounds(quant_zig)
     assert (np.abs(rows) == bound).any()
     assert (np.abs(rows) <= bound).all()
+
+
+def _assert_dc_lockstep_matches_segment_decoder(datas, counts, dc_table, quant_zig):
+    rows, clean = decode_dc_segments(datas, dc_table, counts, quant_zig)
+    assert rows.shape == (sum(counts), 64) and clean.shape == (len(datas),)
+    at = 0
+    for data, count, ok in zip(datas, counts, clean):
+        want, want_ok = decode_segment(data, dc_table, None, count, quant_zig)
+        assert ok == want_ok
+        assert np.array_equal(rows[at : at + count], want)
+        at += count
+    return rows, clean
+
+
+_DC_SEGMENT_SPECS = st.lists(
+    st.tuples(
+        st.sampled_from(["junk", "cut", "flip"]),
+        st.binary(max_size=24),
+        st.integers(0, 2**16),  # first block
+        st.integers(0, 12),  # block count
+        st.integers(0, 2**16),  # where to cut or flip
+    ),
+    max_size=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_IMAGES, _QUALITIES, _DC_SEGMENT_SPECS)
+def test_lockstep_dc_decode_matches_segment_decoder_on_junk(image, quality, specs):
+    # real DC segments cut short or with a bit flipped, and junk bytes, of
+    # 0 to 12 blocks each, decoded side by side
+    flat, dc_table, _, quant_zig = _corpus_case(image, quality)
+    datas, counts = [], []
+    for kind, junk, block, count, at in specs:
+        b = block % (len(flat) - count + 1)
+        data = encode_segment(flat[b : b + count], dc_table, None)
+        if kind == "junk":
+            data = junk
+        elif kind == "cut":
+            data = data[: at % (len(data) + 1)]
+        elif data:
+            flipped = bytearray(data)
+            flipped[at % len(data)] ^= 1 << (at >> 8) % 8
+            data = bytes(flipped)
+        datas.append(data)
+        counts.append(count)
+    _assert_dc_lockstep_matches_segment_decoder(datas, counts, dc_table, quant_zig)
+
+
+def test_lockstep_dc_decode_edge_cases():
+    # categories 0, 5 and 11 have the codewords 00, 01 and 10, and a
+    # quantizer of 200 clamps DC values at +-6
+    table = HuffmanTable({0: 2, 5: 2, 11: 2})
+    quant_zig = np.full(64, 200)
+    cases = [
+        (b"", 0, True, []),  # no blocks
+        (b"", 2, False, [0, 0]),  # no codeword at all
+        (b"\x7f", 1, True, [6]),  # 01 11111: +31 clamps to +6
+        (b"\x5f", 1, True, [-6]),  # 01 01111: -16 clamps to -6
+        (b"\x7c", 2, False, [6, 6]),  # +30 clamps, then the code runs out
+        # 10 wants 11 amplitude bits and 6 are left: the segment ends
+        # mid-amplitude, though the next segment's bytes follow it
+        (b"\x80", 1, False, [0]),
+        (b"\x00\x00", 3, True, [0, 0, 0]),
+    ]
+    datas, counts, clean, dc = zip(*cases)
+    rows, got = _assert_dc_lockstep_matches_segment_decoder(
+        list(datas), list(counts), table, quant_zig
+    )
+    assert got.tolist() == list(clean)
+    assert rows[:, 0].tolist() == [v for values in dc for v in values]
+    assert not rows[:, 1:].any()
+
+
+def test_lockstep_dc_decode_of_wide_categories_matches_segment_decoder():
+    # categories above 16 come only from hand-made tables (see _dc_diff)
+    dc_table = HuffmanTable({0: 2, 3: 2, 17: 2, 20: 3, 255: 3})
+    rng = np.random.default_rng(11)
+    for quant_zig in (_ONES, np.full(64, 200)):
+        counts = rng.integers(0, 9, size=300).tolist()
+        datas = [rng.bytes(int(n)) for n in rng.integers(0, 40, size=300)]
+        rows, clean = _assert_dc_lockstep_matches_segment_decoder(
+            datas, counts, dc_table, quant_zig
+        )
+        bound = coefficient_bounds(quant_zig)[0]
+        assert (np.abs(rows[:, 0]) == bound).any() and clean.any() and not clean.all()
