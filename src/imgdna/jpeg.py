@@ -40,7 +40,6 @@ def _zigzag_order() -> np.ndarray:
 
 
 ZIGZAG = _zigzag_order()
-UNZIGZAG = np.argsort(ZIGZAG)
 
 
 @dataclass

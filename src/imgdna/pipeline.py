@@ -25,12 +25,12 @@ segment size below 1, other than one trit count per segment, a negative
 trit count, a strand layout no strand can hold, or a scheme or stream ids
 stream_classes does not give. That table says which streams a scheme has
 and which coefficient classes each carries; barrier layouts, segment
-plans, code tables, decoders and targeted injection all read it. An
-AC-only stream of one-block segments goes to the lockstep decoder
-decode_ac_blocks and a DC-only stream to decode_dc_segments. Segment
-extents live in the mapping sidecar (the error-free side channel), so
-the decoder can carve the repaired trit stream back into segments
-whatever the noisy channel did to its strands.
+plans, code tables, the decoder's tables and targeted injection all read
+it. Each stream's segments go to one decode_segments call, which decodes
+a one-class stream in lockstep, with any segment size. Segment extents
+live in the mapping sidecar (the error-free side channel), so the decoder
+can carve the repaired trit stream back into segments whatever the noisy
+channel did to its strands.
 
 A pool is a flat sequence of reads, as perturb_pool and _inject return it;
 decode_pools routes each read by its own index and votes per slot among the
@@ -87,9 +87,7 @@ from .strands import (
 from .streams import (
     HuffmanTable,
     build_tables,
-    decode_ac_blocks,
-    decode_dc_segments,
-    decode_segment,
+    decode_segments,
     encode_segments,
     zigzag_flatten,
     zigzag_unflatten,
@@ -311,11 +309,10 @@ def decode_pools(pools, mapping: MappingTable, meta: ImageMetadata) -> list[Deco
     once. Each pool is routed by its own disassemble_pool call as it is
     taken, so its reads can go; then a pass decodes all of its pools'
     strands together: per stream, one resync_reads call for the full
-    strands and one for the final ones, and one decoder call over every
-    segment (decode_ac_blocks, decode_dc_segments or, for Raw-DNA's
-    interleaved segment, decode_segment per segment). Each pool's trits
-    are cut into segments on their own, so trits_to_segments' working
-    arrays stay one pool long. Every result equals decode_pool's.
+    strands and one for the final ones, and one decode_segments call over
+    every segment. Each pool's trits are cut into segments on their own,
+    so trits_to_segments' working arrays stay one pool long. Every result
+    equals decode_pool's.
     """
     plans = _check_mapping(mapping, meta)
     geom, layouts = mapping.layouts()
@@ -386,19 +383,9 @@ def _decode_pass(dis, mapping, meta, plans, layouts, tables) -> list[DecodeResul
         meets = lost[:, stop] > lost[:, first]
         # each coefficient class comes from one stream, and a segment
         # leaves the class it does not carry at 0
-        if not dc and sm.segment_blocks == 1:
-            vals, clean = decode_ac_blocks(datas, ac_table, quant_zig)
-        elif not ac:
-            counts = [b1 - b0 for b0, b1 in plan] * k
-            vals, clean = decode_dc_segments(datas, dc_table, counts, quant_zig)
-        else:
-            tabs = (dc_table if dc else None, ac_table)
-            decoded = [
-                decode_segment(data, *tabs, b1 - b0, quant_zig)
-                for (b0, b1), data in zip(plan * k, datas)
-            ]
-            vals = np.concatenate([v for v, _ in decoded])
-            clean = np.array([c for _, c in decoded], dtype=bool)
+        counts = [b1 - b0 for b0, b1 in plan] * k
+        tabs = (dc_table if dc else None, ac_table if ac else None)
+        vals, clean = decode_segments(datas, counts, *tabs, quant_zig)
         flat += vals  # the segments cover each pool's blocks in order
         failed += (meets | ~clean.reshape(k, len(plan))).sum(axis=1)
 

@@ -24,24 +24,20 @@ AC term's ZRLs and symbol, then EOB. Each field is OR-ed into the bytes
 as a 40-bit window at its first byte, and padding joins a segment's last
 field.
 
-Decoding is table-driven. A segment becomes a list of 24-bit big-endian
-words, one at each byte offset and padded with 1 bits past the end, read
-through a plain int bit position. The next 16 bits index two 65,536-entry
-lookups that give the symbol and its code length at once, and amplitude
-bits come from the same words. A zero length, or a code or amplitude that
-runs past the segment, fails it. Decoded values are clamped to the valid
-coefficient range once per segment, with numpy.
+Decoding is table-driven. A segment's bits are read through 24-bit
+big-endian words, one at each byte offset and padded with 1 bits past the
+end. The next 16 bits index two 65,536-entry lookups that give the symbol
+and its code length at once, and amplitude bits come from the same words.
+A zero length, or a code or amplitude that runs past the segment, fails
+it. decode_segment reads one segment through a plain int bit position;
+it decodes Raw-DNA's interleaved segment and is the tests' reference.
 
-IMG-DNA's and NoBarrier-Separated's streams carry one class each and
-are decoded in lockstep, many segments side by side: the one-block AC
-segments by decode_ac_blocks and the DC segments by decode_dc_segments.
-The segments are read from the words of their concatenation, and every
-segment keeps its own bit cursor (and coefficient index, or predictor):
-each step reads one codeword of every segment still open with numpy
-gathers. decode_pools hands each of them every segment of a stream from
-all the pools of one pass. The per-segment decoder stays the reference,
-and it decodes Raw-DNA's single interleaved segment, where lockstep has
-no segments to run side by side.
+decode_segments decodes every segment of a stream in one call: one-class
+segments, IMG-DNA's and NoBarrier-Separated's DC and AC streams, in
+lockstep, block j of every segment at once under a per-symbol rule table,
+and interleaved ones through decode_segment, one at a time, as each pool
+has only one. decode_pools hands it every segment of a stream from all
+the pools of one pass.
 """
 
 from __future__ import annotations
@@ -245,13 +241,16 @@ def _dc_diff(words: list[int], pos: int, nbits: int, syms: bytes, lens: bytes):
     return (bits if bits >> (top - 1) else bits - (1 << top) + 1), pos + size
 
 
+_NO_CODE = 256  # the symbol of a window that starts no codeword; it fails
+
+
 def _ac_symbol_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per AC symbol: its amplitude size, how far it moves the coefficient
     index k, and the highest k that move may reach without failing the
     block. A term moves k past itself and may reach 63; ZRL moves k by 16
-    and EOB by 63, and either may end the block; any other size-0 symbol
-    fails."""
-    sym = np.arange(256, dtype=np.int32)
+    and EOB by 63, and either may end the block; any other size-0 symbol,
+    _NO_CODE among them, fails."""
+    sym = np.arange(_NO_CODE + 1)
     size = sym & 0xF
     advance = np.where(size > 0, (sym >> 4) + 1, 16)
     advance[EOB] = 63
@@ -260,8 +259,16 @@ def _ac_symbol_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return size, advance, limit
 
 
-_AC_SIZE, _AC_ADVANCE, _AC_LIMIT = _ac_symbol_rules()
-_AC_RULE_LISTS = _AC_SIZE.tolist(), _AC_ADVANCE.tolist(), _AC_LIMIT.tolist()
+def _dc_symbol_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per DC symbol, as _ac_symbol_rules: its amplitude size is its
+    category, and its one difference moves k to 63, which ends the block;
+    _NO_CODE fails."""
+    sym = np.arange(_NO_CODE + 1)
+    return sym, np.full(sym.size, 63), np.where(sym < _NO_CODE, 63, -1)
+
+
+_AC_RULES, _DC_RULES = _ac_symbol_rules(), _dc_symbol_rules()
+_AC_RULE_LISTS = tuple(rule.tolist() for rule in _AC_RULES)
 
 
 def _ac_block(
@@ -457,109 +464,108 @@ def decode_segment(
     return out, pos >= 0
 
 
-def decode_ac_blocks(
-    datas: list[bytes], ac_table: HuffmanTable, quant_zig: np.ndarray
+def decode_segments(
+    datas: list[bytes],
+    counts,
+    dc_table: HuffmanTable | None,
+    ac_table: HuffmanTable | None,
+    quant_zig: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decode one-block AC segments in lockstep: ((n, 64) rows, clean flags).
+    """Decode segment i of counts[i] blocks from datas[i], for every i:
+    ((sum(counts), 64) rows, clean flags), segment i's rows in order.
 
-    Row i and clean[i] equal decode_segment(datas[i], None, ac_table, 1,
-    quant_zig), under _ac_block's rules. Every segment keeps a bit cursor
-    and a coefficient index k, and each step reads one codeword for every
-    block still open, with numpy gathers over their cursors; a block
-    leaves when it fails or k reaches 63. Amplitudes are read after the
-    loop, from the bit position and size each term left behind. Cursors
-    and terms are int32, which halves the term lists of a large batch and
-    holds the bit positions of up to 2**28 bytes of segments.
+    Segment i's rows and clean[i] equal decode_segment(datas[i], dc_table,
+    ac_table, counts[i], quant_zig). Interleaved segments go through
+    decode_segment one at a time. One-class segments are decoded in
+    lockstep, block j of every segment at once: each cursor holds a bit
+    position and a coefficient index k, and each step reads one codeword
+    of every open block with numpy gathers, under the symbol's rules (see
+    _ac_symbol_rules; a DC difference moves k to 63). A block closes when
+    k reaches 63, and a segment leaves when a block fails. Every codeword
+    read is kept with its row, k, bit position, size and check; after the
+    loop the ones that passed with a size are the terms. Their amplitudes
+    are read, AC terms scattered into column k and clamped, and DC
+    differences chained down each segment's rows, clamped at every row.
+    The blocks after a failure get no terms, so AC rows stay zero and the
+    DC predictor stays frozen. Cursors are intp, which numpy gathers with
+    fastest, and the terms int32 after the loop, which holds the bit
+    positions of up to 2**28 bytes of segments.
 
     The segments are read from the words of their concatenation, so a
     cursor's window runs on into the next segment where decode_segment
     sees 1 bits. That changes no result: a codeword is a prefix of its
     window, so one that fits in the segment is found whatever follows,
-    and when none fits the lookup gives length 0 or a code past the end.
-    """
-    nbytes = np.array([len(d) for d in datas], dtype=np.int32)
-    words = _words(b"".join(datas))
-    pos = 8 * (np.cumsum(nbytes, dtype=np.int32) - nbytes)
-    end = pos + 8 * nbytes
-    syms, lens = (np.frombuffer(t, dtype=np.uint8) for t in ac_table.lookup())
-    seg = np.arange(len(datas), dtype=np.int32)
-    k = np.zeros_like(seg)
-    clean = np.zeros(len(datas), dtype=bool)
-    terms = [(seg[:0], pos[:0], k[:0])]  # (row * 64 + column, bit position, size)
-    while seg.size:
-        window = (words[pos >> 3] >> (8 - (pos & 7))) & 0xFFFF
-        sym = syms[window]
-        ln = lens[window]
-        size = _AC_SIZE[sym]
-        pos += ln
-        k += _AC_ADVANCE[sym]
-        ok = (ln > 0) & (pos + size <= end) & (k <= _AC_LIMIT[sym])
-        term = ok & (size > 0)  # its column is the new k: its index plus 1
-        terms.append((64 * seg[term] + k[term], pos[term], size[term]))
-        pos += size
-        closed = k >= 63
-        clean[seg[ok & closed]] = True
-        ok &= ~closed
-        seg, pos, end, k = seg[ok], pos[ok], end[ok], k[ok]
-    cell, at, size = (np.concatenate(column) for column in zip(*terms))
-    del terms
-    bits = (words[at >> 3] >> (24 - (at & 7) - size)) & ((1 << size) - 1)
-    out = np.zeros((len(datas), 64), dtype=np.int32)
-    out.flat[cell] = np.where(bits >> (size - 1), bits, bits - (1 << size) + 1)
-    bound = coefficient_bounds(quant_zig)
-    np.clip(out, -bound, bound, out=out)
-    return out, clean
-
-
-def decode_dc_segments(
-    datas: list[bytes], dc_table: HuffmanTable, counts, quant_zig: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decode DC-only segments in lockstep: ((sum(counts), 64) rows, clean
-    flags), segment i's counts[i] rows first.
-
-    Segment i's rows and clean[i] equal decode_segment(datas[i], dc_table,
-    None, counts[i], quant_zig), under _dc_diff's rules. Every segment
-    keeps a bit cursor, its next row and its predictor, and each step
-    reads one difference of every segment still open with numpy gathers:
-    the predictor is clamped to the DC bound at every step, as it chains,
-    and a failed segment freezes it over its remaining rows. The segments
-    are read from the words of their concatenation, which changes no
-    result, as in decode_ac_blocks.
+    and when none fits the lookup gives _NO_CODE or a code past the end.
     """
     counts = np.asarray(counts, dtype=np.int64)
+    if (dc_table is None) == (ac_table is None):  # both classes, or neither
+        decoded = [
+            decode_segment(data, dc_table, ac_table, count, quant_zig)
+            for data, count in zip(datas, counts.tolist())
+        ]
+        rows = [np.zeros((0, 64), dtype=np.int32)] + [v for v, _ in decoded]
+        return np.concatenate(rows), np.array([ok for _, ok in decoded], dtype=bool)
+    dc = dc_table is not None
+    size_of, advance, limit = _DC_RULES if dc else _AC_RULES
+    table = dc_table if dc else ac_table
+    syms, lens = (np.frombuffer(t, dtype=np.uint8) for t in table.lookup())
+    syms = syms.astype(np.intp)
+    # canonical codewords cover the first windows in order, so the windows
+    # that start no codeword are the last ones
+    syms[np.count_nonzero(lens) :] = _NO_CODE
     nbytes = np.array([len(d) for d in datas], dtype=np.int64)
     words = _words(b"".join(datas))
-    syms, lens = (np.frombuffer(t, dtype=np.uint8) for t in dc_table.lookup())
-    bound = int(coefficient_bounds(quant_zig)[0])
+    start = 8 * (np.cumsum(nbytes) - nbytes)
+    stop = start + 8 * nbytes
     first = np.cumsum(counts) - counts  # each segment's first row
-    dc = np.zeros(int(counts.sum()), dtype=np.int64)
-    frozen = np.zeros(len(datas), dtype=np.int64)  # the predictor at a failure
-    fail = first + counts  # the first row a failure leaves frozen
-    seg = np.flatnonzero(counts > 0)
-    pos = 8 * (np.cumsum(nbytes) - nbytes)[seg]
-    end = pos + 8 * nbytes[seg]
-    row = first[seg]
-    prev = np.zeros(seg.size, dtype=np.int64)
-    while seg.size:
-        window = (words[pos >> 3] >> (8 - (pos & 7))) & 0xFFFF
-        size = syms[window].astype(np.int64)
-        ln = lens[window]
-        pos += ln
-        ok = (ln > 0) & (pos + size <= end)
-        frozen[seg[~ok]], fail[seg[~ok]] = prev[~ok], row[~ok]
-        seg, pos, end, row, prev, size = (a[ok] for a in (seg, pos, end, row, prev, size))
-        top = np.minimum(size, 16)  # see _dc_diff
-        bits = (words[pos >> 3] >> (24 - (pos & 7) - top)) & ((1 << top) - 1)
-        diff = np.where(bits >> np.maximum(top - 1, 0), bits, bits - (1 << top) + 1)
-        prev = np.clip(prev + diff, -bound, bound)
-        dc[row] = prev
-        pos += size
-        row += 1
-        more = row < fail[seg]
-        seg, pos, end, row, prev = (a[more] for a in (seg, pos, end, row, prev))
-    owner = np.repeat(np.arange(len(datas)), counts)
-    after = np.arange(dc.size) >= fail[owner]
-    dc[after] = frozen[owner[after]]
-    out = np.zeros((dc.size, 64), dtype=np.int32)
-    out[:, 0] = dc
-    return out, fail == first + counts
+    total, width = int(counts.sum()), int(counts.max(initial=0))
+    # the bit position after each row's block, -1 until it closes cleanly;
+    # one slot more, so a segment of no blocks reads a valid index
+    after = np.full(total + 1, -1)
+    steps = [(first[:0],) * 4 + (first[:0] > 0,)]  # (row, k, bit position, size, ok)
+    seg = np.flatnonzero(counts > 0)  # segments whose block j is next
+    for j in range(width):
+        block = first[seg] + j
+        row, end, k = block, stop[seg], np.zeros_like(block)
+        pos = after[block - 1] if j else start[seg]
+        while row.size:
+            window = (words[pos >> 3] >> (8 - (pos & 7))) & 0xFFFF
+            sym = syms[window]
+            size = size_of[sym]
+            pos += lens[window]
+            k = k + advance[sym]
+            nxt = pos + size
+            ok = (nxt <= end) & (k <= limit[sym])
+            steps.append((row, k, pos, size, ok))
+            after[row] = np.where(ok, nxt, -1)
+            ok = ok & (k < 63)
+            row, pos, end, k = row[ok], nxt[ok], end[ok], k[ok]
+        seg = seg[(after[block] >= 0) & (counts[seg] > j + 1)]
+    *columns, ok = zip(*steps)
+    row, k, at, size = (np.concatenate(column, dtype=np.int32) for column in columns)
+    ok = np.concatenate(ok)
+    del steps
+    term = ok & (size > 0)
+    cell, at, size = (row[term] << 6) + k[term], at[term], size[term]
+    top = np.minimum(size, 16)  # see _dc_diff
+    mask = (1 << top) - 1
+    bits = (words[at >> 3] >> (24 - (at & 7) - top)) & mask
+    values = bits - (bits <= mask >> 1) * mask  # below half of the range: negative
+    bound = coefficient_bounds(quant_zig).astype(np.int32)
+    out = np.zeros((total, 64), dtype=np.int32)
+    if dc:
+        lanes = np.zeros((len(counts), width), dtype=np.int32)  # one per segment
+        valid = np.arange(width) < counts[:, None]
+        diffs = np.zeros(total, dtype=np.int32)
+        diffs[cell >> 6] = values
+        lanes[valid] = diffs
+        prev = np.zeros(len(counts), dtype=np.int32)
+        for j in range(width):
+            prev += lanes[:, j]
+            np.clip(prev, -bound[0], bound[0], out=prev)
+            lanes[:, j] = prev
+        out[:, 0] = lanes[valid]
+    else:
+        out.reshape(-1)[cell] = values
+        np.clip(out, -bound, bound, out=out)
+    return out, (counts == 0) | (after[first + counts - 1] >= 0)

@@ -38,7 +38,6 @@ def _build_code() -> tuple[np.ndarray, dict[int, tuple[int, int]]]:
 
 _ALL_LENGTHS, _CODES = _build_code()
 CODE_LENGTHS = _ALL_LENGTHS[:256].copy()  # per byte value; dummy excluded
-DUMMY_LENGTH = int(_ALL_LENGTHS[DUMMY_SYMBOL])
 MAX_LENGTH = int(_ALL_LENGTHS.max())
 
 MEAN_CODE_LENGTH = float(CODE_LENGTHS.mean())

@@ -16,9 +16,8 @@ from imgdna.streams import (
     HuffmanTable,
     _words,
     build_tables,
-    decode_ac_blocks,
-    decode_dc_segments,
     decode_segment,
+    decode_segments,
     encode_segments,
     symbol_counts,
     zigzag_flatten,
@@ -757,33 +756,37 @@ def test_encode_segments_reject_symbols_without_a_codeword():
         encode_segment(flat, None, ac_table)
 
 
-# -- lockstep AC decoder against the segment decoder ---------------------------
+# -- lockstep decoder against the segment decoder -----------------------------
 
 
-def _assert_lockstep_matches_segment_decoder(datas, ac_table, quant_zig):
-    rows, clean = decode_ac_blocks(datas, ac_table, quant_zig)
-    assert rows.shape == (len(datas), 64) and clean.shape == (len(datas),)
-    for data, row, ok in zip(datas, rows, clean):
-        want, want_ok = decode_segment(data, None, ac_table, 1, quant_zig)
+def _assert_lockstep_matches_segment_decoder(datas, counts, dc_table, ac_table, quant_zig):
+    rows, clean = decode_segments(datas, counts, dc_table, ac_table, quant_zig)
+    assert rows.shape == (sum(counts), 64) and clean.shape == (len(datas),)
+    at = 0
+    for data, count, ok in zip(datas, counts, clean):
+        want, want_ok = decode_segment(data, dc_table, ac_table, count, quant_zig)
         assert ok == want_ok
-        assert np.array_equal(row, want[0])
+        assert np.array_equal(rows[at : at + count], want)
+        at += count
     return rows, clean
 
 
 def _decoded_ac_streams(monkeypatch, image, scheme, rate):
-    """The AC segments decode_pool hands to decode_ac_blocks for one noisy pool."""
+    """The AC segments decode_pool hands to decode_segments for one noisy pool."""
     calls = []
 
-    def spy(datas, ac_table, quant_zig):
-        calls.append((datas, ac_table, quant_zig))
-        return decode_ac_blocks(datas, ac_table, quant_zig)
+    def spy(datas, counts, dc_table, ac_table, quant_zig):
+        calls.append((datas, counts, dc_table, ac_table, quant_zig))
+        return decode_segments(datas, counts, dc_table, ac_table, quant_zig)
 
-    monkeypatch.setattr(pipeline, "decode_ac_blocks", spy)
+    monkeypatch.setattr(pipeline, "decode_segments", spy)
     enc = pipeline.encode_image(corpus_image(image), pipeline.ExperimentConfig(scheme=scheme))
     pool = perturb_pool(enc.strands, ChannelConfig(rate=rate), 17, pipeline._primer_bounds(enc))
     pipeline.decode_pool(pool, enc.mapping, enc.metadata)
-    assert len(calls) == 1  # the AC stream, and only it
-    return calls[0]
+    assert len(calls) == 2  # one call per stream
+    [(datas, counts, dc_table, ac_table, quant_zig)] = [c for c in calls if c[3] is not None]
+    assert dc_table is None and set(counts) == {1}
+    return datas, ac_table, quant_zig
 
 
 @pytest.mark.parametrize("scheme", [pipeline.SCHEME_IMG_DNA, pipeline.SCHEME_NO_BARRIER])
@@ -793,40 +796,54 @@ def test_lockstep_ac_decode_matches_segment_decoder_on_noisy_streams(
     monkeypatch, scheme, image, rate
 ):
     datas, ac_table, quant_zig = _decoded_ac_streams(monkeypatch, image, scheme, rate)
-    _, clean = _assert_lockstep_matches_segment_decoder(datas, ac_table, quant_zig)
+    _, clean = _assert_lockstep_matches_segment_decoder(
+        datas, [1] * len(datas), None, ac_table, quant_zig
+    )
     assert clean.all() == (rate == 0)
-
-
-def _ac_segment(case, spec):
-    """One AC segment: junk bytes, a run of 0xFF bytes (empty at length 0),
-    or one real block's segment cut after some bytes."""
-    kind, junk, block, cut = spec
-    if kind == "junk":
-        return junk
-    if kind == "ones":
-        return b"\xff" * cut
-    flat, _, ac_table, _ = case
-    b = block % len(flat)
-    return encode_segment(flat[b : b + 1], None, ac_table)[:cut]
 
 
 _AC_SEGMENT_SPECS = st.lists(
     st.tuples(
-        st.sampled_from(["junk", "ones", "cut"]),
+        st.sampled_from(["junk", "ones", "cut", "flip"]),
         st.binary(max_size=48),
-        st.integers(0, 2**16),
-        st.integers(0, 48),
+        st.integers(0, 2**16),  # first block
+        st.integers(0, 12),  # block count
+        st.integers(0, 2**16),  # where to cut or flip, or how many 0xFF bytes
     ),
     max_size=20,
 )
 
 
+def _damaged_segments(flat, tables, specs):
+    """(datas, counts) of real segments of 0 to 12 blocks, cut short or with
+    a bit flipped, and of junk bytes or runs of 0xFF bytes."""
+    datas, counts = [], []
+    for kind, junk, block, count, at in specs:
+        b = block % (len(flat) - count + 1)
+        data = encode_segment(flat[b : b + count], *tables)
+        if kind == "junk":
+            data = junk
+        elif kind == "ones":
+            data = b"\xff" * (at % 49)
+        elif kind == "cut":
+            data = data[: at % (len(data) + 1)]
+        elif data:
+            flipped = bytearray(data)
+            flipped[at % len(data)] ^= 1 << (at >> 8) % 8
+            data = bytes(flipped)
+        datas.append(data)
+        counts.append(count)
+    return datas, counts
+
+
 @settings(max_examples=300, deadline=None)
 @given(_IMAGES, _QUALITIES, _AC_SEGMENT_SPECS)
 def test_lockstep_ac_decode_matches_segment_decoder_on_junk(image, quality, specs):
-    case = _corpus_case(image, quality)
-    datas = [_ac_segment(case, spec) for spec in specs]
-    _assert_lockstep_matches_segment_decoder(datas, case[2], case[3])
+    # real multi-block AC segments cut short or with a bit flipped, and junk
+    # bytes, of 0 to 12 blocks each, decoded side by side
+    flat, _, ac_table, quant_zig = _corpus_case(image, quality)
+    datas, counts = _damaged_segments(flat, (None, ac_table), specs)
+    _assert_lockstep_matches_segment_decoder(datas, counts, None, ac_table, quant_zig)
 
 
 def test_lockstep_ac_decode_matches_segment_decoder_on_zero_runs():
@@ -846,7 +863,9 @@ def test_lockstep_ac_decode_matches_segment_decoder_on_zero_runs():
         flipped = bytearray(data)
         flipped[int(rng.integers(0, len(data)))] ^= 1 << int(rng.integers(0, 8))
         datas.append(bytes(flipped))
-    _, clean = _assert_lockstep_matches_segment_decoder(datas, ac_table, _ONES)
+    _, clean = _assert_lockstep_matches_segment_decoder(
+        datas, [1] * len(datas), None, ac_table, _ONES
+    )
     assert clean.any() and not clean.all()
 
 
@@ -857,22 +876,12 @@ def test_lockstep_ac_decode_clamps_like_segment_decoder(monkeypatch):
     datas, ac_table, _ = _decoded_ac_streams(monkeypatch, 0, pipeline.SCHEME_IMG_DNA, 0.05)
     rng = np.random.default_rng(3)
     datas = datas + [rng.bytes(int(n)) for n in rng.integers(0, 40, size=200)]
-    rows, _ = _assert_lockstep_matches_segment_decoder(datas, ac_table, quant_zig)
+    rows, _ = _assert_lockstep_matches_segment_decoder(
+        datas, [1] * len(datas), None, ac_table, quant_zig
+    )
     bound = coefficient_bounds(quant_zig)
     assert (np.abs(rows) == bound).any()
     assert (np.abs(rows) <= bound).all()
-
-
-def _assert_dc_lockstep_matches_segment_decoder(datas, counts, dc_table, quant_zig):
-    rows, clean = decode_dc_segments(datas, dc_table, counts, quant_zig)
-    assert rows.shape == (sum(counts), 64) and clean.shape == (len(datas),)
-    at = 0
-    for data, count, ok in zip(datas, counts, clean):
-        want, want_ok = decode_segment(data, dc_table, None, count, quant_zig)
-        assert ok == want_ok
-        assert np.array_equal(rows[at : at + count], want)
-        at += count
-    return rows, clean
 
 
 _DC_SEGMENT_SPECS = st.lists(
@@ -893,21 +902,8 @@ def test_lockstep_dc_decode_matches_segment_decoder_on_junk(image, quality, spec
     # real DC segments cut short or with a bit flipped, and junk bytes, of
     # 0 to 12 blocks each, decoded side by side
     flat, dc_table, _, quant_zig = _corpus_case(image, quality)
-    datas, counts = [], []
-    for kind, junk, block, count, at in specs:
-        b = block % (len(flat) - count + 1)
-        data = encode_segment(flat[b : b + count], dc_table, None)
-        if kind == "junk":
-            data = junk
-        elif kind == "cut":
-            data = data[: at % (len(data) + 1)]
-        elif data:
-            flipped = bytearray(data)
-            flipped[at % len(data)] ^= 1 << (at >> 8) % 8
-            data = bytes(flipped)
-        datas.append(data)
-        counts.append(count)
-    _assert_dc_lockstep_matches_segment_decoder(datas, counts, dc_table, quant_zig)
+    datas, counts = _damaged_segments(flat, (dc_table, None), specs)
+    _assert_lockstep_matches_segment_decoder(datas, counts, dc_table, None, quant_zig)
 
 
 def test_lockstep_dc_decode_edge_cases():
@@ -927,8 +923,8 @@ def test_lockstep_dc_decode_edge_cases():
         (b"\x00\x00", 3, True, [0, 0, 0]),
     ]
     datas, counts, clean, dc = zip(*cases)
-    rows, got = _assert_dc_lockstep_matches_segment_decoder(
-        list(datas), list(counts), table, quant_zig
+    rows, got = _assert_lockstep_matches_segment_decoder(
+        list(datas), list(counts), table, None, quant_zig
     )
     assert got.tolist() == list(clean)
     assert rows[:, 0].tolist() == [v for values in dc for v in values]
@@ -942,8 +938,17 @@ def test_lockstep_dc_decode_of_wide_categories_matches_segment_decoder():
     for quant_zig in (_ONES, np.full(64, 200)):
         counts = rng.integers(0, 9, size=300).tolist()
         datas = [rng.bytes(int(n)) for n in rng.integers(0, 40, size=300)]
-        rows, clean = _assert_dc_lockstep_matches_segment_decoder(
-            datas, counts, dc_table, quant_zig
+        rows, clean = _assert_lockstep_matches_segment_decoder(
+            datas, counts, dc_table, None, quant_zig
         )
         bound = coefficient_bounds(quant_zig)[0]
         assert (np.abs(rows[:, 0]) == bound).any() and clean.any() and not clean.all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_IMAGES, _QUALITIES, _AC_SEGMENT_SPECS)
+def test_interleaved_segments_decode_as_the_segment_decoder(image, quality, specs):
+    # with both tables every segment goes through decode_segment on its own
+    flat, dc_table, ac_table, quant_zig = _corpus_case(image, quality)
+    datas, counts = _damaged_segments(flat, (dc_table, ac_table), specs)
+    _assert_lockstep_matches_segment_decoder(datas, counts, dc_table, ac_table, quant_zig)

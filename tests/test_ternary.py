@@ -51,7 +51,7 @@ def ternary_huffman_lengths_oracle(n_symbols: int) -> list[int]:
 
 def test_code_lengths_match_huffman_oracle():
     oracle = ternary_huffman_lengths_oracle(257)  # 256 bytes + 1 dummy
-    produced = sorted(ternary.CODE_LENGTHS) + [ternary.DUMMY_LENGTH]
+    produced = sorted(ternary.CODE_LENGTHS) + [len(ternary.codeword(ternary.DUMMY_SYMBOL))]
     assert sorted(produced) == oracle
 
 
