@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from imgdna import jpeg
+from imgdna.corpus import corpus_image
 
 
 def dct2_oracle(block: np.ndarray) -> np.ndarray:
@@ -141,3 +145,87 @@ def test_metadata_rejects_bad_tables():
         jpeg.ImageMetadata(8, 8, np.zeros((8, 8)))
     with pytest.raises(ValueError):
         jpeg.ImageMetadata(8, 8, np.ones((4, 4)))
+
+
+# jpeg.dct2/idct2 replay pocketfft's operations, so scipy is their exact
+# reference: every comparison below is array_equal, not a tolerance.
+def scipy_dct2(blocks):
+    return scipy.fft.dctn(blocks, type=2, norm="ortho", axes=(-2, -1))
+
+
+def scipy_idct2(coefficients):
+    return scipy.fft.idctn(coefficients, type=2, norm="ortho", axes=(-2, -1))
+
+
+def assert_bits_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_dct_is_bit_exact_on_random_blocks():
+    rng = np.random.default_rng(30)
+    blocks = rng.integers(-128, 128, size=(120_000, 8, 8)).astype(np.float64)
+    assert_bits_equal(jpeg.dct2(blocks), scipy_dct2(blocks))
+
+
+def test_idct_is_bit_exact_out_to_coefficient_bounds():
+    rng = np.random.default_rng(31)
+    for quality in (1, 50, 75, 100):
+        quant = jpeg.quality_scaled_table(quality)
+        bound = jpeg.coefficient_bounds(quant)
+        levels = rng.integers(-bound, bound + 1, size=(20_000, 8, 8))
+        coefficients = (levels * quant).astype(np.float64)
+        assert_bits_equal(jpeg.idct2(coefficients), scipy_idct2(coefficients))
+
+
+@pytest.mark.parametrize("quality", [1, 10, 25, 50, 75, 90, 95, 100])
+def test_forward_transform_of_corpus_matches_scipy(quality):
+    table = jpeg.quality_scaled_table(quality)
+    for idx in range(20):
+        image = corpus_image(idx)
+        blocks, meta = jpeg.forward_transform(image, quality)
+        shifted = np.ascontiguousarray(jpeg.to_blocks(image))
+        want = jpeg.round_half_away(scipy_dct2(shifted) / table).astype(np.int32)
+        assert blocks.flags.c_contiguous
+        assert np.array_equal(blocks, want)
+        restored = jpeg.inverse_transform(blocks, meta)
+        pixels = scipy_idct2(blocks.astype(np.float64) * table) + 128.0
+        want_pixels = np.clip(jpeg.round_half_away(pixels), 0, 255).astype(np.uint8)
+        hb, wb = -(-meta.height // 8), -(-meta.width // 8)
+        grid = want_pixels.reshape(hb, wb, 8, 8).transpose(0, 2, 1, 3).reshape(hb * 8, wb * 8)
+        assert np.array_equal(restored, grid[: meta.height, : meta.width])
+
+
+def test_dct_shapes_and_strides():
+    rng = np.random.default_rng(32)
+    block = rng.integers(-128, 128, size=(8, 8)).astype(np.float64)
+    assert_bits_equal(jpeg.dct2(block), scipy_dct2(block))
+    assert_bits_equal(jpeg.idct2(block), scipy_idct2(block))
+    empty = np.zeros((0, 8, 8))
+    assert jpeg.dct2(empty).shape == (0, 8, 8)
+    assert jpeg.idct2(empty).shape == (0, 8, 8)
+    wide = rng.integers(-128, 128, size=(5, 16, 16)).astype(np.float64)
+    strided = wide[:, ::2, 1::2]  # non-contiguous (5, 8, 8)
+    assert_bits_equal(jpeg.dct2(strided), scipy_dct2(strided))
+    assert_bits_equal(jpeg.idct2(strided), scipy_idct2(strided))
+    stacked = rng.integers(-128, 128, size=(2, 3, 8, 8)).astype(np.float64)
+    assert_bits_equal(jpeg.dct2(stacked), scipy_dct2(stacked))
+    with pytest.raises(ValueError):
+        jpeg.dct2(np.zeros((4, 4)))
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, numpy as np, imgdna\n"
+        "image = np.arange(64 * 48, dtype=np.uint8).reshape(48, 64)\n"
+        "blocks, meta = imgdna.forward_transform(image)\n"
+        "imgdna.inverse_transform(blocks, meta)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(__import__("pathlib").Path(jpeg.__file__).parents[1])},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -176,3 +176,14 @@ def test_write_csv(tmp_path):
     lines = text.strip().split("\n")
     assert lines[0] == "scheme,rate,score"
     assert lines[1] == "IMG-DNA,0.001000,0.987654"
+
+
+def test_ci90_t_quantile_matches_scipy_stats():
+    from scipy import special, stats
+
+    for n in range(2, 201):
+        assert special.stdtrit(n - 1, 0.95) == stats.t.ppf(0.95, n - 1)
+    samples = [1.0, 2.5, 2.0, 4.0]
+    spread = np.std(samples, ddof=1)
+    expected = stats.t.ppf(0.95, 3) * spread / np.sqrt(4)
+    assert ci90_half_width(samples) == expected
