@@ -28,8 +28,6 @@ Reads travel in batches as packed reads (pack_reads): one uint8 array
 holding them back to back, with each read's start and size. edit_reads
 is the one edit applier: it lays a batch of edited reads out in one pass,
 for perturb_pool, targeted injection and containment trials alike.
-draw_point_edits gives a batch of single-edit trials from raw PCG64
-words, equal to the scalar draws a per-trial loop would make.
 """
 
 from __future__ import annotations
@@ -158,100 +156,6 @@ def edit_value(rng: np.random.Generator, kind: int) -> int:
     return 0
 
 
-_HALF = np.uint64(32)
-
-
-def _bounded(halves: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's Lemire draw of integers(0, n) from each 32-bit half: whether
-    the half is kept, and the value it gives."""
-    scaled = halves * np.uint64(n)
-    kept = (scaled & np.uint64(_MASK32)) >= np.uint64((2**32 - n) % n)
-    return kept, (scaled >> _HALF).astype(np.int64)
-
-
-def _first_kept(kept: np.ndarray) -> np.ndarray:
-    """The index of the first kept half at or after each index."""
-    at = np.where(kept, np.arange(kept.size), kept.size)
-    return np.minimum.accumulate(at[::-1])[::-1]
-
-
-def draw_point_edits(
-    rng: np.random.Generator, total: int, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(flat position, kind, value) int64 arrays of n point edits, equal to
-    n rounds of int(rng.integers(0, total)), int(rng.integers(0, 3)) and
-    edit_value(rng, kind), and leaving rng where those calls would.
-
-    Each scalar integers(lo, hi) takes one 32-bit half of PCG64's next
-    word, the low half first; a high half the generator holds buffered
-    comes before any new word. The half times hi - lo is kept unless its
-    low 32 bits fall below (2**32 - (hi - lo)) % (hi - lo), and a rejected
-    half passes to the next one. Here every half is scored for every
-    range at once, and the trial that would start at each half points to
-    the half after it; the trials' starts, the orbit of the first half,
-    come from pointer doubling.
-    """
-    bitgen = rng.bit_generator
-    if not isinstance(bitgen, PCG64):
-        raise TypeError("draw_point_edits reads PCG64 words")
-    if not 2 <= total <= 2**32:
-        raise ValueError("total must be in [2, 2**32]")
-    if n <= 0:
-        return (np.zeros(0, dtype=np.int64),) * 3
-    saved = bitgen.state
-    buffered = saved["has_uint32"]
-    words = (3 * n + 1) // 2 + 32  # three halves a trial unless some are rejected
-    while True:
-        raw = bitgen.random_raw(words)
-        size = buffered + 2 * words  # halves drawn; three zero halves follow as stops
-        halves = np.zeros(size + 3, dtype=np.uint64)
-        halves[0] = saved["uinteger"]
-        halves[buffered:size:2] = raw & np.uint64(_MASK32)
-        halves[buffered + 1 : size : 2] = raw >> _HALF
-        pos_kept, pos_value = _bounded(halves, total)
-        three_kept, three_value = _bounded(halves, 3)  # kinds and substitution shifts
-        pos_kept[size:] = three_kept[size:] = True
-        pos_half, three_half = _first_kept(pos_kept), _first_kept(three_kept)
-        # the kind's half and the last half of a trial starting at each half;
-        # an insertion's nucleotide, integers(0, 4), keeps every half
-        kind_half = three_half[pos_half[:size] + 1]
-        kind = three_value[kind_half]
-        last = np.where(kind == 0, three_half[kind_half + 1], kind_half + (kind == 1))
-        # next trial's start; a trial that runs past the drawn halves leads
-        # to size + 1, which leads to itself
-        jump = np.full(size + 2, size + 1, dtype=np.int64)
-        jump[:size] = np.where(last < size, last + 1, size + 1)
-        start = np.zeros(n + 1, dtype=np.int64)  # trial t starts at jump^t(0)
-        trial = np.arange(n + 1)
-        for bit in range(n.bit_length()):
-            on = (trial >> bit & 1).astype(bool)
-            start[on] = jump[start[on]]
-            jump = jump[jump]
-        if start[n] <= size:
-            break
-        bitgen.state = saved  # too few halves: draw twice as many
-        words *= 2
-    end = int(start[n])
-    start = start[:n]
-    kind_at = kind_half[start]
-    kind = kind[start]
-    value = np.where(
-        kind == 0,
-        1 + three_value[three_half[kind_at + 1]],
-        np.where(kind == 1, halves[kind_at + 1] >> np.uint64(30), 0).astype(np.int64),
-    )
-    # leave the generator as the scalar calls would: the used words drawn,
-    # and the high half of the last one buffered unless it was used
-    used = (end - buffered + 1) // 2  # at least one: a trial takes two halves
-    bitgen.state = saved
-    bitgen.advance(used)
-    state = bitgen.state
-    state["has_uint32"] = (end - buffered) % 2
-    state["uinteger"] = int(raw[used - 1] >> _HALF)
-    bitgen.state = state
-    return pos_value[pos_half[start]], kind, value
-
-
 def pack_reads(reads) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(nts, starts, sizes): the reads back to back in one uint8 array, and
     where each starts and how long it is. None packs as an empty read."""
@@ -319,6 +223,23 @@ def _below(words: np.ndarray, rate: float) -> np.ndarray:
     w < ceil(rate * 2**53) << 11, and no float array is made."""
     limit = math.ceil(rate * 2**53) << 11
     return np.flatnonzero(words < np.uint64(limit)) if limit < 2**64 else np.arange(words.size)
+
+
+_HALF = np.uint64(32)
+
+
+def _bounded(halves: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's Lemire draw of integers(0, n) from each 32-bit half: whether
+    the half is kept, and the value it gives."""
+    scaled = halves * np.uint64(n)
+    kept = (scaled & np.uint64(_MASK32)) >= np.uint64((2**32 - n) % n)
+    return kept, (scaled >> _HALF).astype(np.int64)
+
+
+def _first_kept(kept: np.ndarray) -> np.ndarray:
+    """The index of the first kept half at or after each index."""
+    at = np.where(kept, np.arange(kept.size), kept.size)
+    return np.minimum.accumulate(at[::-1])[::-1]
 
 
 def _draw_reads(cfg: ChannelConfig, words: np.ndarray, span: np.ndarray, count: np.ndarray):

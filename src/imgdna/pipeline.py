@@ -49,10 +49,10 @@ without barriers (one unbounded partition per strand) when its decoded
 length is wrong. A missing or quarantined strand decodes as an empty
 read: zero trits, every partition flagged and every segment with a trit
 on it counted as failed. run_containment scores trials with barriers.partition_errors, the same
-matrix against the pristine trits. Its batches make no Python call per
-trial: one draw_point_edits call gives the edits, bit-identical to the
-scalar draws of a per-trial loop, one edit_reads call lays the reads out
-and one route_reads call routes them.
+matrix against the pristine trits. It draws every trial's edit up front
+in four vectorised integers() calls, and its batches make no Python call
+per trial: one edit_reads call lays the reads out and one route_reads
+call routes them.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ import numpy as np
 from .barriers import BarrierConfig, partition_errors, resync_reads, stream_payloads
 from .channel import (
     ChannelConfig,
-    draw_point_edits,
     edit_reads,
     edit_value,
     pack_reads,
@@ -226,9 +225,10 @@ def encode_image(image: np.ndarray, cfg: ExperimentConfig) -> EncodedImage:
             dc_trit_ranges = list(zip(lo.tolist(), hi.tolist()))
 
     fwd, rev = map(seq_to_string, default_primer_pair(seed=cfg.seed))
-    # the smallest index width that addresses the strands laid out at that
-    # width; width-1 values sit 2 edits apart, so one error can pass as the other
-    mapping = MappingTable(cfg.scheme, cfg.quality, cfg.strand_len, 2, fwd, rev, stream_maps)
+    # the smallest index width, from 4 up, that addresses the strands laid
+    # out at that width; below width 4 one edit can route a read to another
+    # strand's slot (see strands.decode_index)
+    mapping = MappingTable(cfg.scheme, cfg.quality, cfg.strand_len, 4, fwd, rev, stream_maps)
     while True:
         geom, layouts = mapping.layouts()
         need = index_width_for(max(len(uids) for _, _, uids in layouts.values()))
@@ -607,7 +607,7 @@ class ContainmentStats:
         return self.confined_to_strand / self.trials if self.trials else 1.0
 
 
-# trials whose reads are decoded together; bounds memory for any trial count
+# trials whose reads are decoded together; bounds the reads' memory
 CONTAINMENT_BATCH = 4096
 
 
@@ -627,8 +627,11 @@ def run_containment(
     a read routed to any other address loses the strand too and counts as
     unconfined.
 
-    A batch draws its edits in one draw_point_edits call, lays its reads
-    out in one edit_reads call and routes them in one route_reads call.
+    Every trial's edit is drawn before the first batch, as four arrays:
+    positions, kinds, substitution shifts and inserted nucleotides, each
+    one rng.integers call over all trials, so the batch size moves no
+    draw. A batch lays its reads out in one edit_reads call and routes
+    them in one route_reads call.
     Its trials are grouped by the piece of a stream their strand lies in,
     its full strands or its short final one, and each group's payloads go
     through one resync_reads call.
@@ -660,11 +663,17 @@ def run_containment(
     starts = ends - sizes
     head, tail = geom.fwd_len + geom.index_len, geom.rev_len
     rng = np.random.default_rng(seed)
+    all_pos = rng.integers(0, ends[-1], trials)
+    all_kind = rng.integers(0, 3, trials)
+    # a substitution's shift, then an insertion's nucleotide; a deletion
+    # reads no value
+    all_value = np.where(all_kind == 0, rng.integers(1, 4, trials), rng.integers(0, 4, trials))
     stats = ContainmentStats(trials=trials)
 
     for first in range(0, trials, CONTAINMENT_BATCH):
-        batch = min(CONTAINMENT_BATCH, trials - first)
-        flat_pos, kind, value = draw_point_edits(rng, int(ends[-1]), batch)
+        cut = slice(first, first + CONTAINMENT_BATCH)
+        flat_pos, kind, value = all_pos[cut], all_kind[cut], all_value[cut]
+        batch = flat_pos.size
         uid = np.searchsorted(ends, flat_pos, side="right")
         bases = [strands[u] for u in uid.tolist()]
         nts, read_starts, read_sizes = edit_reads(

@@ -248,14 +248,16 @@ def decode_index(regions: np.ndarray, width: int, seed: int, limit: int) -> np.n
     highest (copy votes, raw votes, -value) wins among the candidates
     whose code is within one edit of the region (_within_one_edit). From
     width 4 up, no single substitution, insertion or deletion inside a
-    code, whatever payload follows it, decodes to another value: the tests
-    check every one at width 4. Below that it can: at width 3, 8 of the
-    27,168 distinct single-edit regions of seeds 0-3 pass value 15 as 0,
-    and at width 2, 92 of 5,572 decode to another value. Over the corpus
-    and every scheme, a 16x16 crop gets width 2 or 3, a 32x32 crop 3 or 4,
-    and 48x48 and up 4 or more. Width 1 values sit only 2 edits apart
-    (and the exact encoding of value 2 votes to 0 under limit 3);
-    encode_image never writes width-1 indexes.
+    code, whatever payload follows it, decodes to another value, and no
+    region of one to three edits the tests try has two values that pass
+    the one-edit check; the tests check every single edit at width 4.
+    Below that one edit can misroute: at width 3, 8 of the 27,168
+    distinct single-edit regions of seeds 0-3 pass value 15 as 0, and at
+    width 2, 92 of 5,572 decode to another value. Width 1 values sit only
+    2 edits apart (and the exact encoding of value 2 votes to 0 under
+    limit 3). So encode_image writes no index narrower than 4 trits,
+    though a mapping of any width decodes; small images pay for it, as a
+    16x16 crop would otherwise get width 2 or 3.
 
     route_reads looks every index region up in its exact table first and
     sends only the rest here; on an exact encoding the two give the same

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from imgdna import channel
 from imgdna.channel import (
     ChannelConfig,
-    draw_point_edits,
     edit_reads,
     edit_value,
     pack_reads,
@@ -438,43 +437,6 @@ def test_pack_reads_round_trip_and_missing_reads():
     assert [r.tolist() for r in unpack_reads(nts, starts, sizes)] == [[1, 2], [], [], [3]]
     nts, starts, sizes = pack_reads([])
     assert nts.dtype == np.uint8 and nts.size == starts.size == sizes.size == 0
-
-
-def _scalar_point_edits(rng, total, n):
-    """n rounds of the scalar draws run_containment once made per trial."""
-    edits = []
-    for _ in range(n):
-        pos = int(rng.integers(0, total))
-        kind = int(rng.integers(0, 3))
-        edits.append((pos, kind, edit_value(rng, kind)))
-    return edits
-
-
-@pytest.mark.parametrize("total", [3, 5, 76_000, 2**31 + 1, 3 * 10**9])
-def test_point_edit_draws_equal_scalar_draws(total):
-    # 2**31 + 1 rejects about half of all halves for the position draw;
-    # odd and even call lengths make later calls start on a buffered half
-    for seed in range(300):
-        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        if seed % 2:  # start with a buffered half
-            assert want_rng.integers(0, 7) == got_rng.integers(0, 7)
-        for n in (7, 4, 1, 10, 0, 3):
-            want = _scalar_point_edits(want_rng, total, n)
-            pos, kind, value = draw_point_edits(got_rng, total, n)
-            assert all(a.dtype == np.int64 for a in (pos, kind, value))
-            assert list(zip(pos.tolist(), kind.tolist(), value.tolist())) == want, (seed, n)
-            assert got_rng.bit_generator.state == want_rng.bit_generator.state, (seed, n)
-        assert got_rng.random() == want_rng.random()
-        assert got_rng.integers(0, 1000) == want_rng.integers(0, 1000)
-
-
-def test_point_edit_draws_reject_what_they_cannot_pin():
-    with pytest.raises(ValueError):
-        draw_point_edits(np.random.default_rng(0), 2**32 + 1, 5)
-    with pytest.raises(ValueError):
-        draw_point_edits(np.random.default_rng(0), 1, 5)
-    with pytest.raises(TypeError):
-        draw_point_edits(np.random.Generator(np.random.MT19937(0)), 10, 5)
 
 
 def test_parse_channel_config():

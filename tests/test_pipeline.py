@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from imgdna import pipeline
-from imgdna.channel import ChannelConfig, edit_value, pack_reads, perturb_pool
+from imgdna.channel import ChannelConfig, pack_reads, perturb_pool
 from imgdna.corpus import corpus_image
 from imgdna.formats import FormatError, read_mapping, read_metadata, read_pool, segment_bounds, write_mapping, write_metadata, write_pool
 from imgdna.pipeline import (
@@ -404,10 +404,11 @@ def test_mapping_that_disagrees_with_the_image_is_a_format_error(scheme, edit):
 def test_config_whose_strands_hold_no_partition_fails_at_encode(small_image):
     # the encoder lays its strands out with the decoder's layout, so it
     # refuses what the decoder would
-    with pytest.raises(FormatError, match="stream 0: strand capacity 14 nt cannot hold one 20-trit"):
-        encode_image(small_image, ExperimentConfig(strand_len=60))
-    with pytest.raises(FormatError, match="strand geometry: strand too short"):
-        encode_image(small_image, ExperimentConfig(strand_len=40))
+    with pytest.raises(FormatError, match="stream 0: strand capacity 10 nt cannot hold one 20-trit"):
+        encode_image(small_image, ExperimentConfig(strand_len=62))
+    for strand_len in (40, 60):  # primers and a width-4 index leave under 10 nt
+        with pytest.raises(FormatError, match="strand geometry: strand too short"):
+            encode_image(small_image, ExperimentConfig(strand_len=strand_len))
 
 
 def test_single_error_containment(small_image):
@@ -421,8 +422,8 @@ def test_seeded_draw_order_is_pinned(small_image):
     # seeded figures kept as literals: any change to the order of RNG draws
     # in the channel, the injections or the trial loop fails here
     hist = {
-        SCHEME_IMG_DNA: {0: 53, 1: 246, 2: 1},
-        SCHEME_NO_BARRIER: {0: 32, 1: 268},
+        SCHEME_IMG_DNA: {0: 44, 1: 256},
+        SCHEME_NO_BARRIER: {0: 26, 1: 274},
     }
     for scheme, want in hist.items():
         stats = run_containment(small_image, ExperimentConfig(scheme=scheme), trials=300, seed=11)
@@ -454,9 +455,9 @@ def route_read(read, geom, limit):
 
 
 def containment_by_trial(image, cfg, trials, seed):
-    """run_containment with scalar draws, one edit applied in place, one
-    route_read, one per-chunk marker search and one per-partition damage
-    count per trial, each in turn."""
+    """run_containment's up-front draws, then one edit applied in place,
+    one route_read, one per-chunk marker search and one per-partition
+    damage count per trial, each in turn."""
     enc = encode_image(image, cfg)
     geom, layouts = enc.mapping.layouts()
     limit = 2 * max(len(uids) for _, _, uids in layouts.values())
@@ -467,14 +468,14 @@ def containment_by_trial(image, cfg, trials, seed):
             targets[uid] = (sid, k, bc, want)
     cum = np.concatenate([[0], np.cumsum([s.size for s in enc.strands])])
     rng = np.random.default_rng(seed)
+    ranges = ((0, cum[-1]), (0, 3), (1, 4), (0, 4))  # position, kind, shift, nucleotide
+    draws = [rng.integers(lo, hi, trials).tolist() for lo, hi in ranges]
     within = confined_count = 0
     hist = {}
-    for _ in range(trials):
-        flat_pos = int(rng.integers(0, cum[-1]))
+    for flat_pos, kind, shift, nt in zip(*draws):
         uid = int(np.searchsorted(cum, flat_pos, side="right")) - 1
         pos = flat_pos - int(cum[uid])
-        kind = int(rng.integers(0, 3))
-        read = _apply_edits_reference(enc.strands[uid], [(pos, kind, edit_value(rng, kind))])
+        read = _apply_edits_reference(enc.strands[uid], [(pos, kind, shift if kind == 0 else nt)])
         sid, offset, bc, want = targets[uid]
         routed = route_read(read, geom, limit)
         confined = routed is None or routed[:2] == (sid, offset)
@@ -519,6 +520,30 @@ def test_containment_equals_per_trial_loop(image, scheme, seed, monkeypatch):
     assert stats.trials == 400
     assert (stats.within_two_partitions, stats.confined_to_strand) == (within, confined)
     assert list(stats.damage_histogram.items()) == list(hist.items())
+
+
+def test_containment_is_independent_of_the_batch_size(monkeypatch):
+    # every trial's edit is drawn before the first batch
+    image = corpus_image(7)[:24, :40]
+    want = run_containment(image, trials=300, seed=9)
+    for batch in (1, 97):
+        monkeypatch.setattr(pipeline, "CONTAINMENT_BATCH", batch)
+        got = run_containment(image, trials=300, seed=9)
+        assert got == want, batch
+        assert list(got.damage_histogram.items()) == list(want.damage_histogram.items())
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("image", [0, 7])
+def test_small_crops_keep_every_single_error_confined(image, scheme):
+    # a 16x16 crop would get a width-2 or width-3 index, where one edit can
+    # route a read to another strand's slot; the width floor of 4 keeps
+    # every trial confined
+    crop = corpus_image(image)[:16, :16]
+    cfg = ExperimentConfig(scheme=scheme)
+    assert encode_image(crop, cfg).mapping.index_width == 4
+    stats = run_containment(crop, cfg, trials=5000, seed=5)
+    assert stats.confined_fraction == 1.0
 
 
 @pytest.mark.parametrize("every", [1, 4])
@@ -578,11 +603,12 @@ def test_trial_counts_are_validated(small_image):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_single_strand_streams_route_without_misrouting(scheme):
     # one strand per stream would fit width-1 indexes, whose two values sit
-    # only 2 edits apart; encoding starts at width 2 so no error misroutes
+    # only 2 edits apart, and below width 4 one edit can pass as another
+    # value; encoding starts at width 4 so no error misroutes
     image = (np.arange(64).reshape(8, 8) * 7 % 256).astype(np.uint8)
     cfg = ExperimentConfig(scheme=scheme)
     enc = encode_image(image, cfg)
-    assert enc.mapping.index_width == 2
+    assert enc.mapping.index_width == 4
     dec = decode_pool(enc.strands, enc.mapping, enc.metadata)
     assert np.array_equal(dec.image, reference_image(image, cfg.quality))
     stats = run_containment(image, cfg, trials=4000)

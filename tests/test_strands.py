@@ -28,6 +28,7 @@ from imgdna.strands import (
     _copy_mask,
     _exact_values,
     _index_codes,
+    _region_keys,
     _within_one_edit,
     encode_indexes,
 )
@@ -252,6 +253,52 @@ def test_no_single_edit_in_a_width_4_index_routes_to_another_value():
         misrouted = (got >= 0) & (got != values)
         assert not misrouted.any(), (seed, values[misrouted][:5], got[misrouted][:5])
         assert len(values) > 27_000
+
+
+def _values_passing_one_edit(regions, width, seed):
+    """How many distinct values below 3**width have a code that passes
+    decode_index's one-edit check against each region.
+
+    A code within one edit of a region keeps copy 0 in place when the edit
+    lies past it, and otherwise keeps copies 1 and 2 at a shift of -1, 0
+    or +1. Either part alone fixes the value, so four lookups find every
+    value that can pass, and only those are checked."""
+    codes = _index_codes(width, seed, 3**width)
+    n = 3 * width
+    candidates = []
+    for part, shifts in ((slice(0, width), [0]), (slice(width, n), [-1, 0, 1])):
+        table = _region_keys(codes[:, part])
+        order = np.argsort(table)
+        for s in shifts:
+            keys = _region_keys(regions[:, part.start + s : part.stop + s])
+            at = np.minimum(table[order].searchsorted(keys), table.size - 1)
+            candidates.append(order[at])  # a value that fails the check if no key matched
+    candidates = np.stack(candidates, axis=1)
+    passing = np.where(_within_one_edit(codes[candidates], regions[:, None, :]), candidates, -1)
+    passing.sort(axis=1)
+    return ((passing >= 0) & (np.diff(passing, axis=1, prepend=-1) != 0)).sum(axis=1)
+
+
+def test_from_width_4_at_most_one_value_passes_the_one_edit_check():
+    # so decode_index's vote order decides nothing there. Below width 4
+    # some single-edit regions have two values within one edit; there the
+    # lookups above also agree with checking every value
+    for width in (2, 3):
+        _, regions = _single_edit_regions(width, 0)
+        passing = _values_passing_one_edit(regions, width, 0)
+        codes = _index_codes(width, 0, 3**width)
+        assert (passing == _within_one_edit(codes, regions[:, None, :]).sum(axis=1)).all()
+        assert passing.max() == 2, width
+    for seed in range(4):
+        _, regions = _single_edit_regions(4, seed)
+        assert _values_passing_one_edit(regions, 4, seed).max() == 1, seed
+    rng = np.random.default_rng(31)
+    for width in range(4, 9):
+        for seed in range(4):
+            regions = np.array(
+                [_edited_region(rng, width, seed, 1 + k % 3) for k in range(90)], dtype=np.uint8
+            )
+            assert _values_passing_one_edit(regions, width, seed).max() <= 1, (width, seed)
 
 
 def _assert_exact_reads_match_votes(width, seed):
