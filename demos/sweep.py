@@ -1,6 +1,6 @@
 """Robustness sweep: mean SSIM vs error rate for all three schemes.
 
-Small corpus and trial count so it finishes in about a minute; the CLI
+Small corpus and trial count so it finishes in a few seconds; the CLI
 `imgdna sweep` runs the full-size version.
 
 Run:  python demos/sweep.py [out.csv]

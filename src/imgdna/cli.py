@@ -17,6 +17,7 @@ argparse's own exit code 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -232,7 +233,13 @@ def _cmd_validate(args) -> int:
     return 1 if report.violations else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The verb parser, built on first use and shared by every later call.
+
+    parse_args gives a fresh Namespace each time and help text is formatted
+    when printed, so one parser serves any number of main() calls.
+    """
     parser = argparse.ArgumentParser(prog="imgdna", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -296,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary

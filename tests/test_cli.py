@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from imgdna.pgm import read_pgm, write_pgm
 from imgdna.channel import ChannelConfig, perturb_pool
 from imgdna.pipeline import SCHEMES, ExperimentConfig, decode_pool, encode_image, reference_image
 from imgdna.rotation import seq_to_string
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv):
@@ -277,3 +283,40 @@ def test_every_experiment_field_has_a_flag_that_reaches_the_config(verb):
         assert value != getattr(default, name)
         argv += [f"--{name.replace('_', '-')}", str(value)]
     assert cli._config_from(cli.build_parser().parse_args(argv)) == ExperimentConfig(**values)
+
+
+def test_one_parser_serves_every_call():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_parse_carries_no_flag_into_the_next():
+    base = ["perturb", "--pool", "p.fa", "--mapping", "m", "--out", "o.fa", "--rate", "0.01"]
+    parser = cli.build_parser()
+    first = parser.parse_args(base + ["--corrupt-primers", "--copies", "2", "--sub-weight", "3"])
+    assert cli._channel_from(first) == ChannelConfig(
+        rate=0.01, corrupt_primers=True, copies=2, sub_weight=3.0
+    )
+    assert cli._channel_from(parser.parse_args(base)) == ChannelConfig(rate=0.01)
+
+
+def test_a_usage_error_leaves_the_next_call_whole(encoded, tmp_path, capsys):
+    argv = ["validate", "--pool", f"{encoded}.pool.fa", "--json"]
+    assert run(argv) == 0
+    expect = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        run(["encode", "--scheme", "bogus", "--out", tmp_path / "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == expect
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "imgdna", "--help"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    for verb in ("encode", "perturb", "decode", "sweep", "isolate", "validate"):
+        assert verb in proc.stdout

@@ -9,12 +9,20 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# each CSV demo writes 12 rows: 3 schemes x 4 rates, or 3 schemes x 2 targets x 2 rates
+CSV_HEADERS = {
+    "sweep.py": "scheme,error_rate,mean_ssim,ci90_half_width,density",
+    "isolation.py": "scheme,target,error_rate,mean_ssim,ci90_half_width",
+}
+
 
 @pytest.mark.parametrize(
     "demo, args, writes",
     [
         ("containment.py", [], []),
         ("roundtrip.py", ["out"], ["out/original.pgm", "out/decoded_1.000%.pgm"]),
+        ("sweep.py", ["sweep.csv"], ["sweep.csv"]),
+        ("isolation.py", ["iso.csv"], ["iso.csv"]),
     ],
 )
 def test_demo_runs(demo, args, writes, tmp_path):
@@ -32,3 +40,7 @@ def test_demo_runs(demo, args, writes, tmp_path):
     assert run.stdout
     for name in writes:
         assert (tmp_path / name).is_file(), name
+    if demo in CSV_HEADERS:
+        lines = (tmp_path / writes[0]).read_text().splitlines()
+        assert lines[0] == CSV_HEADERS[demo]
+        assert len(lines) == 1 + 12
