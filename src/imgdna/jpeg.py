@@ -121,11 +121,10 @@ def to_blocks(image: np.ndarray) -> np.ndarray:
     """
     image = np.asarray(image)
     h, w = image.shape
-    if h % 8 or w % 8:
-        image = np.pad(image, ((0, (-h) % 8), (0, (-w) % 8)), mode="edge")
-    hb, wb = image.shape[0] // 8, image.shape[1] // 8
+    padded = np.pad(image, ((0, (-h) % 8), (0, (-w) % 8)), mode="edge")
+    hb, wb = padded.shape[0] // 8, padded.shape[1] // 8
     layout = _empty_aligned((8, 8, hb, wb))
-    np.subtract(image.reshape(hb, 8, wb, 8).transpose(1, 3, 0, 2), 128.0, out=layout)
+    np.subtract(padded.reshape(hb, 8, wb, 8).transpose(1, 3, 0, 2), 128.0, out=layout)
     return layout.reshape(8, 8, hb * wb).transpose(2, 0, 1)
 
 
